@@ -36,12 +36,6 @@ class OrthogonalACS:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
-
-    def __call__(self, v) -> np.ndarray:
-        return self.apply(v)
-
     def block(self, a: int, b: int) -> np.ndarray:
         """The dim_a x dim_b submatrix at the block offsets (rows a, cols b)."""
         man = self.manifold
@@ -123,10 +117,6 @@ def validate_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> AuditReport
         "sum_c block(a,c) block(c,d) == -delta_ad I for all factor pairs",
     )
     return report
-
-
-def is_valid_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> bool:
-    return validate_acs(J, tol).passed
 
 
 ROTATION_2x2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -227,4 +217,6 @@ def acs_from_text(manifold: ProductManifold, text: str) -> OrthogonalACS:
         raise ContractViolation(f"unparseable matrix entry: {exc}") from exc
     if any(r.shape != (n,) for r in rows):
         raise ContractViolation("matrix row with wrong number of entries")
+    if not all(np.all(np.isfinite(r)) for r in rows):
+        raise ContractViolation("non-finite matrix entry")
     return OrthogonalACS(manifold, np.vstack(rows))

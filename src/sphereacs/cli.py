@@ -1,10 +1,19 @@
-"""Command-line surface: configuration, audit suites, field runs, searches.
+"""Command-line surface: configuration parsing, per-command default
+manifolds, dispatch to library audits, field runs and searches, and the
+report writers.
 
 Commands
 --------
     audit     {curvature | gray | splitting | components | ricci-star}
     nijenhuis {s2 | s6-octonion | product | gauged}
     search    {s2xs4 | s6}
+
+Each audit suite is one library function returning an ``AuditReport``
+(``report.py`` holds the only row type): the curvature symmetries live on
+``manifold.CurvatureOracle``, the gray, components and ricci-star suites in
+``identities`` and the splitting suite in ``search``.  Field runs and
+searches record their per-point norms and per-restart energies as value
+rows of the same report type.
 
 Every run prints a human-readable table on stdout and writes a
 machine-readable report (csv or records, 17 significant digits) plus a
@@ -27,8 +36,12 @@ keys are errors.  Example::
     degrees = 0,1,2
     format = csv
 
-The environment variable SPHEREACS_CONFIG_DIR may point to a directory
-searched for bare config file names.
+Keys: seed, samples, points, frame_pairs, restarts, budget, generators,
+degrees (a non-empty list of gauge degrees >= 0), fd_step (within
+[1e-9, 1e-2]), init_scale, chart_margin, swap_probe, restriction_check,
+format, out, acs_file and points_file.  The environment variable
+SPHEREACS_CONFIG_DIR may point to a directory searched for bare config file
+names.
 
 File formats referenced by config keys:
 
@@ -38,6 +51,9 @@ File formats referenced by config keys:
 * ``points_file`` (nijenhuis commands): one sample point per line as
   whitespace-separated ambient coordinates (sum of dim+1 per factor); each
   factor block must lie on its unit sphere to 1e-6.
+
+Non-finite numbers (nan, inf) in a factor curvature, an ``acs_file`` or a
+``points_file`` are usage errors (exit code 2).
 """
 
 from __future__ import annotations
@@ -47,40 +63,46 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .acs import random_block_diagonal_acs, random_orthogonal_acs, swap_acs
+from .acs import OrthogonalACS, acs_from_text
 from .config import TOL
-from .errors import ConfigError, ContractViolation, DegenerateInput, InvalidManifold
+from .errors import (
+    ConfigError,
+    ContractViolation,
+    DegenerateInput,
+    InvalidManifold,
+    SearchError,
+    StepSizeError,
+)
 from .fields import (
     acs_field_validity_check,
+    check_step,
     default_acs_field,
-    nijenhuis_batch,
     nijenhuis_norms,
     product_acs_field,
-    projected_constant_field,
     s2_rotation_blocks,
     s6_octonion_blocks,
+    second_factor_restriction_check,
 )
 from .identities import (
-    gray_combination,
-    ricci_star_bilinear,
-    ricci_star_component_audit,
-    splitting_defect,
+    component_audit_suite,
+    gray_cancellation_audit,
+    ricci_star_exchange_audit,
 )
 from .manifold import CurvatureOracle, ProductManifold, SphereFactor
-from .report import AuditReport
-from .sampling import chart_safe_points
+from .report import AuditReport, Check
+from .sampling import chart_safe_points, load_points
 from .search import (
     DISCLAIMER,
     ExperimentConfig,
     GaugeParametrization,
     energy_floor_experiment,
-    splitting_pressure_probe,
+    splitting_audit,
 )
 
 FORMATS = ("table", "csv", "records")
@@ -118,11 +140,17 @@ class RunConfig:
         for name in ("samples", "points", "frame_pairs", "restarts", "budget"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("fd_step", "init_scale", "chart_margin"):
+        for name in ("init_scale", "chart_margin"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
+        try:
+            check_step(self.fd_step)
+        except StepSizeError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.generators < 0:
             raise ConfigError("generators must be >= 0")
+        if not self.degrees or min(self.degrees) < 0:
+            raise ConfigError("degrees must list at least one gauge degree, each >= 0")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
 
@@ -219,60 +247,8 @@ def load_config(path: str | None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Report rows
+# Report writers
 # ---------------------------------------------------------------------------
-
-def check_row(check) -> dict:
-    return {
-        "kind": "check",
-        "name": check.name,
-        "computed": check.computed,
-        "expected": check.expected,
-        "tolerance": check.tolerance,
-        "verdict": check.verdict,
-        "asserted": check.asserted,
-        "claim": check.claim,
-    }
-
-
-def value_row(name: str, value: float, claim: str) -> dict:
-    return {
-        "kind": "value",
-        "name": name,
-        "computed": float(value),
-        "expected": None,
-        "tolerance": None,
-        "verdict": "recorded",
-        "asserted": False,
-        "claim": claim,
-    }
-
-
-@dataclass
-class CommandResult:
-    title: str
-    rows: list[dict] = field(default_factory=list)
-
-    def add_report(self, report: AuditReport) -> None:
-        self.rows.extend(check_row(c) for c in report.checks)
-
-    def counts(self) -> dict:
-        passes = mismatches = fails = recorded = 0
-        for row in self.rows:
-            if row["kind"] != "check":
-                recorded += 1
-            elif row["verdict"] == "pass":
-                passes += 1
-            elif row["asserted"]:
-                fails += 1
-            else:
-                mismatches += 1
-        return {"pass": passes, "mismatch": mismatches, "fail": fails, "recorded": recorded}
-
-    @property
-    def failed(self) -> bool:
-        return any(r["kind"] == "check" and r["asserted"] and r["verdict"] != "pass" for r in self.rows)
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -287,12 +263,12 @@ def _fmt(value) -> str:
 CSV_COLUMNS = ("kind", "name", "computed", "expected", "tolerance", "verdict", "asserted", "claim")
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def rows_to_csv(rows: list[Check]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         cells = []
         for col in CSV_COLUMNS:
-            cell = _fmt(row[col])
+            cell = _fmt(getattr(row, col))
             if "," in cell or '"' in cell:
                 cell = '"' + cell.replace('"', '""') + '"'
             cells.append(cell)
@@ -300,12 +276,12 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_records(rows: list[dict]) -> str:
+def rows_to_records(rows: list[Check]) -> str:
     lines = []
     for row in rows:
         parts = []
         for col in CSV_COLUMNS:
-            v = row[col]
+            v = getattr(row, col)
             if v is None:
                 encoded = "null"
             elif isinstance(v, bool):
@@ -319,21 +295,19 @@ def rows_to_records(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_table(title: str, rows: list[dict], max_rows: int = 40) -> str:
+def rows_to_table(title: str, rows: list[Check], max_rows: int = 40) -> str:
     header = f"{'name':<46} {'computed':>24} {'expected':>24} verdict"
     lines = [title, "-" * len(header), header, "-" * len(header)]
     for row in rows[:max_rows]:
-        expected = _fmt(row["expected"]) if row["expected"] is not None else "-"
-        lines.append(
-            f"{row['name']:<46} {_fmt(row['computed']):>24} {expected:>24} {row['verdict']}"
-        )
+        expected = _fmt(row.expected) if row.expected is not None else "-"
+        lines.append(f"{row.name:<46} {_fmt(row.computed):>24} {expected:>24} {row.verdict}")
     if len(rows) > max_rows:
         lines.append(f"... ({len(rows) - max_rows} more rows)")
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# Audit suites
+# Dispatch
 # ---------------------------------------------------------------------------
 
 DEFAULT_FACTORS = {
@@ -351,138 +325,27 @@ DEFAULT_FACTORS = {
 }
 
 
-def run_audit(suite: str, cfg: RunConfig) -> CommandResult:
-    man = cfg.manifold(DEFAULT_FACTORS[("audit", suite)])
-    oracle = CurvatureOracle(man)
-    result = CommandResult(f"audit {suite} on {man.describe()}")
-
-    if suite == "curvature":
-        result.add_report(oracle.symmetry_audit(cfg.samples, cfg.seed))
-
-    elif suite == "gray":
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for s in range(cfg.samples):
-            J = random_block_diagonal_acs(man, [cfg.seed, s])
-            w, x, y, z = rng.standard_normal((4, man.total_dim))
-            worst = max(worst, abs(gray_combination(oracle, J, w, x, y, z)))
-        report = AuditReport(result.title)
-        report.add(
-            "gray-cancellation",
-            worst,
-            0.0,
-            1e-10,
-            "eight-term combination vanishes for per-factor structures on "
-            "constant-curvature factors",
-        )
-        result.add_report(report)
-
-    elif suite == "splitting":
-        if man.factors[0].dim != 2:
-            raise ConfigError("the splitting suite needs a 2-sphere first factor")
-        x = np.zeros(man.total_dim)
-        y = np.zeros(man.total_dim)
-        x[0], y[1] = 1.0, 1.0
-        worst_eq = worst_sign = worst_split = 0.0
-        for s in range(cfg.samples):
-            J = random_orthogonal_acs(man, [cfg.seed, s])
-            d = splitting_defect(oracle, J, x, y)
-            worst_eq = max(worst_eq, abs(d.direct - d.closed_form))
-            worst_sign = max(worst_sign, d.direct)
-            Jsplit = random_block_diagonal_acs(man, [cfg.seed, s])
-            worst_split = max(worst_split, abs(splitting_defect(oracle, Jsplit, x, y).direct))
-        probe = splitting_pressure_probe(man, cfg.samples, cfg.seed)
-        report = AuditReport(result.title)
-        report.add(
-            "oracle-equivalence", worst_eq, 0.0, 1e-10,
-            "eight-term defect == -alpha (1 - c^2)^2 + complement term",
-        )
-        report.add("nonpositivity", max(worst_sign, 0.0), 0.0, 1e-12, "defect <= 0 always")
-        report.add(
-            "split-zero", worst_split, 0.0, 1e-10,
-            "block-diagonal structures (c^2 = 1) have zero defect",
-        )
-        alpha = man.factors[0].curvature
-        if probe.subsample_count:
-            report.add(
-                "mixed-floor",
-                min(probe.min_core_defect_mixed - alpha * probe.threshold**2, 0.0),
-                0.0,
-                1e-12,
-                "defect minus complement term stays below -alpha t^2 when 1 - c^2 > t",
-            )
-        result.add_report(report)
-        result.rows.append(value_row(
-            "mixed-subsample-count", probe.subsample_count,
-            f"samples with 1 - c^2 > {probe.threshold}",
-        ))
-        result.rows.append(value_row(
-            "mixed-max-abs-defect", probe.max_abs_defect_mixed,
-            "max |defect| over the mixed subsample",
-        ))
-
-    elif suite == "components":
-        if any(f.dim != 6 for f in man.factors):
-            raise ConfigError("the components suite needs every factor to be a 6-sphere")
-        if cfg.acs_file:
-            # audit one explicitly serialised structure in full detail
-            from .acs import acs_from_text, validate_acs
-
-            try:
-                text = Path(cfg.acs_file).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read acs_file: {exc}") from exc
-            try:
-                J = acs_from_text(man, text)
-            except ContractViolation as exc:
-                raise ConfigError(str(exc)) from exc
-            result.add_report(validate_acs(J))
-            result.add_report(ricci_star_component_audit(oracle, J))
-        n_samples = min(cfg.samples, 10)
-        for s in range(n_samples):
-            J = random_block_diagonal_acs(man, [cfg.seed, s])
-            report = ricci_star_component_audit(oracle, J)
-            for check in report.checks:
-                if check.name.endswith("-max"):
-                    result.rows.append(check_row(replace_name(check, f"blockdiag[{s}].{check.name}")))
-        if cfg.swap_probe:
-            if man.n_factors != 2 or man.factors[0].dim != man.factors[1].dim:
-                raise ConfigError("the swap probe needs exactly two equal-dimension factors")
-            swap_report = ricci_star_component_audit(oracle, swap_acs(man))
-            for check in swap_report.checks:
-                if check.name.endswith("-max") or not check.passed:
-                    result.rows.append(check_row(replace_name(check, f"swap.{check.name}")))
-
-    elif suite == "ricci-star":
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for s in range(cfg.samples):
-            J = random_orthogonal_acs(man, [cfg.seed, s])
-            xv, yv = rng.standard_normal((2, man.total_dim))
-            lhs = ricci_star_bilinear(oracle, J, xv, yv)
-            rhs = ricci_star_bilinear(oracle, J, J.matrix @ yv, J.matrix @ xv)
-            worst = max(worst, abs(lhs - rhs))
-        report = AuditReport(result.title)
-        report.add(
-            "exchange-identity", worst, 0.0, TOL.contraction,
-            "rho*(X, Y) == rho*(JY, JX) on random samples",
-        )
-        result.add_report(report)
-
-    else:
-        raise ConfigError(f"unknown audit suite {suite!r}")
-    return result
+def _acs_input(man: ProductManifold, cfg: RunConfig) -> OrthogonalACS | None:
+    """The structure serialised in ``acs_file``, if one is configured."""
+    if not cfg.acs_file:
+        return None
+    try:
+        text = Path(cfg.acs_file).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read acs_file: {exc}") from exc
+    return acs_from_text(man, text)
 
 
-def replace_name(check, name):
-    from dataclasses import replace as dc_replace
+AUDITS = {
+    "curvature": lambda man, cfg: CurvatureOracle(man).symmetry_audit(cfg.samples, cfg.seed),
+    "gray": lambda man, cfg: gray_cancellation_audit(man, cfg.samples, cfg.seed),
+    "splitting": lambda man, cfg: splitting_audit(man, cfg.samples, cfg.seed),
+    "components": lambda man, cfg: component_audit_suite(
+        man, cfg.samples, cfg.seed, _acs_input(man, cfg), cfg.swap_probe
+    ),
+    "ricci-star": lambda man, cfg: ricci_star_exchange_audit(man, cfg.samples, cfg.seed),
+}
 
-    return dc_replace(check, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Nijenhuis field runs
-# ---------------------------------------------------------------------------
 
 def _field_for(target: str, man: ProductManifold, cfg: RunConfig):
     if target == "s2":
@@ -506,69 +369,28 @@ def _field_for(target: str, man: ProductManifold, cfg: RunConfig):
     raise ConfigError(f"unknown field {target!r}")
 
 
-def run_nijenhuis(target: str, cfg: RunConfig) -> CommandResult:
-    man = cfg.manifold(DEFAULT_FACTORS[("nijenhuis", target)])
+def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport:
     jf = _field_for(target, man, cfg)
-    result = CommandResult(f"nijenhuis {target} on {man.describe()}")
     if cfg.points_file:
-        from .sampling import load_points
-
         pts = load_points(cfg.points_file, man)
     else:
         pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
     norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed, cfg.fd_step)
-    energy = float(np.mean(norms**2))
-    validity = acs_field_validity_check(jf, pts[: min(len(pts), 25)])
-    result.add_report(validity)
+    report = acs_field_validity_check(jf, pts[: min(len(pts), 25)])
     for k, norm in enumerate(norms):
-        result.rows.append(value_row(
-            f"point[{k}].rms-norm", float(norm),
+        report.record(
+            f"point[{k}].rms-norm", norm,
             "root mean square |N| over the seeded frame pairs at this point",
-        ))
-    result.rows.append(value_row(
-        "energy", energy, "mean |N|^2 over all sample points and frame pairs"
-    ))
+        )
+    report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
     if target == "product" and cfg.restriction_check:
-        result.rows.extend(_restriction_rows(man, jf, pts[: min(cfg.points, 10)], cfg))
-    return result
-
-
-def _restriction_rows(man: ProductManifold, jf, pts, cfg: RunConfig) -> list[dict]:
-    """Compare N of the product field on second-factor-tangent fields against
-    the standalone 6-sphere evaluation at the same points."""
-    report = AuditReport("restriction")
-    man6 = ProductManifold((man.factors[1],))
-    j6 = default_acs_field(man6)
-    sl6 = man.ambient_slices[1]
-    amb_x = np.zeros(man.ambient_dim)
-    amb_y = np.zeros(man.ambient_dim)
-    amb_x[3], amb_y[5] = 1.0, 1.0
-    X = projected_constant_field(man, amb_x, "X6")
-    Y = projected_constant_field(man, amb_y, "Y6")
-    X6 = projected_constant_field(man6, amb_x[sl6], "x6")
-    Y6 = projected_constant_field(man6, amb_y[sl6], "y6")
-    full = nijenhuis_batch(jf, X, Y, pts, cfg.fd_step)
-    alone = nijenhuis_batch(j6, X6, Y6, pts[:, sl6], cfg.fd_step)
-    for k in range(pts.shape[0]):
-        diff = float(np.linalg.norm(full[k, sl6] - alone[k]))
-        leak = float(np.max(np.abs(full[k, : sl6.start])))
-        report.add(
-            f"restriction[{k}].match", diff, 0.0, TOL.fd_linear,
-            "product-field N on second-factor fields == standalone evaluation",
+        report.extend(
+            second_factor_restriction_check(jf, pts[: min(cfg.points, 10)], cfg.fd_step)
         )
-        report.add(
-            f"restriction[{k}].first-factor-leak", leak, 0.0, TOL.fd_linear,
-            "no first-factor component appears",
-        )
-    return [check_row(c) for c in report.checks]
+    return report
 
 
-# ---------------------------------------------------------------------------
-# Searches
-# ---------------------------------------------------------------------------
-
-def run_search(target: str, cfg: RunConfig) -> CommandResult:
-    man = cfg.manifold(DEFAULT_FACTORS[("search", target)])
+def run_search(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport:
     if target == "s2xs4":
         dims = tuple(f.dim for f in man.factors)
         if dims != (2, 4):
@@ -591,25 +413,18 @@ def run_search(target: str, cfg: RunConfig) -> CommandResult:
         init_scale=cfg.init_scale,
         chart_margin=cfg.chart_margin,
     )
-    report = energy_floor_experiment(exp_cfg)
-    result = CommandResult(f"search {target} on {man.describe()}")
-    for row in report.rows():
-        result.rows.append(value_row(
-            f"degree[{row['degree']}].restart[{row['restart']}].energy",
-            row["energy"],
-            "restart best energy",
-        ))
-        result.rows.append(value_row(
-            f"degree[{row['degree']}].restart[{row['restart']}].best-so-far",
-            row["best_so_far"],
-            "minimum energy over the restart prefix",
-        ))
-    for deg, cell in sorted(report.cell_minima().items()):
-        result.rows.append(value_row(
-            f"degree[{deg}].cell-minimum", cell, "best energy of the degree cell"
-        ))
-    result.rows.append(value_row("floor", report.floor, DISCLAIMER))
-    return result
+    experiment = energy_floor_experiment(exp_cfg)
+    report = AuditReport(f"search {target} on {man.describe()}")
+    for row in experiment.rows():
+        key = f"degree[{row['degree']}].restart[{row['restart']}]"
+        report.record(f"{key}.energy", row["energy"], "restart best energy")
+        report.record(
+            f"{key}.best-so-far", row["best_so_far"], "minimum energy over the restart prefix"
+        )
+    for deg, cell in sorted(experiment.cell_minima().items()):
+        report.record(f"degree[{deg}].cell-minimum", cell, "best energy of the degree cell")
+    report.record("floor", experiment.floor, DISCLAIMER)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -629,28 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_audit = sub.add_parser("audit", parents=[shared], help="run a formula audit suite")
-    p_audit.add_argument(
-        "suite", choices=("curvature", "gray", "splitting", "components", "ricci-star")
-    )
+    p_audit.add_argument("target", metavar="suite", choices=tuple(AUDITS))
     p_nij = sub.add_parser(
         "nijenhuis", parents=[shared], help="evaluate a structure field's Nijenhuis tensor"
     )
-    p_nij.add_argument("field", choices=("s2", "s6-octonion", "product", "gauged"))
+    p_nij.add_argument("target", metavar="field", choices=("s2", "s6-octonion", "product", "gauged"))
     p_search = sub.add_parser(
         "search", parents=[shared], help="run a seeded energy-minimisation experiment"
     )
-    p_search.add_argument("experiment", choices=("s2xs4", "s6"))
+    p_search.add_argument("target", metavar="experiment", choices=("s2xs4", "s6"))
     return parser
 
 
-def _emit(result: CommandResult, cfg: RunConfig, command: str, target: str, elapsed: float) -> None:
+def _emit(report: AuditReport, cfg: RunConfig, command: str, target: str, elapsed: float) -> None:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{command}_{target.replace('-', '_')}"
     if cfg.format == "records":
-        (out_dir / f"{stem}.records").write_text(rows_to_records(result.rows), encoding="utf-8")
+        (out_dir / f"{stem}.records").write_text(rows_to_records(report.checks), encoding="utf-8")
     else:
-        (out_dir / f"{stem}.csv").write_text(rows_to_csv(result.rows), encoding="utf-8")
+        (out_dir / f"{stem}.csv").write_text(rows_to_csv(report.checks), encoding="utf-8")
     manifest = {
         "artifact_version": __version__,
         "command": command,
@@ -674,7 +487,7 @@ def _emit(result: CommandResult, cfg: RunConfig, command: str, target: str, elap
             "points_file": cfg.points_file,
             "format": cfg.format,
         },
-        "counts": result.counts(),
+        "counts": report.counts(),
         "wall_clock_s": round(elapsed, 6),
     }
     (out_dir / f"{stem}_manifest.json").write_text(
@@ -687,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command, target = args.command, args.target
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -696,24 +510,25 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         start = time.perf_counter()
-        if args.command == "audit":
-            target = args.suite
-            result = run_audit(target, cfg)
-        elif args.command == "nijenhuis":
-            target = args.field
-            result = run_nijenhuis(target, cfg)
+        man = cfg.manifold(DEFAULT_FACTORS[(command, target)])
+        if command == "audit":
+            report = AUDITS[target](man, cfg)
+        elif command == "nijenhuis":
+            report = run_nijenhuis(target, man, cfg)
         else:
-            target = args.experiment
-            result = run_search(target, cfg)
+            report = run_search(target, man, cfg)
         elapsed = time.perf_counter() - start
-    except (ConfigError, InvalidManifold, ContractViolation, DegenerateInput, OSError) as exc:
+    except (
+        ConfigError, InvalidManifold, ContractViolation, DegenerateInput,
+        StepSizeError, SearchError, OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, cfg, args.command, target, elapsed)
-    print(rows_to_table(result.title, result.rows))
-    counts = result.counts()
+    _emit(report, cfg, command, target, elapsed)
+    print(rows_to_table(f"{command} {target} on {man.describe()}", report.checks))
+    counts = report.counts()
     print(
         f"{counts['pass']} pass / {counts['mismatch']} recorded mismatch / "
         f"{counts['fail']} fail / {counts['recorded']} value rows"
     )
-    return 1 if result.failed else 0
+    return 0 if report.passed else 1

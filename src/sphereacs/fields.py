@@ -128,10 +128,6 @@ class EmbeddedPoint:
         return self.direction[np.newaxis]
 
 
-def embedded_points(man: ProductManifold, pts: Array) -> list[EmbeddedPoint]:
-    return [EmbeddedPoint(man, row) for row in np.atleast_2d(pts)]
-
-
 # ---------------------------------------------------------------------------
 # Field wrappers
 # ---------------------------------------------------------------------------
@@ -385,7 +381,9 @@ def default_acs_field(man: ProductManifold) -> ACSField:
 # Brackets and the Nijenhuis tensor
 # ---------------------------------------------------------------------------
 
-def _check_step(h: float) -> None:
+def check_step(h: float) -> None:
+    """Reject a finite-difference step outside [1e-9, 1e-2], where neither
+    truncation nor round-off dominates the bracket."""
     if not 1e-9 <= h <= 1e-2:
         raise StepSizeError(f"finite-difference step {h} outside [1e-9, 1e-2]")
 
@@ -398,7 +396,7 @@ def lie_bracket_fd_batch(
     project: bool = True,
 ) -> Array:
     """[X, Y] = (DY) X - (DX) Y on the radial extensions, batched."""
-    _check_step(h)
+    check_step(h)
     man = X.manifold
     g = to_geometric(man, pts)
     vx = X(pts)
@@ -440,7 +438,7 @@ def nijenhuis_batch(
     expensive) structure field is evaluated once; the stacking keeps rows
     aligned with the input batch, per the field row contract.
     """
-    _check_step(h)
+    check_step(h)
     man = Jf.manifold
     n = pts.shape[0]
     g = to_geometric(man, pts)
@@ -523,6 +521,23 @@ def sample_tangent_pairs(
     return pts_rep, xs, ys
 
 
+def frame_pair_sq_norms(
+    man: ProductManifold, pts: Array, frame_pairs: int, seed: int, h: float = TOL.fd_step
+) -> Callable[[ACSField], Array]:
+    """Freeze seeded orthonormal tangent frame pairs at the sample points
+    once; the returned function maps a structure field to |N(X_i, Y_i)|^2,
+    one entry per frame pair, point-major."""
+    pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, seed)
+    X = row_constant_field(man, xs, "frame-x")
+    Y = row_constant_field(man, ys, "frame-y")
+
+    def sq_norms(Jf: ACSField) -> Array:
+        values = nijenhuis_batch(Jf, X, Y, pts_rep, h)
+        return np.sum(values * values, axis=1)
+
+    return sq_norms
+
+
 def nijenhuis_energy(
     Jf: ACSField,
     pts: Array,
@@ -535,12 +550,7 @@ def nijenhuis_energy(
     the seed."""
     if pts.shape[0] == 0:
         raise ContractViolation("energy needs at least one sample point")
-    man = Jf.manifold
-    pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, seed)
-    X = row_constant_field(man, xs, "frame-x")
-    Y = row_constant_field(man, ys, "frame-y")
-    values = nijenhuis_batch(Jf, X, Y, pts_rep, h)
-    return float(np.mean(np.sum(values * values, axis=1)))
+    return float(np.mean(frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed, h)(Jf)))
 
 
 def nijenhuis_norms(
@@ -551,13 +561,8 @@ def nijenhuis_norms(
     h: float = TOL.fd_step,
 ) -> Array:
     """Per-point root-mean-square Nijenhuis norm over the seeded frame pairs."""
-    man = Jf.manifold
-    pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, seed)
-    X = row_constant_field(man, xs, "frame-x")
-    Y = row_constant_field(man, ys, "frame-y")
-    values = nijenhuis_batch(Jf, X, Y, pts_rep, h)
-    sq = np.sum(values * values, axis=1).reshape(pts.shape[0], frame_pairs)
-    return np.sqrt(np.mean(sq, axis=1))
+    sq = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed, h)(Jf)
+    return np.sqrt(np.mean(sq.reshape(pts.shape[0], frame_pairs), axis=1))
 
 
 def nijenhuis_tensoriality_check(
@@ -602,16 +607,49 @@ def acs_field_validity_check(
     """validate_acs on the tangent-space restriction at every given point."""
     man = Jf.manifold
     report = AuditReport(f"pointwise validity of {Jf.name} at {pts.shape[0]} points")
-    worst = 0.0
-    for row in pts:
-        point = EmbeddedPoint(man, row)
-        sub = validate_acs(Jf.frame_restriction(point), tol)
-        worst = max(worst, max(c.computed for c in sub.checks))
+    defects = [
+        [c.computed for c in validate_acs(Jf.frame_restriction(EmbeddedPoint(man, row)), tol).checks]
+        for row in pts
+    ]
     report.add(
         "pointwise-validity",
-        worst,
+        np.max(defects, initial=0.0),
         0.0,
         tol,
         "tangent restriction passes the ACS validator at every sample point",
     )
+    return report
+
+
+def second_factor_restriction_check(Jf: ACSField, pts: Array, h: float = TOL.fd_step) -> AuditReport:
+    """Compare N of a structure field on S^2 x S^6 on two second-factor
+    tangent fields against the standalone 6-sphere evaluation at the same
+    points; no first-factor component may appear."""
+    man = Jf.manifold
+    if tuple(f.dim for f in man.factors) != (2, 6):
+        raise InvalidManifold("the restriction check needs factors (2-sphere, 6-sphere)")
+    report = AuditReport("restriction")
+    man6 = ProductManifold((man.factors[1],))
+    j6 = default_acs_field(man6)
+    sl6 = man.ambient_slices[1]
+    amb_x = np.zeros(man.ambient_dim)
+    amb_y = np.zeros(man.ambient_dim)
+    amb_x[3], amb_y[5] = 1.0, 1.0
+    X = projected_constant_field(man, amb_x, "X6")
+    Y = projected_constant_field(man, amb_y, "Y6")
+    X6 = projected_constant_field(man6, amb_x[sl6], "x6")
+    Y6 = projected_constant_field(man6, amb_y[sl6], "y6")
+    full = nijenhuis_batch(Jf, X, Y, pts, h)
+    alone = nijenhuis_batch(j6, X6, Y6, pts[:, sl6], h)
+    for k in range(pts.shape[0]):
+        diff = float(np.linalg.norm(full[k, sl6] - alone[k]))
+        leak = float(np.max(np.abs(full[k, : sl6.start])))
+        report.add(
+            f"restriction[{k}].match", diff, 0.0, TOL.fd_linear,
+            "product-field N on second-factor fields == standalone evaluation",
+        )
+        report.add(
+            f"restriction[{k}].first-factor-leak", leak, 0.0, TOL.fd_linear,
+            "no first-factor component appears",
+        )
     return report

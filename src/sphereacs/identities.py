@@ -21,14 +21,20 @@ bilinear contraction against an orthonormal frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acs import OrthogonalACS
+from .acs import (
+    OrthogonalACS,
+    random_block_diagonal_acs,
+    random_orthogonal_acs,
+    swap_acs,
+    validate_acs,
+)
 from .config import TOL
 from .errors import ContractViolation, InvalidManifold
-from .manifold import CurvatureOracle, as_coords
+from .manifold import CurvatureOracle, ProductManifold, as_coords
 from .report import AuditReport
 
 
@@ -52,6 +58,29 @@ def gray_combination(oracle: CurvatureOracle, J: OrthogonalACS, w, x, y, z) -> f
         - R(w, jx, y, jz)
         - R(w, x, jy, jz)
     )
+
+
+def gray_cancellation_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
+    """Check that the eight-term combination vanishes for seeded random
+    per-factor structures on random vector quadruples: every factor has
+    constant curvature, so block-diagonal J satisfy Gray's identity."""
+    oracle = CurvatureOracle(manifold)
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    for s in range(samples):
+        J = random_block_diagonal_acs(manifold, [seed, s])
+        w, x, y, z = rng.standard_normal((4, manifold.total_dim))
+        vals[s] = abs(gray_combination(oracle, J, w, x, y, z))
+    report = AuditReport(f"Gray cancellation on {manifold.describe()} ({samples} samples, seed {seed})")
+    report.add(
+        "gray-cancellation",
+        np.max(vals, initial=0.0),
+        0.0,
+        1e-10,
+        "eight-term combination vanishes for per-factor structures on "
+        "constant-curvature factors",
+    )
+    return report
 
 
 @dataclass(frozen=True)
@@ -117,18 +146,22 @@ def splitting_defect(
     return SplittingDefect(direct, closed_form, product_norm_form, c, second_factor_term)
 
 
-def ricci_star_bilinear(oracle: CurvatureOracle, J: OrthogonalACS, x, y) -> float:
-    """rho*(x, y) = -(1/2) sum_k R(x, Jy, e_k, J e_k) over the standard frame."""
-    man = oracle.manifold
-    x = as_coords(man, x)
-    jy = J.matrix @ as_coords(man, y)
+def _half_trace(oracle: CurvatureOracle, J: OrthogonalACS, u: np.ndarray, v: np.ndarray) -> float:
+    """-(1/2) sum_k R(u, v, e_k, J e_k): rho*(u, y) for v = J y, and the
+    contraction every component formula of the audit reduces to."""
     R = oracle.product_curvature
-    n = man.total_dim
+    n = oracle.manifold.total_dim
     eye = np.eye(n)
     total = 0.0
     for k in range(n):
-        total += R(x, jy, eye[k], J.matrix[:, k])
+        total += R(u, v, eye[k], J.matrix[:, k])
     return -0.5 * total
+
+
+def ricci_star_bilinear(oracle: CurvatureOracle, J: OrthogonalACS, x, y) -> float:
+    """rho*(x, y) = -(1/2) sum_k R(x, Jy, e_k, J e_k) over the standard frame."""
+    man = oracle.manifold
+    return _half_trace(oracle, J, as_coords(man, x), J.matrix @ as_coords(man, y))
 
 
 @dataclass(frozen=True)
@@ -164,18 +197,16 @@ def ricci_star_identity_check(
     man = form.oracle.manifold
     rng = np.random.default_rng(seed)
     jm = form.acs.matrix
-    worst = 0.0
-    for _ in range(sample_count):
+    errs = np.empty(sample_count)
+    for s in range(sample_count):
         x, y = rng.standard_normal((2, man.total_dim))
-        lhs = form.bilinear(x, y)
-        rhs = form.bilinear(jm @ y, jm @ x)
-        worst = max(worst, abs(lhs - rhs))
+        errs[s] = abs(form.bilinear(x, y) - form.bilinear(jm @ y, jm @ x))
     report = AuditReport(
         f"rho* exchange identity on {man.describe()} ({sample_count} samples, seed {seed})"
     )
     report.add(
         "exchange-identity",
-        worst,
+        np.max(errs, initial=0.0),
         0.0,
         TOL.contraction,
         "rho*(X, Y) == rho*(JY, JX)",
@@ -183,16 +214,26 @@ def ricci_star_identity_check(
     return report
 
 
-def _half_trace(oracle: CurvatureOracle, J: OrthogonalACS, u: np.ndarray, v: np.ndarray) -> float:
-    """-(1/2) sum_k R(u, v, e_k, J e_k): the contraction every component
-    formula of the audit reduces to."""
-    R = oracle.product_curvature
-    n = oracle.manifold.total_dim
-    eye = np.eye(n)
-    total = 0.0
-    for k in range(n):
-        total += R(u, v, eye[k], J.matrix[:, k])
-    return -0.5 * total
+def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
+    """Check rho*(X, Y) = rho*(JY, JX) by direct contraction, with a fresh
+    seeded random structure J and random vector pair per sample."""
+    oracle = CurvatureOracle(manifold)
+    rng = np.random.default_rng(seed)
+    errs = np.empty(samples)
+    for s in range(samples):
+        J = random_orthogonal_acs(manifold, [seed, s])
+        x, y = rng.standard_normal((2, manifold.total_dim))
+        lhs = ricci_star_bilinear(oracle, J, x, y)
+        rhs = ricci_star_bilinear(oracle, J, J.matrix @ y, J.matrix @ x)
+        errs[s] = abs(lhs - rhs)
+    report = AuditReport(
+        f"rho* exchange identity on {manifold.describe()} ({samples} samples, seed {seed})"
+    )
+    report.add(
+        "exchange-identity", np.max(errs, initial=0.0), 0.0, TOL.contraction,
+        "rho*(X, Y) == rho*(JY, JX) on random samples",
+    )
+    return report
 
 
 def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> AuditReport:
@@ -299,6 +340,38 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
             tol,
             f"max |computed - claimed| over the {family} family",
             asserted=False,
+        )
+    return report
+
+
+def component_audit_suite(
+    manifold: ProductManifold,
+    samples: int,
+    seed: int,
+    structure: OrthogonalACS | None = None,
+    swap_probe: bool = False,
+) -> AuditReport:
+    """The component audit in three parts: a given structure in full detail
+    (validation plus every component row), the family maxima for up to ten
+    seeded block-diagonal structures (rows prefixed ``blockdiag[s].``), and
+    optionally the factor-swapping probe (its family maxima and every
+    mismatching row, prefixed ``swap.``)."""
+    oracle = CurvatureOracle(manifold)
+    report = AuditReport(f"rho* component audits on {manifold.describe()}")
+    if structure is not None:
+        report.extend(validate_acs(structure))
+        report.extend(ricci_star_component_audit(oracle, structure))
+    for s in range(min(samples, 10)):
+        sub = ricci_star_component_audit(oracle, random_block_diagonal_acs(manifold, [seed, s]))
+        report.checks.extend(
+            replace(c, name=f"blockdiag[{s}].{c.name}") for c in sub.checks if c.name.endswith("-max")
+        )
+    if swap_probe:
+        sub = ricci_star_component_audit(oracle, swap_acs(manifold))
+        report.checks.extend(
+            replace(c, name=f"swap.{c.name}")
+            for c in sub.checks
+            if c.name.endswith("-max") or not c.passed
         )
     return report
 

@@ -40,8 +40,10 @@ class SphereFactor:
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 != 0:
             raise InvalidManifold(f"factor dimension must be even and >= 2, got {self.dim}")
-        if not self.curvature > 0:
-            raise InvalidManifold(f"factor curvature must be positive, got {self.curvature}")
+        if not 0 < self.curvature < np.inf:
+            raise InvalidManifold(
+                f"factor curvature must be positive and finite, got {self.curvature}"
+            )
 
     @property
     def radius(self) -> float:
@@ -218,33 +220,29 @@ class CurvatureOracle:
             raise ContractViolation("sample_count must be >= 1")
         man = self.manifold
         rng = np.random.default_rng(seed)
-        names = ("antisym-first-pair", "antisym-second-pair", "pair-symmetry", "first-bianchi")
-        worst = dict.fromkeys(names, 0.0)
-        scale = 1.0
         R = self.product_curvature
-        for _ in range(sample_count):
+        bases = np.empty(sample_count)
+        violations = np.empty((sample_count, 4))
+        for s in range(sample_count):
             w, x, y, z = rng.standard_normal((4, man.total_dim))
-            base = R(w, x, y, z)
-            scale = max(scale, abs(base))
-            worst["antisym-first-pair"] = max(
-                worst["antisym-first-pair"], abs(base + R(x, w, y, z))
+            base = bases[s] = R(w, x, y, z)
+            violations[s] = (
+                abs(base + R(x, w, y, z)),
+                abs(base + R(w, x, z, y)),
+                abs(base - R(y, z, w, x)),
+                abs(base + R(x, y, w, z) + R(y, w, x, z)),
             )
-            worst["antisym-second-pair"] = max(
-                worst["antisym-second-pair"], abs(base + R(w, x, z, y))
-            )
-            worst["pair-symmetry"] = max(worst["pair-symmetry"], abs(base - R(y, z, w, x)))
-            worst["first-bianchi"] = max(
-                worst["first-bianchi"], abs(base + R(x, y, w, z) + R(y, w, x, z))
-            )
-        claims = {
-            "antisym-first-pair": "R(w,x,y,z) + R(x,w,y,z) == 0",
-            "antisym-second-pair": "R(w,x,y,z) + R(w,x,z,y) == 0",
-            "pair-symmetry": "R(w,x,y,z) - R(y,z,w,x) == 0",
-            "first-bianchi": "R(w,x,y,z) + R(x,y,w,z) + R(y,w,x,z) == 0",
-        }
+        scale = np.max(np.abs(bases), initial=1.0)
+        worst = np.max(violations, axis=0, initial=0.0)
+        claims = (
+            ("antisym-first-pair", "R(w,x,y,z) + R(x,w,y,z) == 0"),
+            ("antisym-second-pair", "R(w,x,y,z) + R(w,x,z,y) == 0"),
+            ("pair-symmetry", "R(w,x,y,z) - R(y,z,w,x) == 0"),
+            ("first-bianchi", "R(w,x,y,z) + R(x,y,w,z) + R(y,w,x,z) == 0"),
+        )
         report = AuditReport(
             f"curvature symmetries on {man.describe()} ({sample_count} samples, seed {seed})"
         )
-        for name in names:
-            report.add(name, worst[name], 0.0, TOL.linalg * scale, claims[name])
+        for (name, claim), value in zip(claims, worst):
+            report.add(name, value, 0.0, TOL.linalg * scale, claim)
         return report

@@ -1,8 +1,14 @@
-"""Audit reports: named checks pairing computed values against claimed values.
+"""Audit reports: one ordered list of rows, the only report type.
 
-A check is *asserted* when its failure should fail the run (CLI exit code 1),
-and *recorded* when a mismatch is a legitimate measured outcome that must be
-kept in the report without failing anything.
+A row is a *check* when it pairs a computed value against a claimed value
+under a tolerance, or a *recorded value* when it carries a measured number
+with no claim to meet.  A check is *asserted* when its failure should fail
+the run (CLI exit code 1), and *recorded* when a mismatch is a legitimate
+measured outcome that must be kept in the report without failing anything.
+Recorded values never affect the verdict.
+
+A check whose computed value is NaN never passes: ``error <= tolerance`` is
+false for NaN, so non-finite numbers fail closed.
 """
 
 from __future__ import annotations
@@ -12,12 +18,19 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Check:
+    """One report row; ``expected`` and ``tolerance`` are None for a
+    recorded value."""
+
     name: str
     computed: float
-    expected: float
-    tolerance: float
+    expected: float | None
+    tolerance: float | None
     claim: str
     asserted: bool = True
+
+    @property
+    def kind(self) -> str:
+        return "value" if self.expected is None else "check"
 
     @property
     def error(self) -> float:
@@ -25,10 +38,12 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.error <= self.tolerance
+        return self.expected is not None and self.error <= self.tolerance
 
     @property
     def verdict(self) -> str:
+        if self.expected is None:
+            return "recorded"
         return "pass" if self.passed else "mismatch"
 
 
@@ -50,6 +65,12 @@ class AuditReport:
         self.checks.append(check)
         return check
 
+    def record(self, name: str, value: float, claim: str) -> Check:
+        """Append a recorded value: no claim to meet, never asserted."""
+        row = Check(name, float(value), None, None, claim, asserted=False)
+        self.checks.append(row)
+        return row
+
     def extend(self, other: "AuditReport") -> None:
         self.checks.extend(other.checks)
 
@@ -64,47 +85,22 @@ class AuditReport:
 
     def mismatches(self) -> list[Check]:
         """Recorded-only checks that missed their tolerance."""
-        return [c for c in self.checks if not c.asserted and not c.passed]
+        return [c for c in self.checks if not c.asserted and c.verdict == "mismatch"]
 
-    def counts(self) -> tuple[int, int, int]:
-        """(passes, recorded mismatches, asserted failures); sums to len(checks)."""
-        passes = sum(1 for c in self.checks if c.passed)
-        return passes, len(self.mismatches()), len(self.failures())
+    def counts(self) -> dict[str, int]:
+        """Rows per outcome: pass, recorded mismatch, asserted failure and
+        recorded value; the counts sum to len(checks)."""
+        out = {"pass": 0, "mismatch": 0, "fail": 0, "recorded": 0}
+        for c in self.checks:
+            verdict = c.verdict
+            if verdict == "mismatch" and c.asserted:
+                verdict = "fail"
+            out[verdict] += 1
+        return out
 
     def max_error(self, prefix: str = "") -> float:
-        errs = [c.error for c in self.checks if c.name.startswith(prefix)]
+        errs = [c.error for c in self.checks if c.kind == "check" and c.name.startswith(prefix)]
         return max(errs) if errs else 0.0
 
     def select(self, prefix: str) -> list[Check]:
         return [c for c in self.checks if c.name.startswith(prefix)]
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "name": c.name,
-                "computed": c.computed,
-                "expected": c.expected,
-                "tolerance": c.tolerance,
-                "verdict": c.verdict,
-                "asserted": c.asserted,
-                "claim": c.claim,
-            }
-            for c in self.checks
-        ]
-
-    def table(self, max_rows: int | None = None) -> str:
-        """Human-readable aligned table."""
-        header = f"{'check':<44} {'computed':>24} {'expected':>24} {'tol':>10} verdict"
-        lines = [self.title, "-" * len(header), header, "-" * len(header)]
-        shown = self.checks if max_rows is None else self.checks[:max_rows]
-        for c in shown:
-            lines.append(
-                f"{c.name:<44} {c.computed:>24.16e} {c.expected:>24.16e} "
-                f"{c.tolerance:>10.1e} {c.verdict}"
-            )
-        if max_rows is not None and len(self.checks) > max_rows:
-            lines.append(f"... ({len(self.checks) - max_rows} more rows)")
-        passes, mismatches, fails = self.counts()
-        lines.append("-" * len(header))
-        lines.append(f"{passes} pass / {mismatches} recorded mismatch / {fails} fail")
-        return "\n".join(lines)

@@ -124,6 +124,8 @@ def load_points(path, man: ProductManifold) -> np.ndarray:
                 raise ConfigError(
                     f"{path}:{lineno}: expected {man.ambient_dim} coordinates, got {row.size}"
                 )
+            if not np.all(np.isfinite(row)):
+                raise ConfigError(f"{path}:{lineno}: non-finite coordinate")
             rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no sample points found")

@@ -28,18 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .acs import random_orthogonal_acs
+from .acs import random_block_diagonal_acs, random_orthogonal_acs
 from .config import TOL
 from .errors import ContractViolation, SearchError
-from .fields import (
-    ACSField,
-    default_acs_field,
-    nijenhuis_batch,
-    row_constant_field,
-    sample_tangent_pairs,
-)
+from .fields import ACSField, default_acs_field, frame_pair_sq_norms
 from .identities import SplittingDefect, splitting_defect
 from .manifold import CurvatureOracle, ProductManifold
+from .report import AuditReport
 from .sampling import chart_safe_points
 
 DISCLAIMER = (
@@ -299,15 +294,10 @@ def make_energy_objective(
 ) -> Callable[[np.ndarray], float]:
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
     once, so energies are comparable across restarts and evaluations."""
-    man = parametrization.manifold
-    pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, pair_seed)
-    X = row_constant_field(man, xs, "frame-x")
-    Y = row_constant_field(man, ys, "frame-y")
+    sq_norms = frame_pair_sq_norms(parametrization.manifold, pts, frame_pairs, pair_seed, h)
 
     def objective(theta: np.ndarray) -> float:
-        jf = parametrization.field(theta, base)
-        values = nijenhuis_batch(jf, X, Y, pts_rep, h)
-        return float(np.mean(np.sum(values * values, axis=1)))
+        return float(np.mean(sq_norms(parametrization.field(theta, base))))
 
     return objective
 
@@ -483,12 +473,21 @@ class SplittingPressureReport:
     samples: int
     threshold: float
     defects: np.ndarray
+    closed_forms: np.ndarray
     mixes: np.ndarray
     second_factor_terms: np.ndarray
     subsample_count: int
     max_abs_defect_mixed: float
     min_abs_defect_mixed: float
     min_core_defect_mixed: float
+
+
+def _first_factor_pair(manifold: ProductManifold) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal pair e_0, e_1 spanning the first factor's tangent plane."""
+    x = np.zeros(manifold.total_dim)
+    y = np.zeros(manifold.total_dim)
+    x[0], y[1] = 1.0, 1.0
+    return x, y
 
 
 def splitting_pressure_probe(
@@ -509,16 +508,16 @@ def splitting_pressure_probe(
     if manifold.factors[0].dim != 2:
         raise ContractViolation("the probe needs a 2-sphere first factor")
     oracle = CurvatureOracle(manifold)
-    x = np.zeros(manifold.total_dim)
-    y = np.zeros(manifold.total_dim)
-    x[0], y[1] = 1.0, 1.0
+    x, y = _first_factor_pair(manifold)
     defects = np.empty(samples)
+    closed = np.empty(samples)
     mixes = np.empty(samples)
     rests = np.empty(samples)
     for s in range(samples):
         J = random_orthogonal_acs(manifold, [seed, s])
         d: SplittingDefect = splitting_defect(oracle, J, x, y)
         defects[s] = d.direct
+        closed[s] = d.closed_form
         mixes[s] = 1.0 - d.c * d.c
         rests[s] = d.second_factor_term
     mixed = mixes > threshold
@@ -530,6 +529,7 @@ def splitting_pressure_probe(
         samples=samples,
         threshold=threshold,
         defects=defects,
+        closed_forms=closed,
         mixes=mixes,
         second_factor_terms=rests,
         subsample_count=int(np.sum(mixed)),
@@ -537,3 +537,50 @@ def splitting_pressure_probe(
         min_abs_defect_mixed=float(np.min(np.abs(sub_d))) if sub_d.size else 0.0,
         min_core_defect_mixed=float(np.min(sub_core)) if sub_core.size else 0.0,
     )
+
+
+def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
+    """Audit the splitting defect on the first factor's tangent plane.
+
+    One splitting_pressure_probe pass over seeded random structures gives the
+    term-by-term defect against its closed form, its sign and the mixed-
+    subsample floor; seeded block-diagonal structures (c^2 = 1) must have
+    zero defect.  The probe's mixed-subsample size and max |defect| are
+    recorded as values.
+    """
+    probe = splitting_pressure_probe(manifold, samples, seed)
+    oracle = CurvatureOracle(manifold)
+    x, y = _first_factor_pair(manifold)
+    split = np.empty(samples)
+    for s in range(samples):
+        J = random_block_diagonal_acs(manifold, [seed, s])
+        split[s] = abs(splitting_defect(oracle, J, x, y).direct)
+    report = AuditReport(f"splitting defect on {manifold.describe()} ({samples} samples, seed {seed})")
+    report.add(
+        "oracle-equivalence", np.max(np.abs(probe.defects - probe.closed_forms), initial=0.0),
+        0.0, 1e-10, "eight-term defect == -alpha (1 - c^2)^2 + complement term",
+    )
+    report.add(
+        "nonpositivity", np.max(probe.defects, initial=0.0), 0.0, 1e-12, "defect <= 0 always"
+    )
+    report.add(
+        "split-zero", np.max(split, initial=0.0), 0.0, 1e-10,
+        "block-diagonal structures (c^2 = 1) have zero defect",
+    )
+    if probe.subsample_count:
+        report.add(
+            "mixed-floor",
+            min(probe.min_core_defect_mixed - probe.alpha * probe.threshold**2, 0.0),
+            0.0,
+            1e-12,
+            "defect minus complement term stays below -alpha t^2 when 1 - c^2 > t",
+        )
+    report.record(
+        "mixed-subsample-count", probe.subsample_count,
+        f"samples with 1 - c^2 > {probe.threshold}",
+    )
+    report.record(
+        "mixed-max-abs-defect", probe.max_abs_defect_mixed,
+        "max |defect| over the mixed subsample",
+    )
+    return report

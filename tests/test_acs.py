@@ -169,3 +169,5 @@ def test_serialization_errors():
         acs_from_text(man, "2\n0 1\n")
     with pytest.raises(ContractViolation):
         acs_from_text(man, "2\n0 x\n-1 0\n")
+    with pytest.raises(ContractViolation):
+        acs_from_text(man, "2\n0 nan\n-1 0\n")

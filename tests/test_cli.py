@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sphereacs.acs import acs_to_text, random_block_diagonal_acs
 from sphereacs.cli import (
     RunConfig,
     load_config,
@@ -10,8 +11,17 @@ from sphereacs.cli import (
     parse_config_text,
     rows_to_csv,
     rows_to_records,
+    rows_to_table,
 )
 from sphereacs.errors import ConfigError
+from sphereacs.identities import (
+    component_audit_suite,
+    gray_cancellation_audit,
+    ricci_star_exchange_audit,
+)
+from sphereacs.manifold import CurvatureOracle, spheres
+from sphereacs.report import AuditReport
+from sphereacs.search import splitting_audit
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -106,6 +116,53 @@ def test_exit_code_contract(tmp_path):
     assert main(["--help"]) == 0
 
 
+def assert_usage_error(main_args, capsys):
+    """Exit code 2 with exactly one ``error:`` line and no traceback."""
+    capsys.readouterr()
+    assert main(main_args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_nonfinite_points_file_is_usage_error(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0 1\nnan 0 1\n")
+    cfg = write_config(tmp_path, f"factor = dim=2 curvature=1.0\npoints_file = {pts}\n")
+    assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+def test_nonfinite_curvature_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "factor = dim=2 curvature=inf\n")
+    assert_usage_error(["audit", "curvature", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+def test_fd_step_out_of_range_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "factor = dim=2 curvature=1.0\nfd_step = 0.5\n")
+    assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize("command", [["nijenhuis", "gauged"], ["search", "s2xs4"]])
+def test_empty_degrees_is_usage_error(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path, "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\ndegrees =\n"
+    )
+    assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_search_error_is_usage_error(tmp_path, capsys):
+    # an infinite initial scale makes every restart after the first start at
+    # a non-finite objective value, so the search gives up
+    cfg = write_config(
+        tmp_path,
+        "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
+        "points = 4\nrestarts = 2\nbudget = 3\ninit_scale = inf\n",
+    )
+    assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):
     cfg = write_config(tmp_path, "factor = dim=4 curvature=1.0\n")
     assert main(["audit", "splitting", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -161,6 +218,38 @@ def test_audit_components_swap_probe_records_mismatches(tmp_path):
     assert manifest["counts"]["mismatch"] == len(mismatch)
     total = sum(manifest["counts"].values())
     assert total == len(rows)
+
+
+S6XS6 = "factor = dim=6 curvature=1.0\nfactor = dim=6 curvature=2.0\n"
+S2XS4 = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
+
+
+@pytest.mark.parametrize(
+    "suite, factors, options, library",
+    [
+        ("curvature", S2XS4, "", lambda man: CurvatureOracle(man).symmetry_audit(12, 3)),
+        ("gray", S6XS6, "", lambda man: gray_cancellation_audit(man, 12, 3)),
+        ("splitting", S2XS4, "", lambda man: splitting_audit(man, 12, 3)),
+        (
+            "components", S6XS6, "swap_probe = true\n",
+            lambda man: component_audit_suite(
+                man, 12, 3, random_block_diagonal_acs(man, 4), swap_probe=True
+            ),
+        ),
+        ("ricci-star", S6XS6, "", lambda man: ricci_star_exchange_audit(man, 12, 3)),
+    ],
+)
+def test_audit_command_only_dispatches(tmp_path, suite, factors, options, library):
+    man = spheres(*parse_config_text(factors).factors)
+    if suite == "components":
+        acs_path = tmp_path / "structure.acs"
+        acs_path.write_text(acs_to_text(random_block_diagonal_acs(man, 4)))
+        options += f"acs_file = {acs_path}\n"
+    cfg = write_config(tmp_path, factors + options + "samples = 12\nseed = 3\nformat = csv\n")
+    out = tmp_path / "out"
+    assert main(["audit", suite, "--config", cfg, "--out", str(out)]) == 0
+    written = (out / f"audit_{suite.replace('-', '_')}.csv").read_text(encoding="utf-8")
+    assert written == rows_to_csv(library(man).checks)
 
 
 def test_audit_ricci_star(tmp_path):
@@ -309,14 +398,23 @@ def test_records_and_csv_same_numeric_content(tmp_path):
 
 
 def test_row_serialisers_handle_missing_fields():
-    rows = [
-        {"kind": "value", "name": "x", "computed": 1.0, "expected": None,
-         "tolerance": None, "verdict": "recorded", "asserted": False, "claim": "c"},
-    ]
-    csv_text = rows_to_csv(rows)
-    assert "value,x,1,,," in csv_text
-    rec = json.loads(rows_to_records(rows).splitlines()[0])
+    report = AuditReport("demo")
+    report.record("x", 1.0, "c")
+    csv_text = rows_to_csv(report.checks)
+    assert "value,x,1,,,recorded,false,c" in csv_text
+    rec = json.loads(rows_to_records(report.checks).splitlines()[0])
     assert rec["expected"] is None
+    assert rec["verdict"] == "recorded"
+
+
+def test_table_render():
+    report = AuditReport("demo")
+    report.add("alpha", 1.0, 1.0, 1e-9, "claim text")
+    report.record("x", 1.0, "c")
+    text = rows_to_table("demo", report.checks)
+    assert text.splitlines()[0] == "demo"
+    assert text.splitlines()[-2].split() == ["alpha", "1", "1", "pass"]
+    assert text.splitlines()[-1].split() == ["x", "1", "-", "recorded"]
 
 
 def test_run_config_validation():

@@ -26,6 +26,9 @@ def test_sphere_factor_validation():
         SphereFactor(2, 0.0)
     with pytest.raises(InvalidManifold):
         SphereFactor(2, -1.0)
+    for curvature in (float("inf"), float("nan")):
+        with pytest.raises(InvalidManifold):
+            SphereFactor(2, curvature)
 
 
 def test_product_manifold_layout():

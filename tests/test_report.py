@@ -9,8 +9,11 @@ def test_verdicts_and_counts():
     assert not report.passed
     assert [c.name for c in report.failures()] == ["bad"]
     assert [c.name for c in report.mismatches()] == ["noted"]
-    assert report.counts() == (1, 1, 1)
-    assert sum(report.counts()) == len(report.checks)
+    report.record("value", 2.0, "recorded value")
+    assert report.counts() == {"pass": 1, "mismatch": 1, "fail": 1, "recorded": 1}
+    assert sum(report.counts().values()) == len(report.checks)
+    assert report.mismatches()[0].verdict == "mismatch"
+    assert report.checks[-1].verdict == "recorded"
 
 
 def test_report_passes_when_only_recorded_mismatches():
@@ -18,15 +21,6 @@ def test_report_passes_when_only_recorded_mismatches():
     report.add("noted", 0.0, 1.0, 1e-9, "recorded only", asserted=False)
     assert report.passed
     assert report.max_error() == 1.0
-
-
-def test_table_render():
-    report = AuditReport("demo")
-    report.add("alpha", 1.0, 1.0, 1e-9, "claim text")
-    text = report.table()
-    assert "demo" in text
-    assert "alpha" in text
-    assert "pass" in text
 
 
 def test_select_and_max_error_prefix():

@@ -98,6 +98,9 @@ def test_point_file_errors(tmp_path):
     bad.write_text("# only a comment\n")
     with pytest.raises(ConfigError):
         load_points(bad, man)
+    bad.write_text("0 0 1\nnan 0 1\n")  # NaN passes the unit-norm test
+    with pytest.raises(ConfigError):
+        load_points(bad, man)
 
 
 def test_low_discrepancy_contract():
