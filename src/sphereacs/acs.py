@@ -46,16 +46,12 @@ class OrthogonalACS:
         return self.block(b, a).T
 
     def off_block_mass(self) -> float:
-        """Max |entry| over all off-factor blocks (0.0 for block-diagonal J)."""
+        """Max |entry| over all off-factor blocks (0.0 for block-diagonal J);
+        NaN when such an entry is NaN."""
         man = self.manifold
-        mass = 0.0
-        for a in range(man.n_factors):
-            for b in range(man.n_factors):
-                if a != b:
-                    blk = self.block(a, b)
-                    if blk.size:
-                        mass = max(mass, float(np.max(np.abs(blk))))
-        return mass
+        owner = np.repeat(np.arange(man.n_factors), [f.dim for f in man.factors])
+        off_block = owner[:, np.newaxis] != owner[np.newaxis, :]
+        return float(np.max(np.abs(self.matrix[off_block]), initial=0.0))
 
 
 def validate_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> AuditReport:
@@ -90,10 +86,8 @@ def validate_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> AuditReport
         "max |J^T + J| == 0",
     )
     man = J.manifold
-    block_skew = 0.0
-    for a in range(man.n_factors):
-        for b in range(man.n_factors):
-            block_skew = max(block_skew, float(np.max(np.abs(J.block(a, b) + J.block(b, a).T))))
+    pairs = [(a, b) for a in range(man.n_factors) for b in range(man.n_factors)]
+    block_skew = np.max([np.max(np.abs(J.block(a, b) + J.block(b, a).T)) for a, b in pairs])
     report.add(
         "block-skew",
         block_skew,
@@ -101,17 +95,16 @@ def validate_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> AuditReport
         tol,
         "block(a,b) + block(b,a)^T == 0 for all factor pairs",
     )
-    block_comp = 0.0
-    for a in range(man.n_factors):
-        for d in range(man.n_factors):
-            acc = np.zeros((man.factors[a].dim, man.factors[d].dim))
-            for c in range(man.n_factors):
-                acc += J.block(a, c) @ J.block(c, d)
-            target = -eye[man.block_slice(a), man.block_slice(d)]
-            block_comp = max(block_comp, float(np.max(np.abs(acc - target))))
+    block_comp = []
+    for a, d in pairs:
+        acc = np.zeros((man.factors[a].dim, man.factors[d].dim))
+        for c in range(man.n_factors):
+            acc += J.block(a, c) @ J.block(c, d)
+        target = -eye[man.block_slice(a), man.block_slice(d)]
+        block_comp.append(np.max(np.abs(acc - target)))
     report.add(
         "block-composition",
-        block_comp,
+        np.max(block_comp),
         0.0,
         tol,
         "sum_c block(a,c) block(c,d) == -delta_ad I for all factor pairs",
@@ -141,34 +134,54 @@ def canonical_product_acs(manifold: ProductManifold) -> OrthogonalACS:
     return OrthogonalACS(manifold, standard_rotation_structure(manifold.total_dim))
 
 
+def _sign_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q factors of the (..., n, n) Gaussian samples, each column's sign fixed
+    so that diag(R) >= 0 and the distribution is Haar on the orthogonal
+    group."""
+    q, r = np.linalg.qr(g)
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
+    return q * signs[..., np.newaxis, :]
+
+
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal matrix from QR of a Gaussian sample, diagonal sign-fixed so
     the distribution is well defined (Haar on the full orthogonal group)."""
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    signs = np.where(np.diag(r) >= 0, 1.0, -1.0)
-    return q * signs[np.newaxis, :]
+    return _sign_fixed_q(rng.standard_normal((n, n)))
 
 
-def random_orthogonal_acs(manifold: ProductManifold, seed: int) -> OrthogonalACS:
+def _rotated_structures(dim: int, seeds) -> np.ndarray:
+    """Q J0 Q^T per seed, stacked: one generator per seed draws the Gaussian
+    sample, then one stacked QR, sign fix and conjugation handle them all."""
+    g = np.stack([np.random.default_rng(seed).standard_normal((dim, dim)) for seed in seeds])
+    q = _sign_fixed_q(g)
+    return q @ standard_rotation_structure(dim) @ np.swapaxes(q, -1, -2)
+
+
+def random_orthogonal_matrices(manifold: ProductManifold, seeds) -> np.ndarray:
+    """The (len(seeds), n, n) stack of random_orthogonal_acs matrices, one
+    per seed, drawn in one batched pass."""
+    return _rotated_structures(manifold.total_dim, seeds)
+
+
+def random_block_diagonal_matrices(manifold: ProductManifold, seeds) -> np.ndarray:
+    """The (len(seeds), n, n) stack of random_block_diagonal_acs matrices,
+    one per seed; factor block a of seed s is drawn from the seed [s, a]."""
+    n = manifold.total_dim
+    m = np.zeros((len(seeds), n, n))
+    for a, (f, sl) in enumerate(zip(manifold.factors, manifold.block_slices)):
+        m[:, sl, sl] = _rotated_structures(f.dim, [[seed, a] for seed in seeds])
+    return m
+
+
+def random_orthogonal_acs(manifold: ProductManifold, seed) -> OrthogonalACS:
     """J = Q J0 Q^T for a seeded Haar-orthogonal Q and the standard block
     rotation J0; deterministic in the seed."""
-    n = manifold.total_dim
-    rng = np.random.default_rng(seed)
-    q = haar_orthogonal(n, rng)
-    j0 = standard_rotation_structure(n)
-    return OrthogonalACS(manifold, q @ j0 @ q.T)
+    return OrthogonalACS(manifold, random_orthogonal_matrices(manifold, [seed])[0])
 
 
-def random_block_diagonal_acs(manifold: ProductManifold, seed: int) -> OrthogonalACS:
+def random_block_diagonal_acs(manifold: ProductManifold, seed) -> OrthogonalACS:
     """Independent seeded OACS on each factor block, assembled block-diagonally."""
-    n = manifold.total_dim
-    m = np.zeros((n, n))
-    for a, (f, sl) in enumerate(zip(manifold.factors, manifold.block_slices)):
-        rng = np.random.default_rng([seed, a])
-        q = haar_orthogonal(f.dim, rng)
-        m[sl, sl] = q @ standard_rotation_structure(f.dim) @ q.T
-    return OrthogonalACS(manifold, m)
+    return OrthogonalACS(manifold, random_block_diagonal_matrices(manifold, [seed])[0])
 
 
 def swap_acs(manifold: ProductManifold) -> OrthogonalACS:

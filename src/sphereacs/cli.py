@@ -141,8 +141,8 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("init_scale", "chart_margin"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         try:
             check_step(self.fd_step)
         except StepSizeError as exc:

@@ -28,25 +28,43 @@ import numpy as np
 from .acs import (
     OrthogonalACS,
     random_block_diagonal_acs,
-    random_orthogonal_acs,
+    random_block_diagonal_matrices,
+    random_orthogonal_matrices,
     swap_acs,
     validate_acs,
 )
 from .config import TOL
 from .errors import ContractViolation, InvalidManifold
-from .manifold import CurvatureOracle, ProductManifold, as_coords
+from .manifold import CurvatureOracle, ProductManifold, as_coords, inner, sample_blocks
 from .report import AuditReport
 
 
-def gray_combination(oracle: CurvatureOracle, J: OrthogonalACS, w, x, y, z) -> float:
-    """The signed eight-term curvature sum; zero for integrable orthogonal J."""
+def _matrices(J) -> np.ndarray:
+    """The matrix of an OrthogonalACS, or a (..., n, n) stack of structure
+    matrices as given."""
+    return J.matrix if isinstance(J, OrthogonalACS) else np.asarray(J, dtype=float)
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J v for a (..., n, n) matrix stack and (..., n) vectors."""
+    return np.einsum("...ij,...j->...i", m, v)
+
+
+def _scalar(v):
+    """A plain float for a 0-d result, the array otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def gray_combination(oracle: CurvatureOracle, J, w, x, y, z):
+    """The signed eight-term curvature sum; zero for integrable orthogonal J.
+
+    J is an OrthogonalACS or a (..., n, n) stack of structure matrices, and
+    w, x, y, z are (..., n) vectors; the leading axes broadcast, and a single
+    structure on single vectors gives a plain float."""
     man = oracle.manifold
-    w = as_coords(man, w)
-    x = as_coords(man, x)
-    y = as_coords(man, y)
-    z = as_coords(man, z)
-    m = J.matrix
-    jw, jx, jy, jz = m @ w, m @ x, m @ y, m @ z
+    w, x, y, z = (as_coords(man, v) for v in (w, x, y, z))
+    m = _matrices(J)
+    jw, jx, jy, jz = (_apply(m, v) for v in (w, x, y, z))
     R = oracle.product_curvature
     return (
         R(w, x, y, z)
@@ -67,10 +85,11 @@ def gray_cancellation_audit(manifold: ProductManifold, samples: int, seed: int) 
     oracle = CurvatureOracle(manifold)
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
-    for s in range(samples):
-        J = random_block_diagonal_acs(manifold, [seed, s])
-        w, x, y, z = rng.standard_normal((4, manifold.total_dim))
-        vals[s] = abs(gray_combination(oracle, J, w, x, y, z))
+    for block in sample_blocks(samples):
+        seeds = [[seed, s] for s in range(block.start, block.stop)]
+        J = random_block_diagonal_matrices(manifold, seeds)
+        w, x, y, z = np.moveaxis(rng.standard_normal((len(J), 4, manifold.total_dim)), 1, 0)
+        vals[block] = np.abs(gray_combination(oracle, J, w, x, y, z))
     report = AuditReport(f"Gray cancellation on {manifold.describe()} ({samples} samples, seed {seed})")
     report.add(
         "gray-cancellation",
@@ -86,7 +105,8 @@ def gray_cancellation_audit(manifold: ProductManifold, samples: int, seed: int) 
 @dataclass(frozen=True)
 class SplittingDefect:
     """The Gray combination on an orthonormal pair tangent to the 2-sphere
-    factor, in three variants.
+    factor, in three variants; each field is a float for one structure and
+    an array over the stack for a stack of structures.
 
     direct            -- the eight-term sum evaluated term by term (ground truth)
     closed_form       -- -alpha (1 - c^2)^2 + second_factor_term, which the
@@ -110,10 +130,13 @@ class SplittingDefect:
 
 
 def splitting_defect(
-    oracle: CurvatureOracle, J: OrthogonalACS, x, y, pair_tol: float = 1e-9
+    oracle: CurvatureOracle, J, x, y, pair_tol: float = 1e-9
 ) -> SplittingDefect:
     """Evaluate the splitting defect for unit orthogonal x, y supported in the
-    first factor's block, which must be 2-dimensional."""
+    first factor's block, which must be 2-dimensional.
+
+    J is an OrthogonalACS or a (..., n, n) stack of structure matrices; for
+    a stack every field of the result is an array over the leading axes."""
     man = oracle.manifold
     if man.factors[0].dim != 2:
         raise InvalidManifold("splitting defect needs a 2-dimensional first factor")
@@ -123,45 +146,51 @@ def splitting_defect(
     rest = np.ones(man.total_dim, dtype=bool)
     rest[first] = False
     for v, label in ((x, "x"), (y, "y")):
-        if v[rest].size and np.max(np.abs(v[rest])) > pair_tol:
+        if not np.all(np.abs(v[..., rest]) <= pair_tol):
             raise ContractViolation(f"{label} must be supported in the first factor block")
-        if abs(np.dot(v, v) - 1.0) > pair_tol:
+        if not np.all(np.abs(inner(v, v) - 1.0) <= pair_tol):
             raise ContractViolation(f"{label} must be a unit vector")
-    if abs(np.dot(x, y)) > pair_tol:
+    if not np.all(np.abs(inner(x, y)) <= pair_tol):
         raise ContractViolation("x and y must be orthogonal")
 
-    direct = gray_combination(oracle, J, x, y, x, y)
-    jx, jy = J.matrix @ x, J.matrix @ y
-    c = float(np.dot(jx, y))
-    jx_rest = jx.copy()
-    jy_rest = jy.copy()
-    jx_rest[first] = 0.0
-    jy_rest[first] = 0.0
+    m = _matrices(J)
+    direct = gray_combination(oracle, m, x, y, x, y)
+    jx, jy = _apply(m, x), _apply(m, y)
+    c = inner(jx, y)
+    jx_rest = np.where(rest, jx, 0.0)
+    jy_rest = np.where(rest, jy, 0.0)
     second_factor_term = oracle.product_curvature(jx_rest, jy_rest, jx_rest, jy_rest)
     alpha = man.factors[0].curvature
     closed_form = -alpha * (1.0 - c * c) ** 2 + second_factor_term
-    jx1_sq = float(np.dot(jx[first], jx[first]))
-    jy1_sq = float(np.dot(jy[first], jy[first]))
+    jx1_sq = inner(jx[..., first], jx[..., first])
+    jy1_sq = inner(jy[..., first], jy[..., first])
     product_norm_form = -alpha * (1.0 - jx1_sq * jy1_sq) + second_factor_term
-    return SplittingDefect(direct, closed_form, product_norm_form, c, second_factor_term)
+    return SplittingDefect(
+        *(_scalar(v) for v in (direct, closed_form, product_norm_form, c, second_factor_term))
+    )
 
 
-def _half_trace(oracle: CurvatureOracle, J: OrthogonalACS, u: np.ndarray, v: np.ndarray) -> float:
+def _half_trace(oracle: CurvatureOracle, J, u, v):
     """-(1/2) sum_k R(u, v, e_k, J e_k): rho*(u, y) for v = J y, and the
-    contraction every component formula of the audit reduces to."""
-    R = oracle.product_curvature
-    n = oracle.manifold.total_dim
-    eye = np.eye(n)
-    total = 0.0
-    for k in range(n):
-        total += R(u, v, eye[k], J.matrix[:, k])
-    return -0.5 * total
+    contraction every component formula of the audit reduces to.
 
-
-def ricci_star_bilinear(oracle: CurvatureOracle, J: OrthogonalACS, x, y) -> float:
-    """rho*(x, y) = -(1/2) sum_k R(x, Jy, e_k, J e_k) over the standard frame."""
+    u and v are (..., n) vectors broadcasting against the leading axes of J
+    (an OrthogonalACS or a (..., n, n) matrix stack); the frame index k is
+    one more broadcast axis of a single oracle call."""
     man = oracle.manifold
-    return _half_trace(oracle, J, as_coords(man, x), J.matrix @ as_coords(man, y))
+    m = _matrices(J)
+    u = as_coords(man, u)[..., np.newaxis, :]
+    v = as_coords(man, v)[..., np.newaxis, :]
+    frame = np.eye(man.total_dim)
+    jframe = np.swapaxes(m, -1, -2)  # row k is J e_k
+    return _scalar(-0.5 * np.sum(oracle.product_curvature(u, v, frame, jframe), axis=-1))
+
+
+def ricci_star_bilinear(oracle: CurvatureOracle, J, x, y):
+    """rho*(x, y) = -(1/2) sum_k R(x, Jy, e_k, J e_k) over the standard frame;
+    batched like _half_trace."""
+    man = oracle.manifold
+    return _half_trace(oracle, J, x, _apply(_matrices(J), as_coords(man, y)))
 
 
 @dataclass(frozen=True)
@@ -173,19 +202,17 @@ class RicciStarForm:
     acs: OrthogonalACS
     matrix: np.ndarray
 
-    def bilinear(self, x, y) -> float:
+    def bilinear(self, x, y):
+        """rho*(x, y) from the matrix, over broadcasting (..., n) vectors."""
         man = self.oracle.manifold
-        return float(as_coords(man, x) @ self.matrix @ as_coords(man, y))
+        return _scalar(inner(as_coords(man, x) @ self.matrix, as_coords(man, y)))
 
 
 def ricci_star(oracle: CurvatureOracle, J: OrthogonalACS) -> RicciStarForm:
-    """Assemble the full rho* matrix by frame contraction."""
-    n = oracle.manifold.total_dim
-    eye = np.eye(n)
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = ricci_star_bilinear(oracle, J, eye[i], eye[j])
+    """Assemble the full rho* matrix by frame contraction: entry (i, j) is
+    ricci_star_bilinear(e_i, e_j), all n^2 entries in one batched call."""
+    eye = np.eye(oracle.manifold.total_dim)
+    m = ricci_star_bilinear(oracle, J, eye[:, np.newaxis, :], eye[np.newaxis, :, :])
     m.flags.writeable = False
     return RicciStarForm(oracle, J, m)
 
@@ -196,11 +223,9 @@ def ricci_star_identity_check(
     """Check rho*(X, Y) = rho*(JY, JX) on seeded random vector pairs."""
     man = form.oracle.manifold
     rng = np.random.default_rng(seed)
+    x, y = np.moveaxis(rng.standard_normal((sample_count, 2, man.total_dim)), 1, 0)
     jm = form.acs.matrix
-    errs = np.empty(sample_count)
-    for s in range(sample_count):
-        x, y = rng.standard_normal((2, man.total_dim))
-        errs[s] = abs(form.bilinear(x, y) - form.bilinear(jm @ y, jm @ x))
+    errs = np.abs(form.bilinear(x, y) - form.bilinear(_apply(jm, y), _apply(jm, x)))
     report = AuditReport(
         f"rho* exchange identity on {man.describe()} ({sample_count} samples, seed {seed})"
     )
@@ -220,12 +245,13 @@ def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int
     oracle = CurvatureOracle(manifold)
     rng = np.random.default_rng(seed)
     errs = np.empty(samples)
-    for s in range(samples):
-        J = random_orthogonal_acs(manifold, [seed, s])
-        x, y = rng.standard_normal((2, manifold.total_dim))
+    for block in sample_blocks(samples):
+        seeds = [[seed, s] for s in range(block.start, block.stop)]
+        J = random_orthogonal_matrices(manifold, seeds)
+        x, y = np.moveaxis(rng.standard_normal((len(J), 2, manifold.total_dim)), 1, 0)
         lhs = ricci_star_bilinear(oracle, J, x, y)
-        rhs = ricci_star_bilinear(oracle, J, J.matrix @ y, J.matrix @ x)
-        errs[s] = abs(lhs - rhs)
+        rhs = ricci_star_bilinear(oracle, J, _apply(J, y), _apply(J, x))
+        errs[block] = np.abs(lhs - rhs)
     report = AuditReport(
         f"rho* exchange identity on {manifold.describe()} ({samples} samples, seed {seed})"
     )
@@ -250,92 +276,73 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
     man = oracle.manifold
     if any(f.dim != 6 for f in man.factors):
         raise InvalidManifold("the component audit needs every factor to be a 6-sphere")
-    eye = np.eye(man.total_dim)
+    n, t, dim = man.total_dim, man.n_factors, 6
     jm = J.matrix
-    betas = man.curvatures
+    frame = np.eye(n)
+    jframe = jm.T  # row k is J e_k
+    # Every left-hand side is an entry of one of three half-trace matrices
+    # over the whole frame, all computed in one oracle call:
+    # h_right[p, q] = h(e_p, J e_q), h_plain[p, q] = h(e_p, e_q) and
+    # h_left[p, q] = h(J e_p, J e_q), with h = _half_trace.
+    us = np.stack((frame, frame, jframe))[:, :, np.newaxis, :]
+    vs = np.stack((jframe, frame, jframe))[:, np.newaxis, :, :]
+    h_right, h_plain, h_left = _half_trace(oracle, J, us, vs)
+    # Global frame index p = (a, i) is factor a's offset plus i.  For
+    # p = (b, i) and q = (a, j), coeff[p, q] = c(a,b)[i,j] = jm[(b,j), (a,i)].
+    start = np.repeat(man.block_offsets, dim)
+    within = np.tile(np.arange(dim), t)
+    coeff = jm[start[:, None] + within[None, :], start[None, :] + within[:, None]]
+    beta = np.repeat(man.curvatures, dim)  # curvature of each frame index
+    zero = np.zeros((n, n))
+    # family -> (claim, computed, claimed), both indexed [p, q]
+    families = {
+        "star-same-factor": (
+            "rho*(e(a)i, e(a)j) == beta_a delta_ij", h_right, beta[:, None] * frame,
+        ),
+        "star-right-rotated": (
+            "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]", -h_plain, beta[:, None] * jm,
+        ),
+        "star-left-rotated": (
+            "rho*(J e(a)i, e(a)j) == beta_a c(a,a)[i,j]", h_left, beta[:, None] * coeff,
+        ),
+        "star-cross-factor": ("rho*(e(a)i, e(b)j) == 0 for a != b", h_right, zero),
+        "star-right-rotated-cross": ("rho*(e(a)i, J e(b)j) == 0 for a != b", -h_plain, zero),
+        "star-left-rotated-cross": (
+            "rho*(J e(b)i, e(a)j) == -beta_a c(a,b)[i,j]", h_left, -beta[None, :] * coeff,
+        ),
+    }
     report = AuditReport(f"rho* component audit on {man.describe()}")
     tol = TOL.contraction
+    errors: dict[str, list[float]] = {family: [] for family in families}
 
-    def frame(a: int, i: int) -> np.ndarray:
-        return eye[man.block_offsets[a] + i]
+    def record(family: str, label: str, p: int, q: int) -> None:
+        claim, computed, claimed = families[family]
+        check = report.add(
+            f"{family}[{label}]", computed[p, q], claimed[p, q], tol, claim, asserted=False
+        )
+        errors[family].append(check.error)
 
-    def jframe(a: int, i: int) -> np.ndarray:
-        return jm[:, man.block_offsets[a] + i]
-
-    t = man.n_factors
-    dim = 6
-    family_max: dict[str, float] = {}
-
-    def record(family: str, claim: str, label: str, computed: float, expected: float):
-        report.add(f"{family}[{label}]", computed, expected, tol, claim, asserted=False)
-        family_max[family] = max(family_max.get(family, 0.0), abs(computed - expected))
-
-    claim6 = "rho*(e(a)i, e(a)j) == beta_a delta_ij"
-    claim7 = "rho*(e(a)i, e(b)j) == 0 for a != b"
-    claim8 = "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]"
-    claim9 = "rho*(e(a)i, J e(b)j) == 0 for a != b"
-    claim10 = "rho*(J e(a)i, e(a)j) == beta_a c(a,a)[i,j]"
-    claim11 = "rho*(J e(b)i, e(a)j) == -beta_a c(a,b)[i,j]"
-
+    off = man.block_offsets
     for a in range(t):
-        coeff_aa = J.coefficient_block(a, a)
         for i in range(dim):
             for j in range(dim):
                 label = f"a={a},i={i},j={j}"
-                record(
-                    "star-same-factor",
-                    claim6,
-                    label,
-                    _half_trace(oracle, J, frame(a, i), jframe(a, j)),
-                    betas[a] * (1.0 if i == j else 0.0),
-                )
-                record(
-                    "star-right-rotated",
-                    claim8,
-                    label,
-                    -_half_trace(oracle, J, frame(a, i), frame(a, j)),
-                    betas[a] * coeff_aa[j, i],
-                )
-                record(
-                    "star-left-rotated",
-                    claim10,
-                    label,
-                    _half_trace(oracle, J, jframe(a, i), jframe(a, j)),
-                    betas[a] * coeff_aa[i, j],
-                )
+                for family in ("star-same-factor", "star-right-rotated", "star-left-rotated"):
+                    record(family, label, off[a] + i, off[a] + j)
     for a in range(t):
         for b in range(t):
             if a == b:
                 continue
-            coeff_ab = J.coefficient_block(a, b)
             for i in range(dim):
                 for j in range(dim):
                     label = f"a={a},b={b},i={i},j={j}"
-                    record(
-                        "star-cross-factor",
-                        claim7,
-                        label,
-                        _half_trace(oracle, J, frame(a, i), jframe(b, j)),
-                        0.0,
-                    )
-                    record(
-                        "star-right-rotated-cross",
-                        claim9,
-                        label,
-                        -_half_trace(oracle, J, frame(a, i), frame(b, j)),
-                        0.0,
-                    )
-                    record(
-                        "star-left-rotated-cross",
-                        claim11,
-                        label,
-                        _half_trace(oracle, J, jframe(b, i), jframe(a, j)),
-                        -betas[a] * coeff_ab[i, j],
-                    )
-    for family in sorted(family_max):
+                    record("star-cross-factor", label, off[a] + i, off[b] + j)
+                    record("star-right-rotated-cross", label, off[a] + i, off[b] + j)
+                    record("star-left-rotated-cross", label, off[b] + i, off[a] + j)
+    for family in sorted(f for f, errs in errors.items() if errs):
         report.add(
             f"{family}-max",
-            family_max[family],
+            np.max(errors[family]),
             0.0,
             tol,
             f"max |computed - claimed| over the {family} family",

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Check:
@@ -99,8 +101,9 @@ class AuditReport:
         return out
 
     def max_error(self, prefix: str = "") -> float:
+        """Largest check error under the prefix; NaN when any error is NaN."""
         errs = [c.error for c in self.checks if c.kind == "check" and c.name.startswith(prefix)]
-        return max(errs) if errs else 0.0
+        return float(np.max(errs, initial=0.0))
 
     def select(self, prefix: str) -> list[Check]:
         return [c for c in self.checks if c.name.startswith(prefix)]

@@ -28,12 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .acs import random_block_diagonal_acs, random_orthogonal_acs
+from .acs import random_block_diagonal_matrices, random_orthogonal_matrices
 from .config import TOL
 from .errors import ContractViolation, SearchError
 from .fields import ACSField, default_acs_field, frame_pair_sq_norms
-from .identities import SplittingDefect, splitting_defect
-from .manifold import CurvatureOracle, ProductManifold
+from .identities import splitting_defect
+from .manifold import CurvatureOracle, ProductManifold, sample_blocks
 from .report import AuditReport
 from .sampling import chart_safe_points
 
@@ -513,13 +513,14 @@ def splitting_pressure_probe(
     closed = np.empty(samples)
     mixes = np.empty(samples)
     rests = np.empty(samples)
-    for s in range(samples):
-        J = random_orthogonal_acs(manifold, [seed, s])
-        d: SplittingDefect = splitting_defect(oracle, J, x, y)
-        defects[s] = d.direct
-        closed[s] = d.closed_form
-        mixes[s] = 1.0 - d.c * d.c
-        rests[s] = d.second_factor_term
+    for block in sample_blocks(samples):
+        seeds = [[seed, s] for s in range(block.start, block.stop)]
+        J = random_orthogonal_matrices(manifold, seeds)
+        d = splitting_defect(oracle, J, x, y)
+        defects[block] = d.direct
+        closed[block] = d.closed_form
+        mixes[block] = 1.0 - d.c * d.c
+        rests[block] = d.second_factor_term
     mixed = mixes > threshold
     sub_d = defects[mixed]
     sub_core = rests[mixed] - defects[mixed]
@@ -552,9 +553,10 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
     oracle = CurvatureOracle(manifold)
     x, y = _first_factor_pair(manifold)
     split = np.empty(samples)
-    for s in range(samples):
-        J = random_block_diagonal_acs(manifold, [seed, s])
-        split[s] = abs(splitting_defect(oracle, J, x, y).direct)
+    for block in sample_blocks(samples):
+        seeds = [[seed, s] for s in range(block.start, block.stop)]
+        J = random_block_diagonal_matrices(manifold, seeds)
+        split[block] = np.abs(splitting_defect(oracle, J, x, y).direct)
     report = AuditReport(f"splitting defect on {manifold.describe()} ({samples} samples, seed {seed})")
     report.add(
         "oracle-equivalence", np.max(np.abs(probe.defects - probe.closed_forms), initial=0.0),

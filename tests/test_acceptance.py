@@ -205,6 +205,7 @@ def test_criterion_6_nijenhuis_engine():
         assert time.perf_counter() - start < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_7_obstruction_experiment_floor():
     with criterion(7, "S2 x S4 energy floor vs committed baseline"):
         start = time.perf_counter()

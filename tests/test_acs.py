@@ -10,7 +10,9 @@ from sphereacs.acs import (
     canonical_product_acs,
     haar_orthogonal,
     random_block_diagonal_acs,
+    random_block_diagonal_matrices,
     random_orthogonal_acs,
+    random_orthogonal_matrices,
     standard_rotation_structure,
     swap_acs,
     validate_acs,
@@ -171,3 +173,40 @@ def test_serialization_errors():
         acs_from_text(man, "2\n0 x\n-1 0\n")
     with pytest.raises(ContractViolation):
         acs_from_text(man, "2\n0 nan\n-1 0\n")
+
+
+def test_nan_entry_fails_block_checks_and_off_block_mass():
+    man = spheres((6, 1.0), (6, 1.0))
+    m = swap_acs(man).matrix.copy()
+    m[6, 0] = np.nan  # an off-block entry
+    J = OrthogonalACS(man, m)
+    report = validate_acs(J)
+    rows = {c.name: c for c in report.checks}
+    for name in ("block-skew", "block-composition"):
+        assert np.isnan(rows[name].computed)
+        assert not rows[name].passed
+    assert not report.passed
+    assert np.isnan(J.off_block_mass())
+    assert swap_acs(man).off_block_mass() == 1.0
+
+
+@pytest.mark.parametrize("dims", [((6, 1.0), (6, 2.0)), ((2, 1.0), (4, 1.0), (6, 2.0))])
+def test_batched_draws_equal_single_draws(dims):
+    # the stacked QR and conjugation reproduce the one-matrix draws bit for bit
+    man = spheres(*dims)
+    n = man.total_dim
+    seeds = [[3, s] for s in range(40)] + [5]
+    stack = random_orthogonal_matrices(man, seeds)
+    blocks = random_block_diagonal_matrices(man, seeds)
+    assert stack.shape == blocks.shape == (len(seeds), n, n)
+    j0 = standard_rotation_structure(n)
+    for k, seed in enumerate(seeds):
+        q = haar_orthogonal(n, np.random.default_rng(seed))
+        assert np.array_equal(stack[k], q @ j0 @ q.T)
+        assert np.array_equal(stack[k], random_orthogonal_acs(man, seed).matrix)
+        expected = np.zeros((n, n))
+        for a, (f, sl) in enumerate(zip(man.factors, man.block_slices)):
+            qa = haar_orthogonal(f.dim, np.random.default_rng([seed, a]))
+            expected[sl, sl] = qa @ standard_rotation_structure(f.dim) @ qa.T
+        assert np.array_equal(blocks[k], expected)
+        assert np.array_equal(blocks[k], random_block_diagonal_acs(man, seed).matrix)

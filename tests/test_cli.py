@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sphereacs.identities import (
 )
 from sphereacs.manifold import CurvatureOracle, spheres
 from sphereacs.report import AuditReport
+from sphereacs import search
 from sphereacs.search import splitting_audit
 
 
@@ -151,16 +153,32 @@ def test_empty_degrees_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_search_error_is_usage_error(tmp_path, capsys):
-    # an infinite initial scale makes every restart after the first start at
-    # a non-finite objective value, so the search gives up
+def test_search_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    # an objective that is never finite makes the search give up after its
+    # resamples
+    monkeypatch.setattr(
+        search, "make_energy_objective", lambda *args, **kwargs: lambda theta: float("nan")
+    )
     cfg = write_config(
         tmp_path,
         "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
-        "points = 4\nrestarts = 2\nbudget = 3\ninit_scale = inf\n",
+        "points = 4\nrestarts = 2\nbudget = 3\n",
     )
     assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize("key", ["init_scale", "chart_margin"])
+def test_nonfinite_scale_is_usage_error(tmp_path, capsys, key):
+    # rejected by the config, before any restart draws from it: no numpy
+    # warning, no wasted resamples
+    cfg = write_config(
+        tmp_path,
+        "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
+        f"points = 4\nrestarts = 2\nbudget = 3\n{key} = inf\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):

@@ -11,6 +11,7 @@ from sphereacs.acs import (
 )
 from sphereacs.errors import ContractViolation, InvalidManifold
 from sphereacs.identities import (
+    _half_trace,
     block_preservation_probe,
     gray_combination,
     ricci_star,
@@ -256,6 +257,70 @@ def test_ricci_star_frame_independence():
     assert ricci_star_bilinear(oracle, J, xv, yv) == pytest.approx(rotated, rel=1e-11, abs=1e-11)
 
 
+def curvature_weighted_diagonal(man, J):
+    """K = (+)_a kappa_a J_aa: the diagonal blocks of J scaled by their
+    factor curvature, the closed form of the half trace -u^T K v."""
+    K = np.zeros((man.total_dim, man.total_dim))
+    for a, (f, sl) in enumerate(zip(man.factors, man.block_slices)):
+        K[sl, sl] = f.curvature * J.block(a, a)
+    return K
+
+
+CLOSED_FORM_MANIFOLDS = [((6, 1.0), (6, 2.0)), ((2, 1.0), (4, 0.5), (6, 2.0))]
+
+
+@pytest.mark.parametrize("dims", CLOSED_FORM_MANIFOLDS)
+def test_half_trace_matches_closed_form(dims):
+    man = spheres(*dims)
+    oracle = CurvatureOracle(man)
+    rng = np.random.default_rng(31)
+    for s in range(5):
+        J = random_orthogonal_acs(man, [s, 31])
+        K = curvature_weighted_diagonal(man, J)
+        u, v = rng.standard_normal((2, 9, man.total_dim))
+        expected = -np.einsum("si,ij,sj->s", u, K, v)
+        assert np.max(np.abs(_half_trace(oracle, J, u, v) - expected)) <= 1e-12
+        single = _half_trace(oracle, J, u[0], v[0])
+        assert type(single) is float
+        assert single == pytest.approx(expected[0], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", CLOSED_FORM_MANIFOLDS)
+def test_ricci_star_matrix_is_minus_k_j(dims):
+    man = spheres(*dims)
+    oracle = CurvatureOracle(man)
+    for s in range(5):
+        J = random_orthogonal_acs(man, [s, 32])
+        form = ricci_star(oracle, J)
+        closed = -curvature_weighted_diagonal(man, J) @ J.matrix
+        assert np.max(np.abs(form.matrix - closed)) <= 1e-13
+
+
+def test_stacked_structures_match_single_evaluations():
+    man = spheres((2, 1.3), (4, 0.8))
+    oracle = CurvatureOracle(man)
+    structures = [random_orthogonal_acs(man, [s, 33]) for s in range(6)]
+    stack = np.stack([J.matrix for J in structures])
+    rng = np.random.default_rng(33)
+    w, x, y, z = rng.standard_normal((4, 6, man.total_dim))
+    gray = gray_combination(oracle, stack, w, x, y, z)
+    rho = ricci_star_bilinear(oracle, stack, x, y)
+    p, q = first_block_pair(man)
+    split = splitting_defect(oracle, stack, p, q)
+    for s, J in enumerate(structures):
+        assert gray[s] == pytest.approx(
+            gray_combination(oracle, J, w[s], x[s], y[s], z[s]), rel=1e-12, abs=1e-12
+        )
+        assert rho[s] == pytest.approx(
+            ricci_star_bilinear(oracle, J, x[s], y[s]), rel=1e-12, abs=1e-12
+        )
+        one = splitting_defect(oracle, J, p, q)
+        for field in ("direct", "closed_form", "product_norm_form", "c", "second_factor_term"):
+            assert getattr(split, field)[s] == pytest.approx(
+                getattr(one, field), rel=1e-12, abs=1e-12
+            )
+
+
 def test_ricci_star_exchange_identity():
     man = spheres((6, 1.0), (6, 2.0))
     oracle = CurvatureOracle(man)
@@ -316,6 +381,45 @@ def test_component_audit_single_factor_cross_families_vacuous():
         checks = report.select(family + "[")
         assert len(checks) == 36
         assert all(c.passed for c in checks)
+
+
+def test_component_audit_rows_follow_their_formulas():
+    # every row against its own scalar contraction and claimed coefficient,
+    # on a factor-mixing structure where the claims do not hold
+    man = spheres((6, 1.0), (6, 2.0))
+    oracle = CurvatureOracle(man)
+    J = random_orthogonal_acs(man, 12)
+    m, off, betas = J.matrix, man.block_offsets, man.curvatures
+    e = np.eye(man.total_dim)
+
+    def h(u, v):
+        return _half_trace(oracle, J, u, v)
+
+    def c(a, b, i, j):
+        return J.coefficient_block(a, b)[i, j]
+
+    formulas = {
+        "star-same-factor": lambda a, b, i, j: (
+            h(e[off[a] + i], m[:, off[a] + j]), betas[a] * (i == j)),
+        "star-right-rotated": lambda a, b, i, j: (
+            -h(e[off[a] + i], e[off[a] + j]), betas[a] * c(a, a, j, i)),
+        "star-left-rotated": lambda a, b, i, j: (
+            h(m[:, off[a] + i], m[:, off[a] + j]), betas[a] * c(a, a, i, j)),
+        "star-cross-factor": lambda a, b, i, j: (h(e[off[a] + i], m[:, off[b] + j]), 0.0),
+        "star-right-rotated-cross": lambda a, b, i, j: (
+            -h(e[off[a] + i], e[off[b] + j]), 0.0),
+        "star-left-rotated-cross": lambda a, b, i, j: (
+            h(m[:, off[b] + i], m[:, off[a] + j]), -betas[a] * c(a, b, i, j)),
+    }
+    rows = [row for row in ricci_star_component_audit(oracle, J).checks
+            if not row.name.endswith("-max")]
+    assert len(rows) == 6 * 2 * 36
+    for row in rows:
+        family, label = row.name[:-1].split("[")
+        idx = {k: int(v) for k, v in (kv.split("=") for kv in label.split(","))}
+        computed, claimed = formulas[family](idx["a"], idx.get("b", idx["a"]), idx["i"], idx["j"])
+        assert row.computed == pytest.approx(computed, abs=1e-12)
+        assert row.expected == pytest.approx(claimed, abs=1e-15)
 
 
 def test_component_audit_rejects_non_6_sphere():

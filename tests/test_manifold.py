@@ -140,6 +140,42 @@ def test_product_curvature_matches_per_factor_oracle():
         assert oracle.product_curvature(w, x, y, z) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
+def test_product_curvature_broadcasts_like_the_per_row_loop():
+    man = spheres((2, 1.0), (4, 0.5), (6, 2.0))
+    oracle = CurvatureOracle(man)
+    n = man.total_dim
+    rng = np.random.default_rng(8)
+
+    def loop(w, x, y, z):
+        return sum(
+            np.dot(factor_curvature_endo(f, w[sl], x[sl], y[sl]), z[sl])
+            for f, sl in zip(man.factors, man.block_slices)
+        )
+
+    w, x, y, z = rng.standard_normal((4, n))
+    single = oracle.product_curvature(w, x, y, z)
+    assert type(single) is float
+    assert single == pytest.approx(loop(w, x, y, z), rel=1e-12, abs=1e-12)
+    rows = rng.standard_normal((4, 7, n))
+    out = oracle.product_curvature(*rows)
+    assert out.shape == (7,)
+    for s in range(7):
+        assert out[s] == pytest.approx(loop(*rows[:, s]), rel=1e-12, abs=1e-12)
+    mixed = oracle.product_curvature(w, rows[1], y, rows[3])
+    for s in range(7):
+        assert mixed[s] == pytest.approx(loop(w, rows[1, s], y, rows[3, s]), rel=1e-12, abs=1e-12)
+    a, b = rng.standard_normal((2, 5, 1, n))
+    c, d = rng.standard_normal((2, 1, 3, n))
+    grid = oracle.product_curvature(a, c, b, d)
+    assert grid.shape == (5, 3)
+    for s in range(5):
+        for k in range(3):
+            expected = loop(a[s, 0], c[0, k], b[s, 0], d[0, k])
+            assert grid[s, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    with pytest.raises(ContractViolation):
+        oracle.product_curvature(np.zeros((7, n - 1)), x, y, z)
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 @settings(max_examples=25, deadline=None)
 def test_product_curvature_multilinear(seed, s, t):

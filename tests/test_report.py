@@ -1,3 +1,5 @@
+import numpy as np
+
 from sphereacs.report import AuditReport
 
 
@@ -30,3 +32,12 @@ def test_select_and_max_error_prefix():
     report.add("other", 0.0, 0.0, 1e-9, "y")
     assert len(report.select("fam")) == 2
     assert report.max_error("fam") == 0.5
+
+
+def test_max_error_propagates_nan_in_any_order():
+    for values in ((1.0, float("nan")), (float("nan"), 1.0)):
+        report = AuditReport("demo")
+        for k, value in enumerate(values):
+            report.add(f"row[{k}]", value, 0.0, 1e-9, "x", asserted=False)
+        assert np.isnan(report.max_error())
+    assert AuditReport("empty").max_error() == 0.0
