@@ -172,10 +172,10 @@ def as_coords(manifold: ProductManifold, v) -> np.ndarray:
 SAMPLE_BLOCK = 256
 
 
-def sample_blocks(count: int, size: int = SAMPLE_BLOCK):
-    """Consecutive slices of at most ``size`` covering range(count)."""
-    for start in range(0, count, size):
-        yield slice(start, min(start + size, count))
+def sample_blocks(count: int):
+    """Consecutive slices of at most SAMPLE_BLOCK covering range(count)."""
+    for start in range(0, count, SAMPLE_BLOCK):
+        yield slice(start, min(start + SAMPLE_BLOCK, count))
 
 
 def inner(a, b) -> np.ndarray:
@@ -214,12 +214,12 @@ class CurvatureOracle:
         total = 0.0
         for f, sl in zip(man.factors, man.block_slices):
             wa, xa, ya, za = w[..., sl], x[..., sl], y[..., sl], z[..., sl]
-            total = total + f.curvature * (
+            total += f.curvature * (
                 inner(xa, ya) * inner(wa, za) - inner(wa, ya) * inner(xa, za)
             )
         return float(total) if np.ndim(total) == 0 else total
 
-    def __call__(self, w, x, y, z) -> float:
+    def __call__(self, w, x, y, z):
         return self.product_curvature(w, x, y, z)
 
     def sectional_curvature(self, x, y):
