@@ -5,9 +5,10 @@ The frame-level modules (manifold, acs, identities) evaluate product
 curvature tensors, the eight-term curvature identity satisfied by Hermitian
 manifolds, splitting defects and Ricci *-tensor component formulas as exact
 linear algebra.  The field-level modules (fields, sampling, search) compute
-Lie brackets and Nijenhuis tensors of structure fields on the embedded
-spheres by central differences and run seeded energy-minimisation searches
-over gauged families of structures.
+Nijenhuis tensors of structure fields on the embedded spheres from exact
+directional derivatives (central-difference Lie brackets are kept as the
+oracle) and run seeded energy-minimisation searches over gauged families of
+structures.
 """
 
 __version__ = "0.1.0"

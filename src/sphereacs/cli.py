@@ -38,7 +38,9 @@ keys are errors.  Example::
 
 Keys: seed, samples, points, frame_pairs, restarts, budget, generators,
 degrees (a non-empty list of gauge degrees >= 0), fd_step (within
-[1e-9, 1e-2]), init_scale, chart_margin, swap_probe, restriction_check,
+[1e-9, 1e-2]; the step of the finite-difference bracket oracle, validated
+and recorded but not used by the exact Nijenhuis engine, so it changes no
+report), init_scale, chart_margin, swap_probe, restriction_check,
 format, out, acs_file and points_file.  The environment variable
 SPHEREACS_CONFIG_DIR may point to a directory searched for bare config file
 names.
@@ -375,7 +377,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
         pts = load_points(cfg.points_file, man)
     else:
         pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
-    norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed, cfg.fd_step)
+    norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed)
     report = acs_field_validity_check(jf, pts[: min(len(pts), 25)])
     for k, norm in enumerate(norms):
         report.record(
@@ -385,7 +387,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
     report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
     if target == "product" and cfg.restriction_check:
         report.extend(
-            second_factor_restriction_check(jf, pts[: min(cfg.points, 10)], cfg.fd_step)
+            second_factor_restriction_check(jf, pts[: min(cfg.points, 10)])
         )
     return report
 

@@ -22,7 +22,7 @@ class Tolerances:
     fd_step: float = 1e-5
     # FD bracket against a closed-form bracket oracle.
     fd_bracket: float = 1e-6
-    # FD comparisons that combine several brackets (linearity, restriction).
+    # Comparisons that combine several brackets (FD linearity, restriction).
     fd_linear: float = 2e-6
     # Tensoriality checks: two full Nijenhuis evaluations on both sides.
     fd_tensor: float = 5e-6

@@ -1,38 +1,67 @@
 """Smooth fields on embedded products of spheres: Lie brackets and the
-Nijenhuis tensor by central differences.
+Nijenhuis tensor from exact directional derivatives, with a central-difference
+bracket kept as the independent oracle.
 
 A point of S^d1(k1) x ... x S^dt(kt) is stored as the concatenation of one
 *unit* direction u_a in R^(d_a + 1) per factor; the geometric point is
 x_a = r_a u_a with r_a = 1 / sqrt(k_a).  Every field evaluator is batched: it
 maps an (n, ambient_dim) array of unit points to values row by row.
 
-Fields extend off the sphere product radially, X(q) = X(q / |q| per factor),
-which is the canonical degree-zero extension.  Brackets of extended tangent
-fields restricted to the product give the intrinsic bracket, so
-
-    [X, Y](p) = (DY) X - (DX) Y
-
-evaluated by central differences (step h, error O(h^2)) on the extensions in
-geometric ambient coordinates, followed by tangent projection to remove the
-O(h^2) normal noise.  The Nijenhuis tensor of an almost complex structure
-field J is the four-bracket combination
+Brackets are taken in geometric ambient coordinates, [X, Y] = (DY) X - (DX) Y,
+followed by tangent projection.  A geometric displacement v moves the unit
+direction of factor a with velocity P_a v_a / r_a, so every derivative is a
+derivative of an evaluator along a tangent velocity du of the unit points.
+The Nijenhuis tensor of an almost complex structure field J,
 
     N(X, Y) = [JX, JY] - [X, Y] - J [JX, Y] - J [X, JY],
 
-zero exactly when J is integrable.
+zero exactly when J is integrable, expands by the product rule into
+
+    N(X, Y) = P [ (D_JX J) Y - (D_JY J) X + J ((D_Y J) X - (D_X J) Y)
+                  - (I + J^2) [X, Y] ],
+
+in which the derivatives of X along JY and of Y along JX cancel; since
+J^2 = -P on tangent vectors the last term is normal for a valid structure.
+``nijenhuis_batch`` evaluates this from one jet of J (its values and its
+derivatives along X, Y, JX and JY at the centre rows) and the derivatives of
+X along Y and of Y along X.
+
+Derivatives.  Every field has a ``jet``: its values at a row batch and its
+derivative map there, du -> D_du X for a tangent field and
+(du, w) -> (D_du J) w for a structure field, over stacks of tangent
+velocities du.  By default the derivatives are the complex step of the
+field's own evaluator,
+
+    D f(u)[du] = Im f(u + i eps du) / eps,      eps = COMPLEX_STEP,
+
+exact to round-off because no difference of nearby values is formed
+(Squire & Trapp 1998).  Evaluators must therefore keep complex input complex
+(no casts to float, no abs or norm of the input; chart tests look at the real
+part); a cast that would drop the imaginary part raises ``ContractViolation``.
+Fields with a cheaper form pass their own ``jet_fn``: the energy's
+per-row frame fields (``row_constant_field``, in closed form), its base
+field (``frozen_acs_field``: values and frame derivatives computed once for a
+fixed row batch) and the Cayley-gauged family of ``search``.
+
+The FD oracle ``lie_bracket_fd_batch`` extends fields radially,
+X(q) = X(q / |q| per factor), and evaluates the bracket by central
+differences (step h, error O(h^2)).
 
 Batch row contract: inside one bracket or Nijenhuis evaluation, every field
 evaluator is called on arrays whose row i is a point infinitesimally close to
-row i of the input batch.  Point-independent fields ignore this; per-row
-fields (used by the energy's frozen frame pairs) rely on it.
+row i of the input batch (a normalised offset or a complex step).
+Point-independent fields ignore this; per-row fields (used by the energy's
+frozen frame pairs and frozen base field) rely on it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .acs import OrthogonalACS, validate_acs
 from .config import TOL
@@ -59,13 +88,21 @@ def normalize_blocks(man: ProductManifold, q: Array) -> Array:
     return out
 
 
+def apply(m: Array, v: Array) -> Array:
+    """Batched matrix-vector products m[..., i, j] v[..., j].  A stack of
+    vectors (..., n, a) over one (n, a, a) batch of matrices goes through one
+    matrix product per row instead of one per vector."""
+    if m.ndim == 3 and v.ndim > 2:
+        n, a = v.shape[-2:]
+        rows = v.reshape(-1, n, a).transpose(1, 0, 2)
+        return (rows @ m.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(v.shape)
+    return (m @ v[..., np.newaxis])[..., 0]
+
+
 def tangent_project(man: ProductManifold, pts: Array, vecs: Array) -> Array:
-    """Remove the per-factor normal component <v_a, u_a> u_a."""
-    out = np.array(vecs, dtype=float)
-    for sl in man.ambient_slices:
-        u = pts[:, sl]
-        out[:, sl] -= np.sum(out[:, sl] * u, axis=1, keepdims=True) * u
-    return out
+    """Remove the per-factor normal component <v_a, u_a> u_a; vecs may carry
+    leading axes over the (n, ambient_dim) rows of pts."""
+    return vecs - ((vecs * pts) @ man.ambient_block_mask) * pts
 
 
 def to_geometric(man: ProductManifold, pts: Array) -> Array:
@@ -132,19 +169,61 @@ class EmbeddedPoint:
 # Field wrappers
 # ---------------------------------------------------------------------------
 
+COMPLEX_STEP = 1e-30
+
+
+def complex_step(fn: Callable[[Array], Array], pts: Array, du: Array) -> Array:
+    """Derivative of a batched evaluator at the rows pts along the tangent
+    rows du: Im fn(pts + i eps du) / eps, with a dropped imaginary part
+    raised instead of read as a zero derivative."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        try:
+            out = fn(pts + (1j * COMPLEX_STEP) * du)
+        except ComplexWarning as exc:
+            raise ContractViolation(
+                "field evaluator dropped the imaginary part of a complex-step input"
+            ) from exc
+    return np.imag(out) / COMPLEX_STEP
+
+
+Jet = tuple[Array, Callable[..., Array]]
+
+
+def complex_steps(fn: Callable[[Array], Array], pts: Array, du: Array) -> Array:
+    """complex_step along each of a stack of tangent velocities du, shape
+    (k, n, ambient_dim); one evaluator call per direction keeps the batch
+    row contract."""
+    return np.stack([complex_step(fn, pts, d) for d in du])
+
+
 @dataclass(frozen=True)
-class TangentField:
-    """A smooth tangent vector field given by a batched evaluator."""
+class Field:
+    """A batched evaluator on the embedded product.  ``jet_fn``, when given,
+    replaces the complex-step default of ``jet``."""
 
     manifold: ProductManifold
     fn: Callable[[Array], Array]
     name: str = ""
+    jet_fn: Callable[[Array], Jet] | None = None
 
     def __call__(self, pts: Array) -> Array:
         return self.fn(pts)
 
     def at(self, point: EmbeddedPoint) -> Array:
         return self.fn(point.batch)[0]
+
+    def jet(self, pts: Array) -> Jet:
+        """Values at the rows pts and the derivative map there: du -> D_du X
+        for a tangent field, (du, w) -> (D_du J) w for a structure field,
+        with du and w stacks of shape (k, n, ambient_dim)."""
+        if self.jet_fn is not None:
+            return self.jet_fn(pts)
+        return self.fn(pts), lambda du: complex_steps(self.fn, pts, du)
+
+
+class TangentField(Field):
+    """A smooth tangent vector field given by a batched evaluator."""
 
     def __add__(self, other: "TangentField") -> "TangentField":
         return TangentField(
@@ -165,21 +244,18 @@ class TangentField:
         )
 
 
-@dataclass(frozen=True)
-class ACSField:
+class ACSField(Field):
     """An almost complex structure field: batched evaluator returning one
     ambient operator per point that acts as J on the tangent space and
     annihilates the per-factor normal directions."""
 
-    manifold: ProductManifold
-    fn: Callable[[Array], Array]
-    name: str = ""
-
-    def __call__(self, pts: Array) -> Array:
-        return self.fn(pts)
-
-    def at(self, point: EmbeddedPoint) -> Array:
-        return self.fn(point.batch)[0]
+    def jet(self, pts: Array) -> Jet:
+        """Structure fields hand out their derivative applied to vectors,
+        (du, w) -> (D_du J) w: all the Nijenhuis tensor needs, and it lets
+        closed forms skip the derivative matrices."""
+        if self.jet_fn is not None:
+            return self.jet_fn(pts)
+        return self.fn(pts), lambda du, w: apply(complex_steps(self.fn, pts, du), w)
 
     def image(self, X: TangentField) -> TangentField:
         """The field J X: q -> J(q) X(q)."""
@@ -195,6 +271,40 @@ class ACSField:
         b = tangent_bases(self.manifold, point.batch)[0]
         j = self.at(point)
         return OrthogonalACS(self.manifold, b.T @ j @ b)
+
+
+def frozen_acs_field(Jf: ACSField, rows: Array) -> ACSField:
+    """Jf with its values and its complex-step derivatives along the tangent
+    frame of each row computed once, so a derivative along a tangent du is a
+    contraction with du's frame coordinates.  Valid only on exactly this row
+    batch (checked with np.array_equal)."""
+    man = Jf.manifold
+    rows = np.array(rows, dtype=float)
+    frame = tangent_bases(man, rows)
+    value = Jf.fn(rows)
+    # row-major (n, frame index, amb * amb): one batched product per call
+    along_frame = np.moveaxis(complex_steps(Jf.fn, rows, np.moveaxis(frame, 2, 0)), 0, 1)
+    along_frame = along_frame.reshape(rows.shape[0], man.total_dim, -1)
+    for a in (rows, value, along_frame):
+        a.flags.writeable = False
+
+    def check(pts: Array) -> None:
+        if not np.array_equal(pts, rows):
+            raise ContractViolation("frozen field evaluated off its row batch")
+
+    def fn(pts: Array) -> Array:
+        check(pts)
+        return value
+
+    def derivative(du: Array, w: Array) -> Array:
+        coords = np.swapaxes(du, 0, 1) @ frame
+        return apply(np.swapaxes(coords @ along_frame, 0, 1).reshape(du.shape + (-1,)), w)
+
+    def jet(pts: Array) -> Jet:
+        check(pts)
+        return value, derivative
+
+    return ACSField(man, fn, Jf.name, jet)
 
 
 def projected_constant_field(man: ProductManifold, ambient: Array, name: str = "const") -> TangentField:
@@ -214,12 +324,25 @@ def row_constant_field(man: ProductManifold, rows: Array, name: str = "rows") ->
     rows[i].  Only valid under the batch row contract."""
     rows = np.asarray(rows, dtype=float)
 
-    def fn(pts: Array) -> Array:
+    def check(pts: Array) -> None:
         if pts.shape != rows.shape:
             raise ContractViolation("row-constant field evaluated off its row batch")
+
+    def fn(pts: Array) -> Array:
+        check(pts)
         return tangent_project(man, pts, rows)
 
-    return TangentField(man, fn, name)
+    def jet(pts: Array) -> Jet:
+        # X = r - <r, u>_a u per factor block, so D_du X = -(<r, du>_a u + <r, u>_a du)
+        check(pts)
+        normal = (pts * rows) @ man.ambient_block_mask
+
+        def derivative(du: Array) -> Array:
+            return -(((du * rows) @ man.ambient_block_mask) * pts + normal * du)
+
+        return rows - normal * pts, derivative
+
+    return TangentField(man, fn, name, jet)
 
 
 def linear_field(man: ProductManifold, factor: int, skew: Array, name: str = "linear") -> TangentField:
@@ -262,7 +385,7 @@ def rotation_field(man: ProductManifold, factor: int, axis: Array, name: str = "
 def s2_rotation_blocks(u: Array) -> Array:
     """The canonical structure on a 2-sphere: J_u v = u x v (per unit point)."""
     n = u.shape[0]
-    m = np.zeros((n, 3, 3))
+    m = np.zeros((n, 3, 3), dtype=np.result_type(u, float))
     m[:, 0, 1] = -u[:, 2]
     m[:, 0, 2] = u[:, 1]
     m[:, 1, 0] = u[:, 2]
@@ -287,13 +410,13 @@ def _s4_pole_rotation(u: Array) -> Array:
     circle through both, smooth away from the antipode u . N = -1."""
     n, amb = u.shape
     denom = 1.0 + u[:, -1]
-    if np.any(denom < S4_CHART_MARGIN):
+    if np.any(np.real(denom) < S4_CHART_MARGIN):
         raise DegenerateInput(
             "4-sphere chart structure evaluated too close to the antipodal bad set"
         )
     w = u.copy()
     w[:, -1] += 1.0
-    rot = np.broadcast_to(np.eye(amb), (n, amb, amb)).copy()
+    rot = np.broadcast_to(np.eye(amb, dtype=u.dtype), (n, amb, amb)).copy()
     rot -= w[:, :, np.newaxis] * (w[:, np.newaxis, :] / denom[:, np.newaxis, np.newaxis])
     rot[:, :, -1] += 2.0 * u
     return rot
@@ -333,7 +456,7 @@ def s4_chart_blocks(u: Array) -> Array:
     rot = _s4_pole_rotation(u)
     t = u[:, 0]
     c, s = np.cos(t), np.sin(t)
-    tw = np.broadcast_to(np.eye(amb), (n, amb, amb)).copy()
+    tw = np.broadcast_to(np.eye(amb, dtype=u.dtype), (n, amb, amb)).copy()
     tw[:, 0, 0] = c
     tw[:, 0, 2] = -s
     tw[:, 2, 0] = s
@@ -358,7 +481,7 @@ def product_acs_field(
 
     def fn(pts: Array) -> Array:
         n = pts.shape[0]
-        m = np.zeros((n, man.ambient_dim, man.ambient_dim))
+        m = np.zeros((n, man.ambient_dim, man.ambient_dim), dtype=np.result_type(pts, float))
         for sl, builder in zip(man.ambient_slices, builders):
             m[:, sl, sl] = builder(pts[:, sl])
         return m
@@ -429,57 +552,29 @@ class NijenhuisSample:
     norm: float
 
 
-def nijenhuis_batch(
-    Jf: ACSField, X: TangentField, Y: TangentField, pts: Array, h: float = TOL.fd_step
-) -> Array:
+def nijenhuis_batch(Jf: ACSField, X: TangentField, Y: TangentField, pts: Array) -> Array:
     """N(X, Y) = [JX,JY] - [X,Y] - J[JX,Y] - J[X,JY], batched over points.
 
-    All perturbed points are stacked into a single batch so the (typically
-    expensive) structure field is evaluated once; the stacking keeps rows
-    aligned with the input batch, per the field row contract.
+    Exact: one jet of J at the centre rows gives its values and its
+    derivatives along the displacements JX, JY, X and Y; with the derivatives
+    of X along Y and of Y along X that is the whole tensor (module docstring).
     """
-    check_step(h)
     man = Jf.manifold
-    n = pts.shape[0]
-    g = to_geometric(man, pts)
-    vx = X(pts)
-    vy = Y(pts)
-
-    # One structure evaluation covers the centre batch and all eight
-    # perturbed copies; J at the centre is needed first to displace along
-    # the JX and JY directions, so the stack is built in two steps.
-    jc = Jf(pts)
-    jx = np.einsum("nij,nj->ni", jc, vx)
-    jy = np.einsum("nij,nj->ni", jc, vy)
-    offsets = np.concatenate(
-        [g + h * jx, g - h * jx, g + h * jy, g - h * jy,
-         g + h * vx, g - h * vx, g + h * vy, g - h * vy]
-    )
-    u_all = normalize_blocks(man, offsets)
-    jxp, jxm, jyp, jym, vxp, vxm, vyp, vym = range(8)
-    part = [u_all[k * n : (k + 1) * n] for k in range(8)]
-
-    j_all = Jf(u_all)
-    j_part = [j_all[k * n : (k + 1) * n] for k in range(8)]
-    x_vals = {k: X(part[k]) for k in (jyp, jym, vyp, vym)}
-    y_vals = {k: Y(part[k]) for k in (jxp, jxm, vxp, vxm)}
-    jx_vals = {k: np.einsum("nij,nj->ni", j_part[k], x_vals[k]) for k in (jyp, jym, vyp, vym)}
-    jy_vals = {k: np.einsum("nij,nj->ni", j_part[k], y_vals[k]) for k in (jxp, jxm, vxp, vxm)}
-
-    inv = 1.0 / (2.0 * h)
-    b_jxjy = (jy_vals[jxp] - jy_vals[jxm] - jx_vals[jyp] + jx_vals[jym]) * inv
-    b_xy = (y_vals[vxp] - y_vals[vxm] - x_vals[vyp] + x_vals[vym]) * inv
-    b_jxy = (y_vals[jxp] - y_vals[jxm] - jx_vals[vyp] + jx_vals[vym]) * inv
-    b_xjy = (jy_vals[vxp] - jy_vals[vxm] - x_vals[jyp] + x_vals[jym]) * inv
-
-    value = b_jxjy - b_xy - np.einsum("nij,nj->ni", jc, b_jxy + b_xjy)
+    j, dj = Jf.jet(pts)
+    x, dx = X.jet(pts)
+    y, dy = Y.jet(pts)
+    jx, jy = apply(j, np.stack([x, y]))
+    # velocities P_a v_a / r_a of the unit directions under the displacements
+    vel = tangent_project(man, pts, np.stack([jx, jy, x, y])) / man.ambient_radii
+    # (D_JX J) Y, (D_JY J) X, (D_X J) Y, (D_Y J) X
+    t = dj(vel, np.stack([y, x, y, x]))
+    b_xy = dy(vel[2:3])[0] - dx(vel[3:4])[0]
+    value = t[0] - t[1] - b_xy + apply(j, t[3] - t[2] - apply(j, b_xy))
     return tangent_project(man, pts, value)
 
 
-def nijenhuis(
-    Jf: ACSField, X: TangentField, Y: TangentField, p: EmbeddedPoint, h: float = TOL.fd_step
-) -> NijenhuisSample:
-    value = nijenhuis_batch(Jf, X, Y, p.batch, h)[0]
+def nijenhuis(Jf: ACSField, X: TangentField, Y: TangentField, p: EmbeddedPoint) -> NijenhuisSample:
+    value = nijenhuis_batch(Jf, X, Y, p.batch)[0]
     return NijenhuisSample(
         point=p,
         x_value=X.at(p),
@@ -522,47 +617,37 @@ def sample_tangent_pairs(
 
 
 def frame_pair_sq_norms(
-    man: ProductManifold, pts: Array, frame_pairs: int, seed: int, h: float = TOL.fd_step
-) -> Callable[[ACSField], Array]:
+    man: ProductManifold, pts: Array, frame_pairs: int, seed: int
+) -> tuple[Array, Callable[[ACSField], Array]]:
     """Freeze seeded orthonormal tangent frame pairs at the sample points
-    once; the returned function maps a structure field to |N(X_i, Y_i)|^2,
-    one entry per frame pair, point-major."""
+    once.  Returns the rows the engine evaluates on (each point repeated per
+    frame pair, point-major) and the function mapping a structure field to
+    |N(X_i, Y_i)|^2, one entry per row."""
     pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, seed)
     X = row_constant_field(man, xs, "frame-x")
     Y = row_constant_field(man, ys, "frame-y")
 
     def sq_norms(Jf: ACSField) -> Array:
-        values = nijenhuis_batch(Jf, X, Y, pts_rep, h)
+        values = nijenhuis_batch(Jf, X, Y, pts_rep)
         return np.sum(values * values, axis=1)
 
-    return sq_norms
+    return pts_rep, sq_norms
 
 
-def nijenhuis_energy(
-    Jf: ACSField,
-    pts: Array,
-    frame_pairs: int = 2,
-    seed: int = 0,
-    h: float = TOL.fd_step,
-) -> float:
+def nijenhuis_energy(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> float:
     """Mean of |N(X_i, Y_i)|^2 over seeded orthonormal tangent frame pairs at
     each sample point; zero exactly for integrable fields, deterministic in
     the seed."""
     if pts.shape[0] == 0:
         raise ContractViolation("energy needs at least one sample point")
-    return float(np.mean(frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed, h)(Jf)))
+    _, sq_norms = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed)
+    return float(np.mean(sq_norms(Jf)))
 
 
-def nijenhuis_norms(
-    Jf: ACSField,
-    pts: Array,
-    frame_pairs: int = 2,
-    seed: int = 0,
-    h: float = TOL.fd_step,
-) -> Array:
+def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> Array:
     """Per-point root-mean-square Nijenhuis norm over the seeded frame pairs."""
-    sq = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed, h)(Jf)
-    return np.sqrt(np.mean(sq.reshape(pts.shape[0], frame_pairs), axis=1))
+    _, sq_norms = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed)
+    return np.sqrt(np.mean(sq_norms(Jf).reshape(pts.shape[0], frame_pairs), axis=1))
 
 
 def nijenhuis_tensoriality_check(
@@ -570,11 +655,10 @@ def nijenhuis_tensoriality_check(
     point: EmbeddedPoint,
     seed: int,
     scalar_field: Callable[[Array], Array] | None = None,
-    h: float = TOL.fd_step,
 ) -> AuditReport:
     """Check N(f X, Y) = f(p) N(X, Y) for a seeded polynomial scalar f: the
-    finite-difference pipeline must compute a tensor, so the derivative terms
-    of f have to cancel."""
+    engine must compute a tensor, so the derivative terms of f have to
+    cancel."""
     man = Jf.manifold
     rng = np.random.default_rng(seed)
     if scalar_field is None:
@@ -587,9 +671,9 @@ def nijenhuis_tensoriality_check(
     X = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "X")
     Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")
     fX = X.scaled_by(scalar_field)
-    lhs = nijenhuis_batch(Jf, fX, Y, point.batch, h)[0]
+    lhs = nijenhuis_batch(Jf, fX, Y, point.batch)[0]
     f_at_p = float(scalar_field(point.batch)[0])
-    rhs = f_at_p * nijenhuis_batch(Jf, X, Y, point.batch, h)[0]
+    rhs = f_at_p * nijenhuis_batch(Jf, X, Y, point.batch)[0]
     report = AuditReport(f"Nijenhuis tensoriality for {Jf.name} (seed {seed})")
     report.add(
         "tensoriality",
@@ -621,7 +705,7 @@ def acs_field_validity_check(
     return report
 
 
-def second_factor_restriction_check(Jf: ACSField, pts: Array, h: float = TOL.fd_step) -> AuditReport:
+def second_factor_restriction_check(Jf: ACSField, pts: Array) -> AuditReport:
     """Compare N of a structure field on S^2 x S^6 on two second-factor
     tangent fields against the standalone 6-sphere evaluation at the same
     points; no first-factor component may appear."""
@@ -639,8 +723,8 @@ def second_factor_restriction_check(Jf: ACSField, pts: Array, h: float = TOL.fd_
     Y = projected_constant_field(man, amb_y, "Y6")
     X6 = projected_constant_field(man6, amb_x[sl6], "x6")
     Y6 = projected_constant_field(man6, amb_y[sl6], "y6")
-    full = nijenhuis_batch(Jf, X, Y, pts, h)
-    alone = nijenhuis_batch(j6, X6, Y6, pts[:, sl6], h)
+    full = nijenhuis_batch(Jf, X, Y, pts)
+    alone = nijenhuis_batch(j6, X6, Y6, pts[:, sl6])
     for k in range(pts.shape[0]):
         diff = float(np.linalg.norm(full[k, sl6] - alone[k]))
         leak = float(np.max(np.abs(full[k, : sl6.start])))

@@ -110,6 +110,23 @@ class ProductManifold:
             at += f.ambient_dim
         return tuple(slices)
 
+    @cached_property
+    def ambient_block_mask(self) -> np.ndarray:
+        """(ambient_dim, ambient_dim) with ones on the per-factor diagonal
+        blocks: (v * u) @ mask sums <v_a, u_a> over each factor block."""
+        mask = np.zeros((self.ambient_dim, self.ambient_dim))
+        for sl in self.ambient_slices:
+            mask[sl, sl] = 1.0
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def ambient_radii(self) -> np.ndarray:
+        """The embedding radius of each ambient coordinate's factor."""
+        radii = np.concatenate([np.full(f.ambient_dim, f.radius) for f in self.factors])
+        radii.flags.writeable = False
+        return radii
+
     @property
     def n_factors(self) -> int:
         return len(self.factors)

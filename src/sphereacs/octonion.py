@@ -79,6 +79,8 @@ def cross7(u, v) -> np.ndarray:
 
 
 def cross7_matrices(u) -> np.ndarray:
-    """Matrices of v -> u x v; for batched u of shape (n, 7) returns (n, 7, 7)."""
-    u = np.asarray(u, dtype=float)
-    return np.einsum("...i,ijk->...kj", u, CROSS7)
+    """Matrices of v -> u x v; for batched u of shape (n, 7) returns (n, 7, 7).
+    Complex u stays complex (complex-step derivatives).  Each entry has a
+    single nonzero term, so the matrix product is exact."""
+    u = np.asarray(u)
+    return np.swapaxes((u @ CROSS7.reshape(7, 49)).reshape(u.shape[:-1] + (7, 7)), -1, -2)

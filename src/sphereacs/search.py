@@ -30,8 +30,16 @@ import numpy as np
 
 from .acs import random_block_diagonal_matrices, random_orthogonal_matrices
 from .config import TOL
-from .errors import ContractViolation, SearchError
-from .fields import ACSField, default_acs_field, frame_pair_sq_norms
+from .errors import ContractViolation, DegenerateInput, SearchError
+from .fields import (
+    ACSField,
+    apply,
+    check_step,
+    complex_step,
+    default_acs_field,
+    frame_pair_sq_norms,
+    frozen_acs_field,
+)
 from .identities import splitting_defect
 from .manifold import CurvatureOracle, ProductManifold, sample_blocks
 from .report import AuditReport
@@ -107,7 +115,7 @@ class GaugeParametrization:
                 ii, jj = self._quad_index
                 blocks.append(pts[:, ii] * pts[:, jj])
             return np.concatenate(blocks, axis=1)
-        cols = np.empty((n, self.feature_count))
+        cols = np.empty((n, self.feature_count), dtype=pts.dtype)
         for idx, mono in enumerate(self.monomials):
             col = np.ones(n)
             for var in mono:
@@ -115,14 +123,25 @@ class GaugeParametrization:
             cols[:, idx] = col
         return cols
 
+    def feature_derivatives(self, pts: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """Derivatives of the features at the rows pts along velocities du of
+        shape (..., n, ambient_dim): closed form up to degree 2, a complex
+        step of ``features`` above."""
+        if self.degree > 2:
+            rows = np.broadcast_to(pts, du.shape).reshape(-1, pts.shape[1])
+            dfeat = complex_step(self.features, rows, du.reshape(rows.shape))
+            return dfeat.reshape(du.shape[:-1] + (self.feature_count,))
+        blocks = [np.zeros(du.shape[:-1] + (1,))]
+        if self.degree >= 1:
+            blocks.append(du)
+        if self.degree == 2:
+            ii, jj = self._quad_index
+            blocks.append(du[..., ii] * pts[:, jj] + pts[:, ii] * du[..., jj])
+        return np.concatenate(blocks, axis=-1)
+
     def _tangent_projectors(self, pts: np.ndarray) -> np.ndarray:
-        man = self.manifold
-        n = pts.shape[0]
-        pi = np.zeros((n, man.ambient_dim, man.ambient_dim))
-        for f, sl in zip(man.factors, man.ambient_slices):
-            u = pts[:, sl]
-            pi[:, sl, sl] = np.eye(f.ambient_dim) - u[:, :, np.newaxis] * u[:, np.newaxis, :]
-        return pi
+        outer = pts[:, :, np.newaxis] * pts[:, np.newaxis, :]
+        return np.eye(self.manifold.ambient_dim) - outer * self.manifold.ambient_block_mask
 
     def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Batched orthogonal Q(theta, p), identity on normals."""
@@ -134,22 +153,97 @@ class GaugeParametrization:
         eye = np.broadcast_to(np.eye(amb), (n, amb, amb))
         if self.n_params == 0 or not np.any(theta):
             return eye.copy()
-        coeff = self.features(pts) @ theta.reshape(self.feature_count, self.generators)
-        a = np.einsum("nk,kab->nab", coeff, self.skew_basis)
         pi = self._tangent_projectors(pts)
-        a = pi @ a @ pi
-        # Q = (I - A)(I + A)^(-1); I + A is uniformly well conditioned for
-        # skew A, so the batched explicit inverse is safe and fastest here.
-        return (eye - a) @ np.linalg.inv(eye + a)
+        a = pi @ self._skew_field(theta, self.features(pts)) @ pi
+        # Q = (I - A)(I + A)^(-1); I + A is well conditioned for skew A of
+        # moderate size, so the batched explicit inverse is safe and fastest
+        # here.  Its error grows like |A| eps: a Q that is not orthogonal to
+        # the validator's tolerance (or a singular I + A, which only happens
+        # in floating point) means theta is too large to give a structure.
+        try:
+            q = (eye - a) @ np.linalg.inv(eye + a)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateInput("Cayley inverse failed: gauge parameters too large") from exc
+        defect = np.max(np.abs(q @ q.transpose(0, 2, 1) - eye), initial=0.0)
+        if not defect <= TOL.acs_validity:
+            raise DegenerateInput(
+                f"Cayley transform not orthogonal (defect {defect:.3g}): gauge parameters too large"
+            )
+        return q
+
+    def _skew_field(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """C = sum_k c_k S_k with c = features @ theta, batched; linear in the
+        features, so feature derivatives give dC."""
+        coeff = features @ theta.reshape(self.feature_count, self.generators)
+        amb = self.manifold.ambient_dim
+        return (coeff @ self.skew_basis.reshape(self.generators, amb * amb)).reshape(-1, amb, amb)
+
+    def rotation_jet(self, theta: np.ndarray, pts: np.ndarray):
+        """Q from one gauge_rotations call on the rows pts, and the map
+        (du, z) -> dQ[du] z for a stack du of tangent velocities, shape
+        (k, n, ambient_dim), applied to vectors z of shape
+        (..., k, n, ambient_dim).
+
+        Closed form, without forming a derivative matrix: since
+        (I + A)^(-1) = (I + Q) / 2, dQ = -(1/2) (I + Q) dA (I + Q); with
+        A = Pi C Pi, Pi = I - U, U = u u^T per factor block and C skew,
+
+            dA z = Pi dC Pi z - dU C Pi z + (C Pi)^T dU z,
+            dU y = du <u, y>_a + u <du, y>_a     (per factor block a),
+
+        and dC = sum_k dc_k S_k with dc linear in ``feature_derivatives``."""
+        q = self.gauge_rotations(theta, pts)
+        theta = np.asarray(theta, dtype=float)
+        man = self.manifold
+        amb, gens = man.ambient_dim, self.generators
+        mask = man.ambient_block_mask
+        half = 0.5 * (np.eye(amb) + q)
+        pi = self._tangent_projectors(pts)
+        cpi = self._skew_field(theta, self.features(pts)) @ pi
+        cpi_t = np.ascontiguousarray(cpi.transpose(0, 2, 1))
+        # v @ generator_rows lists S_1 v, ..., S_K v
+        generator_rows = self.skew_basis.transpose(2, 0, 1).reshape(amb, gens * amb)
+
+        def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
+            dfeat = self.feature_derivatives(pts, du)
+            dcoeff = (dfeat @ theta.reshape(self.feature_count, gens))[..., np.newaxis, :]
+
+            def d_projector(y: np.ndarray) -> np.ndarray:
+                return du * ((pts * y) @ mask) + pts * ((du * y) @ mask)
+
+            y = apply(half, z)
+            s = (apply(pi, y) @ generator_rows).reshape(y.shape[:-1] + (gens, amb))
+            da_y = apply(pi, (dcoeff @ s)[..., 0, :])
+            da_y += apply(cpi_t, d_projector(y)) - d_projector(apply(cpi, y))
+            return -2.0 * apply(half, da_y)
+
+        return q, derivative
 
     def field(self, theta: np.ndarray, base: ACSField) -> ACSField:
+        """J_theta = Q J0 Q^T.  Its jet differentiates the product with the
+        closed-form dQ of ``rotation_jet`` and the base field's own jet;
+        with dQ^T = -Q^T dQ Q^T (Q orthogonal) and v = Q^T w,
+        (D J) w = dQ B v - J dQ v + Q (D B) v."""
         theta = np.array(theta, dtype=float)
 
         def fn(pts: np.ndarray) -> np.ndarray:
             q = self.gauge_rotations(theta, pts)
             return q @ base(pts) @ q.transpose(0, 2, 1)
 
-        return ACSField(self.manifold, fn, f"gauge(deg={self.degree})[{base.name}]")
+        def jet(pts: np.ndarray):
+            q, dq = self.rotation_jet(theta, pts)
+            b, db = base.jet(pts)
+            qt = q.transpose(0, 2, 1)
+            j = q @ b @ qt
+
+            def derivative(du: np.ndarray, w: np.ndarray) -> np.ndarray:
+                v = apply(qt, w)
+                dq_bv, dq_v = dq(du, np.stack([apply(b, v), v]))
+                return dq_bv - apply(j, dq_v) + apply(q, db(du, v))
+
+            return j, derivative
+
+        return ACSField(self.manifold, fn, f"gauge(deg={self.degree})[{base.name}]", jet)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +384,22 @@ def make_energy_objective(
     pts: np.ndarray,
     frame_pairs: int,
     pair_seed: int,
-    h: float = TOL.fd_step,
 ) -> Callable[[np.ndarray], float]:
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
-    once, so energies are comparable across restarts and evaluations."""
-    sq_norms = frame_pair_sq_norms(parametrization.manifold, pts, frame_pairs, pair_seed, h)
+    once, so energies are comparable across restarts and evaluations; the
+    base field's values and derivatives, which do not depend on theta, are
+    frozen with them.  A failed Cayley transform or a non-finite energy
+    (theta far too large) gives inf, which the simplex rejects."""
+    rows, sq_norms = frame_pair_sq_norms(parametrization.manifold, pts, frame_pairs, pair_seed)
+    frozen = frozen_acs_field(base, rows)
 
     def objective(theta: np.ndarray) -> float:
-        return float(np.mean(sq_norms(parametrization.field(theta, base))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                energy = float(np.mean(sq_norms(parametrization.field(theta, frozen))))
+            except DegenerateInput:
+                return np.inf
+        return energy if np.isfinite(energy) else np.inf
 
     return objective
 
@@ -333,15 +435,16 @@ def minimize_energy(
 ) -> SearchResult:
     """Simplex descent from seeded random initial gauge parameters, one
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
-    base field's own energy is always the first value on record."""
+    base field's own energy is always the first value on record.  ``h`` is
+    the FD oracle's step: validated and recorded with the result, it does
+    not enter the exact energy."""
     if restarts < 1:
         raise ContractViolation("need at least one restart")
     if budget < 1:
         raise ContractViolation("need a budget of at least one evaluation per restart")
     base = base_field if base_field is not None else default_acs_field(manifold)
-    objective = make_energy_objective(
-        parametrization, base, points, frame_pairs, pair_seed=seed, h=h
-    )
+    check_step(h)
+    objective = make_energy_objective(parametrization, base, points, frame_pairs, pair_seed=seed)
     n_params = parametrization.n_params
     restart_energies: list[float] = []
     evals: list[int] = []

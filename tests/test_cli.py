@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereacs.acs import acs_to_text, random_block_diagonal_acs
 from sphereacs.cli import (
@@ -179,6 +186,62 @@ def test_nonfinite_scale_is_usage_error(tmp_path, capsys, key):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize("scale", ["1e30", "1e300"])
+def test_huge_init_scale_is_usage_error(tmp_path, capsys, scale):
+    # a finite but huge init_scale makes the Cayley transform fail in
+    # floating point; the objective reports inf, every redraw of the
+    # restart fails the same way and the search gives up cleanly
+    cfg = write_config(
+        tmp_path,
+        "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
+        f"points = 4\nrestarts = 2\nbudget = 3\ninit_scale = {scale}\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+TINY_RUN = st.fixed_dictionaries({
+    "command": st.sampled_from([("search", "s2xs4"), ("nijenhuis", "gauged")]),
+    "init_scale": st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-6, 300)),
+    "chart_margin": st.sampled_from([0.05, 1e-4, 0.01, 0.3, 1.0, 2.5]),
+    "fd_step": st.sampled_from([1e-5, 1e-9, 1e-7, 1e-3, 1e-2, 1e-12, 0.5]),
+    "degrees": st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.just([])),
+    "points": st.integers(1, 5),
+    "restarts": st.integers(1, 2),
+    "budget": st.integers(1, 4),
+    "seed": st.integers(0, 3),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=TINY_RUN)
+def test_exit_code_contract_on_tiny_runs(run):
+    # exit 0 or 1 with finite report values, or exit 2 with exactly one
+    # error line; never a traceback and never a warning
+    command, target = run["command"]
+    keys = ("init_scale", "chart_margin", "fd_step", "points", "restarts", "budget", "seed")
+    text = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\nframe_pairs = 1\n"
+    text += "".join(f"{key} = {run[key]!r}\n" for key in keys)
+    text += "degrees = " + ",".join(str(d) for d in run["degrees"]) + "\nformat = csv\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, target, "--config", str(cfg), "--out", tmp])
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
+            return
+        assert code in (0, 1)
+        assert err.getvalue() == ""
+        rows = read_rows(Path(tmp) / f"{command}_{target}.csv")
+    assert rows
+    assert all(math.isfinite(float(row["computed"])) for row in rows)
 
 
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):

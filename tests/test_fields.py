@@ -7,8 +7,10 @@ from sphereacs.fields import (
     ACSField,
     EmbeddedPoint,
     acs_field_validity_check,
+    complex_step,
     cross_matrix,
     default_acs_field,
+    frozen_acs_field,
     lie_bracket_fd,
     lie_bracket_fd_batch,
     linear_field,
@@ -21,6 +23,7 @@ from sphereacs.fields import (
     product_acs_field,
     projected_constant_field,
     rotation_field,
+    row_constant_field,
     s2_rotation_blocks,
     s4_chart_blocks,
     s4_integrable_chart_blocks,
@@ -29,6 +32,7 @@ from sphereacs.fields import (
     tangent_bases,
     tangent_project,
 )
+from sphereacs.search import GaugeParametrization
 from sphereacs.manifold import spheres
 from sphereacs.octonion import cross7
 from sphereacs.sampling import (
@@ -40,6 +44,7 @@ from sphereacs.sampling import (
 
 S2 = spheres((2, 1.0))
 S6 = spheres((6, 1.0))
+S2XS4 = spheres((2, 1.0), (4, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +222,26 @@ def exact_s6_nijenhuis(u, a, b):
     return b_jxjy - b_xy - cross7(u, b_jxy) - cross7(u, b_xjy)
 
 
+def fd_nijenhuis(Jf, X, Y, pts):
+    """The FD oracle: the four brackets of the definition, each by central
+    differences, with J applied at the centre rows."""
+    JX, JY = Jf.image(X), Jf.image(Y)
+    j = Jf(pts)
+
+    def apply(v):
+        return np.einsum("nij,nj->ni", j, v)
+
+    return (
+        lie_bracket_fd_batch(JX, JY, pts)
+        - lie_bracket_fd_batch(X, Y, pts)
+        - apply(lie_bracket_fd_batch(JX, Y, pts))
+        - apply(lie_bracket_fd_batch(X, JY, pts))
+    )
+
+
 def test_octonionic_s6_matches_exact_bracket_oracle():
+    # the exact engine meets the closed-form oracle to round-off; the FD
+    # oracle only to its O(h^2) truncation
     Jf = default_acs_field(S6)
     rng = np.random.default_rng(0)
     for k in range(8):
@@ -227,7 +251,113 @@ def test_octonionic_s6_matches_exact_bracket_oracle():
         Y = projected_constant_field(S6, b)
         sample = nijenhuis(Jf, X, Y, EmbeddedPoint(S6, u))
         oracle = exact_s6_nijenhuis(u, a, b)
-        assert np.max(np.abs(sample.value - oracle)) < TOL.fd_bracket
+        assert np.max(np.abs(sample.value - oracle)) < 1e-12
+        fd = fd_nijenhuis(Jf, X, Y, u[np.newaxis])[0]
+        assert np.max(np.abs(fd - oracle)) < TOL.fd_bracket
+
+
+def gauged_field(degree):
+    par = GaugeParametrization(S2XS4, degree, generators=4, seed=3)
+    theta = 0.3 * np.random.default_rng([3, degree]).standard_normal(par.n_params)
+    return par.field(theta, default_acs_field(S2XS4))
+
+
+EXACT_FIXTURES = {
+    "s2": lambda: default_acs_field(S2),
+    "s6-octonion": lambda: default_acs_field(S6),
+    "s2xs6": lambda: product_acs_field(
+        spheres((2, 1.0), (6, 1.0)), [s2_rotation_blocks, s6_octonion_blocks], "s2xs6"
+    ),
+    "s2xs4-chart": lambda: product_acs_field(S2XS4, [s2_rotation_blocks, s4_chart_blocks]),
+    "s2xs4-integrable-chart": lambda: product_acs_field(
+        S2XS4, [s2_rotation_blocks, s4_integrable_chart_blocks]
+    ),
+    "gauged-deg0": lambda: gauged_field(0),
+    "gauged-deg1": lambda: gauged_field(1),
+    "gauged-deg2": lambda: gauged_field(2),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
+def test_exact_nijenhuis_matches_fd_oracle(fixture):
+    Jf = EXACT_FIXTURES[fixture]()
+    man = Jf.manifold
+    pts = chart_safe_points(man, 12, seed=4)
+    rng = np.random.default_rng(5)
+    X = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "X")
+    Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")
+    exact = nijenhuis_batch(Jf, X, Y, pts)
+    fd = fd_nijenhuis(Jf, X, Y, pts)
+    assert np.max(np.abs(exact - fd)) < TOL.fd_bracket
+
+
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0), (4.0, 0.25)])
+def test_integrable_fixtures_reach_round_off(curvatures):
+    # no finite-difference floor: integrable structures give energies at
+    # the square of double-precision round-off
+    s2 = spheres((2, curvatures[0]))
+    assert nijenhuis_energy(default_acs_field(s2), fibonacci_sphere(200, seed=1), 2, seed=11) <= 1e-24
+    man = spheres((2, curvatures[0]), (4, curvatures[1]))
+    flat = product_acs_field(man, [s2_rotation_blocks, s4_integrable_chart_blocks])
+    assert nijenhuis_energy(flat, chart_safe_points(man, 100, seed=2), 2, seed=3) <= 1e-24
+
+
+def test_complex_step_rejects_a_dropped_imaginary_part():
+    # an evaluator that casts its input to float would give a zero
+    # derivative; the complex step raises instead
+    pts = fibonacci_sphere(4, seed=1)
+    X = projected_constant_field(S2, np.array([1.0, 0.0, 0.0]))
+    Y = projected_constant_field(S2, np.array([0.0, 1.0, 0.5]))
+    casts = [
+        lambda q: s2_rotation_blocks(np.asarray(q, dtype=float)),
+        lambda q: s2_rotation_blocks(q.astype(float)),
+    ]
+    for cast in casts:
+        with pytest.raises(ContractViolation):
+            nijenhuis_batch(ACSField(S2, cast, "cast"), X, Y, pts)
+    with pytest.raises(ContractViolation):
+        complex_step(lambda q: np.array(q, dtype=float), pts, pts)
+
+
+def test_complex_step_is_the_directional_derivative():
+    # linear field: the derivative along du is S du exactly
+    skew = cross_matrix(AXIS_1)
+    X = linear_field(S2, 0, skew)
+    pts = fibonacci_sphere(6, seed=2)
+    du = tangent_project(S2, pts, np.random.default_rng(1).standard_normal((6, 3)))
+    assert np.max(np.abs(complex_step(X.fn, pts, du) - du @ skew.T)) < 1e-15
+
+
+def test_row_constant_jet_matches_complex_step():
+    pts = chart_safe_points(S2XS4, 5, seed=1)
+    rng = np.random.default_rng(4)
+    X = row_constant_field(S2XS4, rng.standard_normal((5, 8)))
+    du = tangent_project(S2XS4, pts, rng.standard_normal((3, 5, 8)))
+    value, derivative = X.jet(pts)
+    assert np.array_equal(value, X(pts))
+    expected = np.stack([complex_step(X.fn, pts, d) for d in du])
+    assert np.max(np.abs(derivative(du) - expected)) < 1e-14
+
+
+def test_frozen_field_matches_the_field_on_its_rows_only():
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 5, seed=1)
+    frozen = frozen_acs_field(base, pts)
+    rng = np.random.default_rng(2)
+    du = tangent_project(S2XS4, pts, rng.standard_normal((3, 5, 8)))
+    w = rng.standard_normal((3, 5, 8))
+    value, derivative = frozen.jet(pts)
+    base_value, base_derivative = base.jet(pts)
+    assert np.array_equal(frozen(pts), base(pts))
+    assert np.array_equal(value, base_value)
+    assert np.max(np.abs(derivative(du, w) - base_derivative(du, w))) < 1e-12
+    moved = pts.copy()
+    moved[0] = pts[1]
+    for off_rows in (moved, pts[:3], pts + 1e-15):
+        with pytest.raises(ContractViolation):
+            frozen(off_rows)
+        with pytest.raises(ContractViolation):
+            frozen.jet(off_rows)
 
 
 def test_octonionic_s6_is_far_from_integrable():

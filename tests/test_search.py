@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sphereacs.errors import ContractViolation, SearchError
-from sphereacs.fields import acs_field_validity_check, default_acs_field
+import warnings
+
+from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
+from sphereacs.fields import acs_field_validity_check, default_acs_field, tangent_project
 from sphereacs.manifold import spheres
 from sphereacs.sampling import chart_safe_points, manifold_points
 from sphereacs.search import (
@@ -53,6 +55,19 @@ def test_features_match_monomials():
         assert np.allclose(feats[:, idx], col, atol=1e-15)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_feature_derivatives_match_complex_step(degree):
+    from sphereacs.fields import complex_step
+
+    par = GaugeParametrization(S2XS4, degree=degree, generators=1, seed=0)
+    pts = chart_safe_points(S2XS4, 7, seed=1)
+    du = np.random.default_rng(degree).standard_normal((3, 7, S2XS4.ambient_dim))
+    got = par.feature_derivatives(pts, du)
+    assert got.shape == (3, 7, par.feature_count)
+    for k in range(3):
+        assert np.max(np.abs(got[k] - complex_step(par.features, pts, du[k]))) < 1e-14
+
+
 def test_zero_parameters_reproduce_base_field():
     par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=0)
     base = default_acs_field(S2XS4)
@@ -80,6 +95,51 @@ def test_gauged_field_is_pointwise_valid():
     pts = chart_safe_points(S2XS4, 15, seed=5)
     theta = 0.5 * np.random.default_rng(4).standard_normal(par.n_params)
     assert acs_field_validity_check(par.field(theta, base), pts).passed
+
+
+def test_cayley_derivative_matches_central_differences():
+    # dQ = -(1/2)(I + Q) dA (I + Q) against central differences of
+    # gauge_rotations: agreement with second-order convergence
+    par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=3)
+    pts = chart_safe_points(S2XS4, 6, seed=3)
+    rng = np.random.default_rng(3)
+    theta = 0.4 * rng.standard_normal(par.n_params)
+    du = tangent_project(S2XS4, pts, rng.standard_normal((2, 6, S2XS4.ambient_dim)))
+    q, dq = par.rotation_jet(theta, pts)
+    assert np.array_equal(q, par.gauge_rotations(theta, pts))
+    # the derivative comes applied to vectors: columns dQ e_j
+    eye = np.eye(S2XS4.ambient_dim)[:, np.newaxis, np.newaxis, :]
+    exact = np.moveaxis(dq(du, np.broadcast_to(eye, (8,) + du.shape)), 0, -1)
+
+    def central(h):
+        return np.stack([
+            (par.gauge_rotations(theta, pts + h * d) - par.gauge_rotations(theta, pts - h * d))
+            / (2 * h)
+            for d in du
+        ])
+
+    errs = {h: np.linalg.norm(central(h) - exact, axis=(2, 3)) for h in (4e-3, 2e-3, 1e-3)}
+    for big, small in ((4e-3, 2e-3), (2e-3, 1e-3)):
+        ratio = float(np.median(errs[big] / errs[small]))
+        assert 3.5 <= ratio <= 4.5, f"convergence ratio {ratio}"
+    assert np.max(np.abs(central(1e-5) - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e300])
+def test_failed_cayley_transform_gives_infinite_energy(scale):
+    # far too large a theta: I + A is singular in floating point or Q is
+    # not orthogonal; the objective reports inf, quietly, for the simplex
+    # to reject
+    par = GaugeParametrization(S2XS4, degree=0, generators=4, seed=7)
+    pts = chart_safe_points(S2XS4, 4, seed=7)
+    theta = scale * np.random.default_rng(1).standard_normal(par.n_params)
+    with pytest.raises(DegenerateInput):
+        par.gauge_rotations(theta, pts)
+    objective = make_energy_objective(par, default_acs_field(S2XS4), pts, 1, pair_seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert objective(theta) == np.inf
+        assert np.isfinite(objective(np.zeros(par.n_params)))
 
 
 def test_gauge_theta_shape_contract():
