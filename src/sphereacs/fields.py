@@ -38,10 +38,10 @@ exact to round-off because no difference of nearby values is formed
 (Squire & Trapp 1998).  Evaluators must therefore keep complex input complex
 (no casts to float, no abs or norm of the input; chart tests look at the real
 part); a cast that would drop the imaginary part raises ``ContractViolation``.
-Fields with a cheaper form pass their own ``jet_fn``: the energy's
-per-row frame fields (``row_constant_field``, in closed form), its base
-field (``frozen_acs_field``: values and frame derivatives computed once for a
-fixed row batch) and the Cayley-gauged family of ``search``.
+Two fields pass their own ``jet_fn``: the energy's base field
+(``frozen_acs_field``: values and frame derivatives computed once for a fixed
+row batch) and the Cayley-gauged family of ``search``, whose rotation is
+differentiated in closed form.
 
 The FD oracle ``lie_bracket_fd_batch`` extends fields radially,
 X(q) = X(q / |q| per factor), and evaluates the bracket by central
@@ -89,13 +89,7 @@ def normalize_blocks(man: ProductManifold, q: Array) -> Array:
 
 
 def apply(m: Array, v: Array) -> Array:
-    """Batched matrix-vector products m[..., i, j] v[..., j].  A stack of
-    vectors (..., n, a) over one (n, a, a) batch of matrices goes through one
-    matrix product per row instead of one per vector."""
-    if m.ndim == 3 and v.ndim > 2:
-        n, a = v.shape[-2:]
-        rows = v.reshape(-1, n, a).transpose(1, 0, 2)
-        return (rows @ m.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(v.shape)
+    """Batched matrix-vector products m[..., i, j] v[..., j]."""
     return (m @ v[..., np.newaxis])[..., 0]
 
 
@@ -200,7 +194,9 @@ def complex_steps(fn: Callable[[Array], Array], pts: Array, du: Array) -> Array:
 @dataclass(frozen=True)
 class Field:
     """A batched evaluator on the embedded product.  ``jet_fn``, when given,
-    replaces the complex-step default of ``jet``."""
+    replaces the complex-step default of ``jet``, which needs ``fn`` to be
+    analytic in its input: it must keep complex rows complex and take no
+    abs, norm or conjugate of them."""
 
     manifold: ProductManifold
     fn: Callable[[Array], Array]
@@ -219,7 +215,10 @@ class Field:
         with du and w stacks of shape (k, n, ambient_dim)."""
         if self.jet_fn is not None:
             return self.jet_fn(pts)
-        return self.fn(pts), lambda du: complex_steps(self.fn, pts, du)
+        return self.fn(pts), self.complex_step_derivative(pts)
+
+    def complex_step_derivative(self, pts: Array) -> Callable[..., Array]:
+        return lambda du: complex_steps(self.fn, pts, du)
 
 
 class TangentField(Field):
@@ -249,13 +248,11 @@ class ACSField(Field):
     ambient operator per point that acts as J on the tangent space and
     annihilates the per-factor normal directions."""
 
-    def jet(self, pts: Array) -> Jet:
+    def complex_step_derivative(self, pts: Array) -> Callable[..., Array]:
         """Structure fields hand out their derivative applied to vectors,
         (du, w) -> (D_du J) w: all the Nijenhuis tensor needs, and it lets
         closed forms skip the derivative matrices."""
-        if self.jet_fn is not None:
-            return self.jet_fn(pts)
-        return self.fn(pts), lambda du, w: apply(complex_steps(self.fn, pts, du), w)
+        return lambda du, w: apply(complex_steps(self.fn, pts, du), w)
 
     def image(self, X: TangentField) -> TangentField:
         """The field J X: q -> J(q) X(q)."""
@@ -277,7 +274,9 @@ def frozen_acs_field(Jf: ACSField, rows: Array) -> ACSField:
     """Jf with its values and its complex-step derivatives along the tangent
     frame of each row computed once, so a derivative along a tangent du is a
     contraction with du's frame coordinates.  Valid only on exactly this row
-    batch (checked with np.array_equal)."""
+    batch (checked with np.array_equal).  Jf.fn must be analytic in its input
+    (see ``Field``): an evaluator that takes abs or norms of its rows gives a
+    wrong derivative without an error."""
     man = Jf.manifold
     rows = np.array(rows, dtype=float)
     frame = tangent_bases(man, rows)
@@ -324,25 +323,12 @@ def row_constant_field(man: ProductManifold, rows: Array, name: str = "rows") ->
     rows[i].  Only valid under the batch row contract."""
     rows = np.asarray(rows, dtype=float)
 
-    def check(pts: Array) -> None:
+    def fn(pts: Array) -> Array:
         if pts.shape != rows.shape:
             raise ContractViolation("row-constant field evaluated off its row batch")
-
-    def fn(pts: Array) -> Array:
-        check(pts)
         return tangent_project(man, pts, rows)
 
-    def jet(pts: Array) -> Jet:
-        # X = r - <r, u>_a u per factor block, so D_du X = -(<r, du>_a u + <r, u>_a du)
-        check(pts)
-        normal = (pts * rows) @ man.ambient_block_mask
-
-        def derivative(du: Array) -> Array:
-            return -(((du * rows) @ man.ambient_block_mask) * pts + normal * du)
-
-        return rows - normal * pts, derivative
-
-    return TangentField(man, fn, name, jet)
+    return TangentField(man, fn, name)
 
 
 def linear_field(man: ProductManifold, factor: int, skew: Array, name: str = "linear") -> TangentField:

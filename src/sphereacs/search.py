@@ -39,6 +39,7 @@ from .fields import (
     default_acs_field,
     frame_pair_sq_norms,
     frozen_acs_field,
+    tangent_project,
 )
 from .identities import splitting_defect
 from .manifold import CurvatureOracle, ProductManifold, sample_blocks
@@ -125,19 +126,10 @@ class GaugeParametrization:
 
     def feature_derivatives(self, pts: np.ndarray, du: np.ndarray) -> np.ndarray:
         """Derivatives of the features at the rows pts along velocities du of
-        shape (..., n, ambient_dim): closed form up to degree 2, a complex
-        step of ``features`` above."""
-        if self.degree > 2:
-            rows = np.broadcast_to(pts, du.shape).reshape(-1, pts.shape[1])
-            dfeat = complex_step(self.features, rows, du.reshape(rows.shape))
-            return dfeat.reshape(du.shape[:-1] + (self.feature_count,))
-        blocks = [np.zeros(du.shape[:-1] + (1,))]
-        if self.degree >= 1:
-            blocks.append(du)
-        if self.degree == 2:
-            ii, jj = self._quad_index
-            blocks.append(du[..., ii] * pts[:, jj] + pts[:, ii] * du[..., jj])
-        return np.concatenate(blocks, axis=-1)
+        shape (..., n, ambient_dim): the complex step of ``features``."""
+        rows = np.broadcast_to(pts, du.shape).reshape(-1, pts.shape[1])
+        dfeat = complex_step(self.features, rows, du.reshape(rows.shape))
+        return dfeat.reshape(du.shape[:-1] + (self.feature_count,))
 
     def _tangent_projectors(self, pts: np.ndarray) -> np.ndarray:
         outer = pts[:, :, np.newaxis] * pts[:, np.newaxis, :]
@@ -188,19 +180,18 @@ class GaugeParametrization:
         (I + A)^(-1) = (I + Q) / 2, dQ = -(1/2) (I + Q) dA (I + Q); with
         A = Pi C Pi, Pi = I - U, U = u u^T per factor block and C skew,
 
-            dA z = Pi dC Pi z - dU C Pi z + (C Pi)^T dU z,
+            dA z = Pi dC Pi z - dU C Pi z - Pi C dU z,
             dU y = du <u, y>_a + u <du, y>_a     (per factor block a),
 
-        and dC = sum_k dc_k S_k with dc linear in ``feature_derivatives``."""
+        and dC = sum_k dc_k S_k with dc linear in ``feature_derivatives``.
+        Pi is applied as ``tangent_project``."""
         q = self.gauge_rotations(theta, pts)
         theta = np.asarray(theta, dtype=float)
         man = self.manifold
         amb, gens = man.ambient_dim, self.generators
         mask = man.ambient_block_mask
         half = 0.5 * (np.eye(amb) + q)
-        pi = self._tangent_projectors(pts)
-        cpi = self._skew_field(theta, self.features(pts)) @ pi
-        cpi_t = np.ascontiguousarray(cpi.transpose(0, 2, 1))
+        c = self._skew_field(theta, self.features(pts))
         # v @ generator_rows lists S_1 v, ..., S_K v
         generator_rows = self.skew_basis.transpose(2, 0, 1).reshape(amb, gens * amb)
 
@@ -212,9 +203,10 @@ class GaugeParametrization:
                 return du * ((pts * y) @ mask) + pts * ((du * y) @ mask)
 
             y = apply(half, z)
-            s = (apply(pi, y) @ generator_rows).reshape(y.shape[:-1] + (gens, amb))
-            da_y = apply(pi, (dcoeff @ s)[..., 0, :])
-            da_y += apply(cpi_t, d_projector(y)) - d_projector(apply(cpi, y))
+            pi_y = tangent_project(man, pts, y)
+            s = (pi_y @ generator_rows).reshape(y.shape[:-1] + (gens, amb))
+            da_y = tangent_project(man, pts, (dcoeff @ s)[..., 0, :] - apply(c, d_projector(y)))
+            da_y -= d_projector(apply(c, pi_y))
             return -2.0 * apply(half, da_y)
 
         return q, derivative
@@ -388,8 +380,10 @@ def make_energy_objective(
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
     once, so energies are comparable across restarts and evaluations; the
     base field's values and derivatives, which do not depend on theta, are
-    frozen with them.  A failed Cayley transform or a non-finite energy
-    (theta far too large) gives inf, which the simplex rejects."""
+    frozen with them.  The base derivatives are complex steps of ``base.fn``,
+    which must therefore be analytic in its input (see ``fields.Field``).  A
+    failed Cayley transform or a non-finite energy (theta far too large)
+    gives inf, which the simplex rejects."""
     rows, sq_norms = frame_pair_sq_norms(parametrization.manifold, pts, frame_pairs, pair_seed)
     frozen = frozen_acs_field(base, rows)
 
@@ -435,9 +429,11 @@ def minimize_energy(
 ) -> SearchResult:
     """Simplex descent from seeded random initial gauge parameters, one
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
-    base field's own energy is always the first value on record.  ``h`` is
-    the FD oracle's step: validated and recorded with the result, it does
-    not enter the exact energy."""
+    base field's own energy is always the first value on record.  A given
+    ``base_field`` is differentiated by complex step, so its evaluator must
+    be analytic in its input (see ``fields.Field``).  ``h`` is the FD
+    oracle's step: validated and recorded with the result, it does not enter
+    the exact energy."""
     if restarts < 1:
         raise ContractViolation("need at least one restart")
     if budget < 1:

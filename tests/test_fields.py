@@ -23,7 +23,6 @@ from sphereacs.fields import (
     product_acs_field,
     projected_constant_field,
     rotation_field,
-    row_constant_field,
     s2_rotation_blocks,
     s4_chart_blocks,
     s4_integrable_chart_blocks,
@@ -326,17 +325,6 @@ def test_complex_step_is_the_directional_derivative():
     pts = fibonacci_sphere(6, seed=2)
     du = tangent_project(S2, pts, np.random.default_rng(1).standard_normal((6, 3)))
     assert np.max(np.abs(complex_step(X.fn, pts, du) - du @ skew.T)) < 1e-15
-
-
-def test_row_constant_jet_matches_complex_step():
-    pts = chart_safe_points(S2XS4, 5, seed=1)
-    rng = np.random.default_rng(4)
-    X = row_constant_field(S2XS4, rng.standard_normal((5, 8)))
-    du = tangent_project(S2XS4, pts, rng.standard_normal((3, 5, 8)))
-    value, derivative = X.jet(pts)
-    assert np.array_equal(value, X(pts))
-    expected = np.stack([complex_step(X.fn, pts, d) for d in du])
-    assert np.max(np.abs(derivative(du) - expected)) < 1e-14
 
 
 def test_frozen_field_matches_the_field_on_its_rows_only():
