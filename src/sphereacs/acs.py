@@ -230,6 +230,10 @@ def acs_from_text(manifold: ProductManifold, text: str) -> OrthogonalACS:
         raise ContractViolation(f"unparseable matrix entry: {exc}") from exc
     if any(r.shape != (n,) for r in rows):
         raise ContractViolation("matrix row with wrong number of entries")
-    if not all(np.all(np.isfinite(r)) for r in rows):
-        raise ContractViolation("non-finite matrix entry")
-    return OrthogonalACS(manifold, np.vstack(rows))
+    matrix = np.vstack(rows)
+    # no entry of an orthogonal matrix exceeds 1 in magnitude; rejecting
+    # larger (and non-finite) entries here keeps the validator's products
+    # finite
+    if not np.all(np.abs(matrix) <= 1.0 + TOL.acs_validity):
+        raise ContractViolation("matrix entry non-finite or above 1 in magnitude")
+    return OrthogonalACS(manifold, matrix)

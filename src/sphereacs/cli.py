@@ -37,13 +37,18 @@ keys are errors.  Example::
     format = csv
 
 Keys: seed, samples, points, frame_pairs, restarts, budget, generators,
-degrees (a non-empty list of gauge degrees >= 0), fd_step (within
-[1e-9, 1e-2]; the step of the finite-difference bracket oracle, validated
-and recorded but not used by the exact Nijenhuis engine, so it changes no
-report), init_scale, chart_margin, swap_probe, restriction_check,
-format, out, acs_file and points_file.  The environment variable
-SPHEREACS_CONFIG_DIR may point to a directory searched for bare config file
-names.
+degrees (a non-empty list of gauge degrees >= 0), init_scale, chart_margin
+(both positive and finite), swap_probe, restriction_check, format, out,
+acs_file and points_file.  The environment variable SPHEREACS_CONFIG_DIR may
+point to a directory searched for bare config file names.
+
+``search --baseline PATH`` also writes the experiment's floor baseline as
+JSON: the grid configuration, the cell minima, every restart's energy and
+evaluation count, the floor and the disclaimer.  The committed
+``baselines/s2xs4_floor.json`` is regenerated with
+
+    sphereacs search s2xs4 --config baselines/s2xs4_floor.cfg \
+        --baseline baselines/s2xs4_floor.json
 
 File formats referenced by config keys:
 
@@ -72,18 +77,9 @@ import numpy as np
 
 from . import __version__
 from .acs import OrthogonalACS, acs_from_text
-from .config import TOL
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    DegenerateInput,
-    InvalidManifold,
-    SearchError,
-    StepSizeError,
-)
+from .errors import ConfigError, ContractViolation, DegenerateInput, InvalidManifold, SearchError
 from .fields import (
     acs_field_validity_check,
-    check_step,
     default_acs_field,
     nijenhuis_norms,
     product_acs_field,
@@ -121,7 +117,6 @@ class RunConfig:
     budget: int = 300
     generators: int = 4
     degrees: tuple[int, ...] = (0,)
-    fd_step: float = TOL.fd_step
     init_scale: float = 0.5
     chart_margin: float = 0.05
     swap_probe: bool = False
@@ -145,10 +140,6 @@ class RunConfig:
         for name in ("init_scale", "chart_margin"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        try:
-            check_step(self.fd_step)
-        except StepSizeError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.generators < 0:
             raise ConfigError("generators must be >= 0")
         if not self.degrees or min(self.degrees) < 0:
@@ -169,7 +160,7 @@ class RunConfig:
 
 
 _INT_KEYS = ("seed", "samples", "points", "frame_pairs", "restarts", "budget", "generators")
-_FLOAT_KEYS = ("fd_step", "init_scale", "chart_margin")
+_FLOAT_KEYS = ("init_scale", "chart_margin")
 _BOOL_KEYS = ("swap_probe", "restriction_check")
 _STR_KEYS = ("format", "out", "acs_file", "points_file")
 
@@ -392,7 +383,16 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
     return report
 
 
-def run_search(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport:
+def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def run_search(
+    target: str, man: ProductManifold, cfg: RunConfig, baseline: str | None = None
+) -> AuditReport:
+    """Run the energy-floor experiment; with ``baseline``, also write its
+    floor baseline JSON to that path."""
     if target == "s2xs4":
         dims = tuple(f.dim for f in man.factors)
         if dims != (2, 4):
@@ -411,11 +411,12 @@ def run_search(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport
         frame_pairs=cfg.frame_pairs,
         seed=cfg.seed,
         generators=cfg.generators,
-        fd_step=cfg.fd_step,
         init_scale=cfg.init_scale,
         chart_margin=cfg.chart_margin,
     )
     experiment = energy_floor_experiment(exp_cfg)
+    if baseline:
+        _write_json(Path(baseline), experiment.baseline_record())
     report = AuditReport(f"search {target} on {man.describe()}")
     for row in experiment.rows():
         key = f"degree[{row['degree']}].restart[{row['restart']}]"
@@ -455,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search", parents=[shared], help="run a seeded energy-minimisation experiment"
     )
     p_search.add_argument("target", metavar="experiment", choices=("s2xs4", "s6"))
+    p_search.add_argument("--baseline", help="also write the floor baseline JSON to this path")
     return parser
 
 
@@ -480,7 +482,6 @@ def _emit(report: AuditReport, cfg: RunConfig, command: str, target: str, elapse
             "budget": cfg.budget,
             "generators": cfg.generators,
             "degrees": list(cfg.degrees),
-            "fd_step": cfg.fd_step,
             "init_scale": cfg.init_scale,
             "chart_margin": cfg.chart_margin,
             "swap_probe": cfg.swap_probe,
@@ -492,9 +493,7 @@ def _emit(report: AuditReport, cfg: RunConfig, command: str, target: str, elapse
         "counts": report.counts(),
         "wall_clock_s": round(elapsed, 6),
     }
-    (out_dir / f"{stem}_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / f"{stem}_manifest.json", manifest)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -518,11 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "nijenhuis":
             report = run_nijenhuis(target, man, cfg)
         else:
-            report = run_search(target, man, cfg)
+            report = run_search(target, man, cfg, args.baseline)
         elapsed = time.perf_counter() - start
     except (
-        ConfigError, InvalidManifold, ContractViolation, DegenerateInput,
-        StepSizeError, SearchError, OSError,
+        ConfigError, InvalidManifold, ContractViolation, DegenerateInput, SearchError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

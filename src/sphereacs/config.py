@@ -22,14 +22,13 @@ class Tolerances:
     fd_step: float = 1e-5
     # FD bracket against a closed-form bracket oracle.
     fd_bracket: float = 1e-6
-    # Comparisons that combine several brackets (FD linearity, restriction).
+    # Comparisons that combine several FD brackets (linearity).
     fd_linear: float = 2e-6
-    # Tensoriality checks: two full Nijenhuis evaluations on both sides.
-    fd_tensor: float = 5e-6
+    # Identities of the exact Nijenhuis engine (restriction, tensoriality):
+    # derivatives are exact, so both sides agree to round-off.
+    exact_nijenhuis: float = 1e-12
     # Squared-area floor below which a tangent plane counts as degenerate.
     degenerate_area: float = 1e-12
-    # Relative objective spread at which a simplex counts as converged.
-    opt: float = 1e-12
 
 
 TOL = Tolerances()

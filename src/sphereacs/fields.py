@@ -665,7 +665,7 @@ def nijenhuis_tensoriality_check(
         "tensoriality",
         float(np.linalg.norm(lhs - rhs)),
         0.0,
-        TOL.fd_tensor,
+        TOL.exact_nijenhuis,
         "N(f X, Y) == f(p) N(X, Y)",
     )
     return report
@@ -715,11 +715,11 @@ def second_factor_restriction_check(Jf: ACSField, pts: Array) -> AuditReport:
         diff = float(np.linalg.norm(full[k, sl6] - alone[k]))
         leak = float(np.max(np.abs(full[k, : sl6.start])))
         report.add(
-            f"restriction[{k}].match", diff, 0.0, TOL.fd_linear,
+            f"restriction[{k}].match", diff, 0.0, TOL.exact_nijenhuis,
             "product-field N on second-factor fields == standalone evaluation",
         )
         report.add(
-            f"restriction[{k}].first-factor-leak", leak, 0.0, TOL.fd_linear,
+            f"restriction[{k}].first-factor-leak", leak, 0.0, TOL.exact_nijenhuis,
             "no first-factor component appears",
         )
     return report

@@ -131,7 +131,9 @@ def load_points(path, man: ProductManifold) -> np.ndarray:
         raise ConfigError(f"{path}: no sample points found")
     pts = np.vstack(rows)
     for sl in man.ambient_slices:
-        norms = np.linalg.norm(pts[:, sl], axis=1)
+        # a norm that overflows is inf, which fails the unit-sphere test
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pts[:, sl], axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ConfigError(f"{path}: factor block not on the unit sphere (|u| off by > 1e-6)")
         pts[:, sl] /= norms[:, np.newaxis]

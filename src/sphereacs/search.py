@@ -34,7 +34,6 @@ from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
     ACSField,
     apply,
-    check_step,
     complex_step,
     default_acs_field,
     frame_pair_sq_norms,
@@ -251,6 +250,7 @@ def nelder_mead(
     xatol: float = 1e-6,
     stale_rounds: int = 2,
     restart_gain: float = 1e-4,
+    f0: float | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Nelder-Mead descent under a hard evaluation budget.
 
@@ -261,15 +261,19 @@ def nelder_mead(
     the same evaluation sequence as a prefix, so the best value found is
     monotone in the budget.  The stopping rules other than the budget never
     consult the budget, which is what makes the prefix property hold.
+
+    ``f0``, if given, is the objective value at x0 that the caller already
+    computed; it stands in for the first evaluation, which still counts
+    against the budget.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     used = 0
     best_x, best_f = None, np.inf
 
-    def ev(x: np.ndarray) -> float:
+    def ev(x: np.ndarray, fx: float | None = None) -> float:
         nonlocal used, best_x, best_f
-        fx = float(objective(x))
+        fx = float(objective(x) if fx is None else fx)
         used += 1
         if fx < best_f:
             best_f, best_x = fx, x.copy()
@@ -277,11 +281,10 @@ def nelder_mead(
 
     if budget < 1:
         raise ContractViolation("budget must be >= 1 evaluation")
+    ev(x0, f0)
     if dim == 0:
-        ev(x0)
         return best_x, best_f, used
 
-    ev(x0)
     stale = 0
     round_idx = 0
     while used < budget and stale < stale_rounds:
@@ -360,7 +363,6 @@ class SearchResult:
     best_params: np.ndarray
     restart_energies: tuple[float, ...]
     evals_per_restart: tuple[int, ...]
-    config: dict
     seed: int
 
     def best_for_restart_prefix(self, r: int) -> float:
@@ -403,13 +405,14 @@ def finite_start(
     theta0: np.ndarray,
     redraw: Callable[[], np.ndarray],
     max_resample: int = 5,
-) -> np.ndarray:
-    """Return an initial point with a finite objective value, redrawing at
-    most ``max_resample`` times before giving up."""
+) -> tuple[np.ndarray, float]:
+    """Return an initial point with a finite objective value, and that
+    value, redrawing at most ``max_resample`` times before giving up."""
     theta = theta0
     for _ in range(max_resample + 1):
-        if np.isfinite(objective(theta)):
-            return theta
+        value = objective(theta)
+        if np.isfinite(value):
+            return theta, value
         theta = redraw()
     raise SearchError(f"no finite objective value after {max_resample} resamples")
 
@@ -423,7 +426,6 @@ def minimize_energy(
     budget: int,
     base_field: ACSField | None = None,
     frame_pairs: int = 1,
-    h: float = TOL.fd_step,
     init_scale: float = 0.5,
     max_resample: int = 5,
 ) -> SearchResult:
@@ -431,15 +433,12 @@ def minimize_energy(
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
     base field's own energy is always the first value on record.  A given
     ``base_field`` is differentiated by complex step, so its evaluator must
-    be analytic in its input (see ``fields.Field``).  ``h`` is the FD
-    oracle's step: validated and recorded with the result, it does not enter
-    the exact energy."""
+    be analytic in its input (see ``fields.Field``)."""
     if restarts < 1:
         raise ContractViolation("need at least one restart")
     if budget < 1:
         raise ContractViolation("need a budget of at least one evaluation per restart")
     base = base_field if base_field is not None else default_acs_field(manifold)
-    check_step(h)
     objective = make_energy_objective(parametrization, base, points, frame_pairs, pair_seed=seed)
     n_params = parametrization.n_params
     restart_energies: list[float] = []
@@ -449,33 +448,19 @@ def minimize_energy(
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         theta0 = np.zeros(n_params) if r == 0 else init_scale * rng.standard_normal(n_params)
-        theta0 = finite_start(
+        theta0, f0 = finite_start(
             objective, theta0, lambda: init_scale * rng.standard_normal(n_params), max_resample
         )
-        xb, fb, used = nelder_mead(objective, theta0, budget)
+        xb, fb, used = nelder_mead(objective, theta0, budget, f0=f0)
         restart_energies.append(fb)
         evals.append(used)
         if fb < best_energy:
             best_energy, best_params = fb, xb
-    config = {
-        "manifold": manifold.describe(),
-        "degree": parametrization.degree,
-        "generators": parametrization.generators,
-        "n_params": n_params,
-        "points": int(points.shape[0]),
-        "frame_pairs": frame_pairs,
-        "restarts": restarts,
-        "budget": budget,
-        "fd_step": h,
-        "init_scale": init_scale,
-        "base_field": base.name,
-    }
     return SearchResult(
         best_energy=float(best_energy),
         best_params=best_params,
         restart_energies=tuple(restart_energies),
         evals_per_restart=tuple(evals),
-        config=config,
         seed=seed,
     )
 
@@ -494,7 +479,6 @@ class ExperimentConfig:
     frame_pairs: int = 1
     seed: int = 7
     generators: int = 4
-    fd_step: float = TOL.fd_step
     init_scale: float = 0.5
     chart_margin: float = 0.05
 
@@ -512,6 +496,34 @@ class ExperimentReport:
 
     def cell_minima(self) -> dict[int, float]:
         return {deg: r.best_energy for deg, r in self.results.items()}
+
+    def baseline_record(self) -> dict:
+        """The floor baseline as a JSON-ready dict: the grid configuration,
+        each degree cell's minimum, every restart's energy and evaluation
+        count (keyed by the degree as a string), the floor and the
+        disclaimer."""
+        cfg = self.config
+        degrees = sorted(self.results)
+        return {
+            "config": {
+                "manifold": cfg.manifold.describe(),
+                "factors": [[f.dim, f.curvature] for f in cfg.manifold.factors],
+                "degrees": list(cfg.degrees),
+                "restarts": cfg.restarts,
+                "budget": cfg.budget,
+                "points": cfg.points,
+                "frame_pairs": cfg.frame_pairs,
+                "seed": cfg.seed,
+                "generators": cfg.generators,
+                "init_scale": cfg.init_scale,
+                "chart_margin": cfg.chart_margin,
+            },
+            "cell_minima": {str(d): self.results[d].best_energy for d in degrees},
+            "restart_energies": {str(d): list(self.results[d].restart_energies) for d in degrees},
+            "evals_per_restart": {str(d): list(self.results[d].evals_per_restart) for d in degrees},
+            "floor": self.floor,
+            "disclaimer": self.disclaimer,
+        }
 
     def rows(self) -> list[dict]:
         """Flat rows: one per (degree, restart), with the running best."""
@@ -551,7 +563,6 @@ def energy_floor_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             budget=cfg.budget,
             base_field=base,
             frame_pairs=cfg.frame_pairs,
-            h=cfg.fd_step,
             init_scale=cfg.init_scale,
         )
     return report

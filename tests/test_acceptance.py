@@ -225,7 +225,6 @@ def test_criterion_7_obstruction_experiment_floor():
             frame_pairs=bcfg["frame_pairs"],
             seed=bcfg["seed"],
             generators=bcfg["generators"],
-            fd_step=bcfg["fd_step"],
             init_scale=bcfg["init_scale"],
             chart_margin=bcfg["chart_margin"],
         )
@@ -244,7 +243,7 @@ def test_criterion_7_obstruction_experiment_floor():
         par0 = GaugeParametrization(cfg.manifold, 0, cfg.generators, cfg.seed)
         rerun = minimize_energy(
             cfg.manifold, par0, pts, restarts=3, seed=cfg.seed, budget=cfg.budget,
-            frame_pairs=cfg.frame_pairs, h=cfg.fd_step, init_scale=cfg.init_scale,
+            frame_pairs=cfg.frame_pairs, init_scale=cfg.init_scale,
         ).restart_energies
         assert tuple(rerun) == tuple(full0)
         assert tuple(format(e, ".17g") for e in rerun) == tuple(

@@ -29,6 +29,7 @@ from sphereacs.identities import (
 )
 from sphereacs.manifold import CurvatureOracle, spheres
 from sphereacs.report import AuditReport
+from sphereacs.sampling import manifold_points
 from sphereacs import search
 from sphereacs.search import splitting_audit
 
@@ -37,6 +38,11 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+S2 = "factor = dim=2 curvature=1.0\n"
+S6XS6 = "factor = dim=6 curvature=1.0\nfactor = dim=6 curvature=2.0\n"
+S2XS4 = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
 
 
 SMALL = """
@@ -147,9 +153,12 @@ def test_nonfinite_curvature_is_usage_error(tmp_path, capsys):
     assert_usage_error(["audit", "curvature", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
-def test_fd_step_out_of_range_is_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "factor = dim=2 curvature=1.0\nfd_step = 0.5\n")
-    assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+def test_fd_step_is_unknown_key(tmp_path, capsys):
+    # the exact Nijenhuis engine takes no step, so fd_step is no config key,
+    # in range or not
+    for value in ("1e-5", "0.5"):
+        cfg = write_config(tmp_path, f"factor = dim=2 curvature=1.0\nfd_step = {value}\n")
+        assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
 @pytest.mark.parametrize("command", [["nijenhuis", "gauged"], ["search", "s2xs4"]])
@@ -207,7 +216,6 @@ TINY_RUN = st.fixed_dictionaries({
     "command": st.sampled_from([("search", "s2xs4"), ("nijenhuis", "gauged")]),
     "init_scale": st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-6, 300)),
     "chart_margin": st.sampled_from([0.05, 1e-4, 0.01, 0.3, 1.0, 2.5]),
-    "fd_step": st.sampled_from([1e-5, 1e-9, 1e-7, 1e-3, 1e-2, 1e-12, 0.5]),
     "degrees": st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.just([])),
     "points": st.integers(1, 5),
     "restarts": st.integers(1, 2),
@@ -216,19 +224,17 @@ TINY_RUN = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=60, deadline=None)
-@given(run=TINY_RUN)
-def test_exit_code_contract_on_tiny_runs(run):
-    # exit 0 or 1 with finite report values, or exit 2 with exactly one
-    # error line; never a traceback and never a warning
-    command, target = run["command"]
-    keys = ("init_scale", "chart_margin", "fd_step", "points", "restarts", "budget", "seed")
-    text = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\nframe_pairs = 1\n"
-    text += "".join(f"{key} = {run[key]!r}\n" for key in keys)
-    text += "degrees = " + ",".join(str(d) for d in run["degrees"]) + "\nformat = csv\n"
+def assert_exit_contract(command, target, config_text, files=None):
+    """Run one command on a config (and input files named in it by key) in
+    a fresh directory: exit 0 or 1 with finite report values, or exit 2
+    with exactly one error line; never a traceback and never a warning."""
     with tempfile.TemporaryDirectory() as tmp:
+        for key, content in (files or {}).items():
+            path = Path(tmp) / f"{key}.txt"
+            path.write_text(content, encoding="utf-8")
+            config_text += f"{key} = {path}\n"
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_text(config_text + "format = csv\n", encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
@@ -239,9 +245,90 @@ def test_exit_code_contract_on_tiny_runs(run):
             return
         assert code in (0, 1)
         assert err.getvalue() == ""
-        rows = read_rows(Path(tmp) / f"{command}_{target}.csv")
+        rows = read_rows(Path(tmp) / f"{command}_{target.replace('-', '_')}.csv")
     assert rows
     assert all(math.isfinite(float(row["computed"])) for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=TINY_RUN)
+def test_exit_code_contract_on_tiny_runs(run):
+    command, target = run["command"]
+    keys = ("init_scale", "chart_margin", "points", "restarts", "budget", "seed")
+    text = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\nframe_pairs = 1\n"
+    text += "".join(f"{key} = {run[key]!r}\n" for key in keys)
+    text += "degrees = " + ",".join(str(d) for d in run["degrees"]) + "\n"
+    assert_exit_contract(command, target, text)
+
+
+# Numbers an input file may hold besides valid coordinates and entries.
+ODD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e-300", "0", "2", "x"])
+
+# A row-level edit of an otherwise valid input file: replace one entry, scale
+# one row, drop or append one entry, drop or duplicate one row, or empty the
+# file.  Indices wrap around the file's size.
+FILE_EDIT = st.one_of(
+    st.just(("keep",)),
+    st.tuples(st.just("entry"), st.integers(0, 99), st.integers(0, 99), ODD_NUMBERS),
+    st.tuples(st.just("scale"), st.integers(0, 99), st.sampled_from([0.0, 0.5, 1.0 + 1e-5, 1e300])),
+    st.tuples(st.just("short"), st.integers(0, 99)),
+    st.tuples(st.just("long"), st.integers(0, 99)),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("repeat"), st.integers(0, 99)),
+    st.just(("empty",)),
+)
+
+
+def edited_lines(rows, edit):
+    """Text lines of the rows of numbers after one FILE_EDIT."""
+    lines = [[format(v, ".17g") for v in row] for row in rows]
+    kind, *args = edit
+    if kind == "keep":
+        return [" ".join(line) for line in lines]
+    if kind == "empty":
+        return []
+    k = args[0] % len(lines)
+    if kind == "entry":
+        lines[k][args[1] % len(lines[k])] = args[2]
+    elif kind == "scale":
+        lines[k] = [format(v * args[1], ".17g") for v in rows[k]]
+    elif kind == "short":
+        lines[k] = lines[k][:-1]
+    elif kind == "long":
+        lines[k] = lines[k] + ["0"]
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "repeat":
+        lines.insert(k, lines[k])
+    return [" ".join(line) for line in lines]
+
+
+FILE_RUN = st.fixed_dictionaries({
+    "command": st.sampled_from(
+        [("nijenhuis", "s2", S2), ("nijenhuis", "gauged", S2XS4), ("audit", "components", S6XS6)]
+    ),
+    "seed": st.integers(0, 3),
+    "rows": st.integers(1, 4),
+    "edit": FILE_EDIT,
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=FILE_RUN)
+def test_exit_code_contract_on_input_files(run):
+    command, target, factors = run["command"]
+    man = spheres(*parse_config_text(factors).factors)
+    if command == "audit":
+        structure = random_block_diagonal_acs(man, run["seed"])
+        header, *body = acs_to_text(structure).splitlines()
+        rows = [[float(tok) for tok in line.split()] for line in body]
+        text = "\n".join([header] + edited_lines(rows, run["edit"])) + "\n"
+        files, options = {"acs_file": text}, "samples = 1\n"
+    else:
+        rows = manifold_points(man, run["rows"], run["seed"])
+        text = "".join(line + "\n" for line in edited_lines(rows, run["edit"]))
+        files, options = {"points_file": text}, "frame_pairs = 1\n"
+    assert_exit_contract(command, target, factors + options, files)
 
 
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):
@@ -299,10 +386,6 @@ def test_audit_components_swap_probe_records_mismatches(tmp_path):
     assert manifest["counts"]["mismatch"] == len(mismatch)
     total = sum(manifest["counts"].values())
     assert total == len(rows)
-
-
-S6XS6 = "factor = dim=6 curvature=1.0\nfactor = dim=6 curvature=2.0\n"
-S2XS4 = "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -454,6 +537,54 @@ def test_search_s6_trivial_family_constant_energies(tmp_path):
     assert energies.pop() > 0.1
 
 
+BASELINES = Path(__file__).resolve().parent.parent / "baselines"
+
+
+def test_search_baseline_matches_report(tmp_path):
+    cfg = write_config(
+        tmp_path, S2XS4 + "degrees = 0,1,2\nrestarts = 2\nbudget = 5\npoints = 6\nformat = csv\n"
+    )
+    out, path = tmp_path / "o", tmp_path / "nested" / "floor.json"
+    assert main(["search", "s2xs4", "--config", cfg, "--out", str(out), "--baseline", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    values = {r["name"]: float(r["computed"]) for r in read_rows(out / "search_s2xs4.csv")}
+    for deg, energies in record["restart_energies"].items():
+        assert energies == [values[f"degree[{deg}].restart[{r}].energy"] for r in range(2)]
+        assert record["cell_minima"][deg] == values[f"degree[{deg}].cell-minimum"]
+        assert len(record["evals_per_restart"][deg]) == 2
+        assert all(1 <= n <= 5 for n in record["evals_per_restart"][deg])
+    assert record["floor"] == values["floor"]
+    committed = json.loads((BASELINES / "s2xs4_floor.json").read_text())
+    assert set(record) == set(committed) | {"evals_per_restart"}
+    assert set(record["config"]) == set(committed["config"]) - {"fd_step"}
+
+
+def test_floor_config_reproduces_committed_baseline():
+    cfg = load_config(str(BASELINES / "s2xs4_floor.cfg"))
+    expected = json.loads((BASELINES / "s2xs4_floor.json").read_text())["config"]
+    del expected["fd_step"]
+    keys = ("restarts", "budget", "points", "frame_pairs", "seed", "generators",
+            "init_scale", "chart_margin")
+    assert {
+        "manifold": cfg.manifold(()).describe(),
+        "factors": [list(f) for f in cfg.factors],
+        "degrees": list(cfg.degrees),
+        **{key: getattr(cfg, key) for key in keys},
+    } == expected
+
+
+def test_unwritable_baseline_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, S2XS4 + "restarts = 1\nbudget = 2\npoints = 3\n")
+    (tmp_path / "file").write_text("")
+    assert_usage_error(
+        ["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o"),
+         "--baseline", str(tmp_path / "file" / "floor.json")],
+        capsys,
+    )
+
+
 def test_search_wrong_manifold_rejected(tmp_path):
     cfg = write_config(tmp_path, "factor = dim=2 curvature=1.0\n")
     assert main(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -501,8 +632,6 @@ def test_table_render():
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(points=0)
-    with pytest.raises(ConfigError):
-        RunConfig(fd_step=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(format="xml")
 

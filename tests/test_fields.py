@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphereacs import fields
 from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from sphereacs.fields import (
@@ -434,6 +435,19 @@ def test_tensoriality_octonion_first_coordinate():
 
     report = nijenhuis_tensoriality_check(Jf, p, seed=4, scalar_field=first_coordinate)
     assert report.passed
+
+
+def test_exact_engine_checks_reject_offsets_above_round_off(monkeypatch):
+    # the restriction and tensoriality checks gate the exact engine at
+    # round-off, so an error of 1e-8 in every Nijenhuis value must fail both
+    exact = fields.nijenhuis_batch
+    monkeypatch.setattr(fields, "nijenhuis_batch", lambda *args: exact(*args) + 1e-8)
+    man = spheres((2, 1.0), (6, 1.0))
+    Jf = product_acs_field(man, [s2_rotation_blocks, s6_octonion_blocks], "s2xs6")
+    pts = np.concatenate([fibonacci_sphere(3, seed=4), low_discrepancy_directions(3, 7, seed=4)], axis=1)
+    assert not fields.second_factor_restriction_check(Jf, pts).passed
+    p = EmbeddedPoint(S6, low_discrepancy_directions(1, 7, seed=5)[0])
+    assert not nijenhuis_tensoriality_check(default_acs_field(S6), p, seed=3).passed
 
 
 def test_tensoriality_gauged_field():

@@ -9,6 +9,7 @@ from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import acs_field_validity_check, default_acs_field, tangent_project
 from sphereacs.manifold import spheres
 from sphereacs.sampling import chart_safe_points, manifold_points
+from sphereacs import search
 from sphereacs.search import (
     DISCLAIMER,
     ExperimentConfig,
@@ -185,8 +186,9 @@ def test_finite_start_resamples_then_errors():
         return float("nan") if x[0] < 2.5 else 1.0
 
     draws = iter([np.array([1.0]), np.array([2.0]), np.array([3.0])])
-    theta = finite_start(objective, np.array([0.0]), lambda: next(draws), max_resample=5)
-    assert theta[0] == 3.0
+    theta, value = finite_start(objective, np.array([0.0]), lambda: next(draws), max_resample=5)
+    assert theta[0] == 3.0 and value == 1.0
+    assert calls == [0.0, 1.0, 2.0, 3.0]
     with pytest.raises(SearchError):
         finite_start(lambda x: float("inf"), np.zeros(1), lambda: np.zeros(1), max_resample=2)
 
@@ -227,7 +229,27 @@ def test_search_deterministic():
     assert a.best_energy == b.best_energy
     assert a.restart_energies == b.restart_energies
     assert np.array_equal(a.best_params, b.best_params)
-    assert a.config == b.config
+
+
+def test_search_evaluates_once_per_counted_evaluation(monkeypatch):
+    # each restart's start value comes from finite_start; the simplex counts
+    # it without evaluating the objective a second time
+    calls = 0
+    make_objective = search.make_energy_objective
+
+    def counting_objective(*args, **kwargs):
+        objective = make_objective(*args, **kwargs)
+
+        def counted(theta):
+            nonlocal calls
+            calls += 1
+            return objective(theta)
+
+        return counted
+
+    monkeypatch.setattr(search, "make_energy_objective", counting_objective)
+    res = small_search(S2XS4, restarts=3, budget=30, degree=1)
+    assert calls == sum(res.evals_per_restart)
 
 
 def test_search_restart_prefix_nesting():
