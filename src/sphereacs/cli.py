@@ -519,12 +519,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = run_search(target, man, cfg, args.baseline)
         elapsed = time.perf_counter() - start
+        _emit(report, cfg, command, target, elapsed)
     except (
         ConfigError, InvalidManifold, ContractViolation, DegenerateInput, SearchError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, cfg, command, target, elapsed)
     print(rows_to_table(f"{command} {target} on {man.describe()}", report.checks))
     counts = report.counts()
     print(

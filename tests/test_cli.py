@@ -575,12 +575,16 @@ def test_floor_config_reproduces_committed_baseline():
     } == expected
 
 
-def test_unwritable_baseline_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("blocked", ["--out", "--baseline"])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, blocked):
+    # a path below a regular file cannot be created
     cfg = write_config(tmp_path, S2XS4 + "restarts = 1\nbudget = 2\npoints = 3\n")
     (tmp_path / "file").write_text("")
+    paths = {"--out": str(tmp_path / "o"), "--baseline": str(tmp_path / "floor.json")}
+    paths[blocked] = str(tmp_path / "file" / "x")
     assert_usage_error(
-        ["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o"),
-         "--baseline", str(tmp_path / "file" / "floor.json")],
+        ["search", "s2xs4", "--config", cfg, "--out", paths["--out"],
+         "--baseline", paths["--baseline"]],
         capsys,
     )
 
