@@ -37,10 +37,11 @@ keys are errors.  Example::
     format = csv
 
 Keys: seed, samples, points, frame_pairs, restarts, budget, generators,
-degrees (a non-empty list of gauge degrees >= 0), init_scale, chart_margin
-(both positive and finite), swap_probe, restriction_check, format, out,
-acs_file and points_file.  The environment variable SPHEREACS_CONFIG_DIR may
-point to a directory searched for bare config file names.
+degrees (a non-empty list of distinct gauge degrees >= 0), init_scale,
+chart_margin (both positive and finite), swap_probe, restriction_check,
+format, out, acs_file and points_file.  The environment variable
+SPHEREACS_CONFIG_DIR may point to a directory searched for bare config file
+names.
 
 ``search --baseline PATH`` also writes the experiment's floor baseline as
 JSON: the grid configuration, the cell minima, every restart's energy and
@@ -144,6 +145,8 @@ class RunConfig:
             raise ConfigError("generators must be >= 0")
         if not self.degrees or min(self.degrees) < 0:
             raise ConfigError("degrees must list at least one gauge degree, each >= 0")
+        if len(set(self.degrees)) != len(self.degrees):
+            raise ConfigError("degrees must not repeat a gauge degree")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
 

@@ -4,8 +4,11 @@ bracket kept as the independent oracle.
 
 A point of S^d1(k1) x ... x S^dt(kt) is stored as the concatenation of one
 *unit* direction u_a in R^(d_a + 1) per factor; the geometric point is
-x_a = r_a u_a with r_a = 1 / sqrt(k_a).  Every field evaluator is batched: it
-maps an (n, ambient_dim) array of unit points to values row by row.
+x_a = r_a u_a with r_a = 1 / sqrt(k_a).  The API is batched throughout: every
+field evaluator maps an (n, ambient_dim) array of unit points to values row
+by row, and a single point is a batch of one row.  The checks that take
+points from a caller validate them with ``unit_rows`` (each factor block a
+unit vector) and evaluate the whole batch at once.
 
 Brackets are taken in geometric ambient coordinates, [X, Y] = (DY) X - (DX) Y,
 followed by tangent projection.  A geometric displacement v moves the unit
@@ -63,7 +66,7 @@ from typing import Callable
 import numpy as np
 from numpy.exceptions import ComplexWarning
 
-from .acs import OrthogonalACS, validate_acs
+from .acs import acs_defects
 from .config import TOL
 from .errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from .manifold import ProductManifold
@@ -74,7 +77,7 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Embedded points and per-factor geometry helpers
+# Embedded points: per-factor geometry helpers and the row validator
 # ---------------------------------------------------------------------------
 
 def normalize_blocks(man: ProductManifold, q: Array) -> Array:
@@ -131,32 +134,17 @@ def tangent_bases(man: ProductManifold, pts: Array) -> Array:
     return bases
 
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    """A point of the embedded product: one unit direction per factor."""
-
-    manifold: ProductManifold
-    direction: Array
-
-    def __post_init__(self):
-        d = np.array(self.direction, dtype=float)
-        if d.shape != (self.manifold.ambient_dim,):
-            raise ContractViolation(
-                f"embedded point needs {self.manifold.ambient_dim} ambient coordinates"
-            )
-        for sl in self.manifold.ambient_slices:
-            if abs(np.linalg.norm(d[sl]) - 1.0) > 1e-9:
-                raise ContractViolation("each factor block must be a unit vector")
-        d = normalize_blocks(self.manifold, d[np.newaxis])[0]
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-
-    def factor_direction(self, a: int) -> Array:
-        return self.direction[self.manifold.ambient_slices[a]]
-
-    @property
-    def batch(self) -> Array:
-        return self.direction[np.newaxis]
+def unit_rows(man: ProductManifold, pts: Array) -> Array:
+    """Validate a batch of points: shape (n, ambient_dim), each factor block
+    a unit vector to 1e-9 (a NaN fails).  Returns the rows re-normalised
+    blockwise."""
+    q = np.asarray(pts, dtype=float)
+    if q.ndim != 2 or q.shape[1] != man.ambient_dim:
+        raise ContractViolation(f"points need shape (n, {man.ambient_dim}), got {q.shape}")
+    for sl in man.ambient_slices:
+        if not np.all(np.abs(np.linalg.norm(q[:, sl], axis=1) - 1.0) <= 1e-9):
+            raise ContractViolation("each factor block must be a unit vector")
+    return normalize_blocks(man, q)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +194,6 @@ class Field:
     def __call__(self, pts: Array) -> Array:
         return self.fn(pts)
 
-    def at(self, point: EmbeddedPoint) -> Array:
-        return self.fn(point.batch)[0]
-
     def jet(self, pts: Array) -> Jet:
         """Values at the rows pts and the derivative map there: du -> D_du X
         for a tangent field, (du, w) -> (D_du J) w for a structure field,
@@ -223,16 +208,6 @@ class Field:
 
 class TangentField(Field):
     """A smooth tangent vector field given by a batched evaluator."""
-
-    def __add__(self, other: "TangentField") -> "TangentField":
-        return TangentField(
-            self.manifold,
-            lambda pts: self.fn(pts) + other.fn(pts),
-            f"({self.name}+{other.name})",
-        )
-
-    def __rmul__(self, scalar: float) -> "TangentField":
-        return TangentField(self.manifold, lambda pts: scalar * self.fn(pts), self.name)
 
     def scaled_by(self, scalar_field: Callable[[Array], Array]) -> "TangentField":
         """Pointwise product f * X with a scalar function of the point."""
@@ -261,13 +236,6 @@ class ACSField(Field):
             lambda pts: np.einsum("nij,nj->ni", self.fn(pts), X(pts)),
             f"{self.name}.{X.name}",
         )
-
-    def frame_restriction(self, point: EmbeddedPoint) -> OrthogonalACS:
-        """The tangent-space restriction expressed in an orthonormal
-        ambient-projected basis, as a pointwise OrthogonalACS."""
-        b = tangent_bases(self.manifold, point.batch)[0]
-        j = self.at(point)
-        return OrthogonalACS(self.manifold, b.T @ j @ b)
 
 
 def frozen_acs_field(Jf: ACSField, rows: Array) -> ACSField:
@@ -516,28 +484,6 @@ def lie_bracket_fd_batch(
     return tangent_project(man, pts, bracket) if project else bracket
 
 
-def lie_bracket_fd(
-    X: TangentField,
-    Y: TangentField,
-    p: EmbeddedPoint,
-    h: float = TOL.fd_step,
-    project: bool = True,
-) -> Array:
-    return lie_bracket_fd_batch(X, Y, p.batch, h, project)[0]
-
-
-@dataclass(frozen=True)
-class NijenhuisSample:
-    """One Nijenhuis evaluation: the point, the field values there, the
-    tensor value and its norm."""
-
-    point: EmbeddedPoint
-    x_value: Array
-    y_value: Array
-    value: Array
-    norm: float
-
-
 def nijenhuis_batch(Jf: ACSField, X: TangentField, Y: TangentField, pts: Array) -> Array:
     """N(X, Y) = [JX,JY] - [X,Y] - J[JX,Y] - J[X,JY], batched over points.
 
@@ -557,17 +503,6 @@ def nijenhuis_batch(Jf: ACSField, X: TangentField, Y: TangentField, pts: Array) 
     b_xy = dy(vel[2:3])[0] - dx(vel[3:4])[0]
     value = t[0] - t[1] - b_xy + apply(j, t[3] - t[2] - apply(j, b_xy))
     return tangent_project(man, pts, value)
-
-
-def nijenhuis(Jf: ACSField, X: TangentField, Y: TangentField, p: EmbeddedPoint) -> NijenhuisSample:
-    value = nijenhuis_batch(Jf, X, Y, p.batch)[0]
-    return NijenhuisSample(
-        point=p,
-        x_value=X.at(p),
-        y_value=Y.at(p),
-        value=value,
-        norm=float(np.linalg.norm(value)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +573,15 @@ def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 
 
 def nijenhuis_tensoriality_check(
     Jf: ACSField,
-    point: EmbeddedPoint,
+    pts: Array,
     seed: int,
     scalar_field: Callable[[Array], Array] | None = None,
 ) -> AuditReport:
-    """Check N(f X, Y) = f(p) N(X, Y) for a seeded polynomial scalar f: the
-    engine must compute a tensor, so the derivative terms of f have to
-    cancel."""
+    """Check N(f X, Y) = f N(X, Y) at every given point for a seeded
+    polynomial scalar f: the engine must compute a tensor, so the derivative
+    terms of f have to cancel."""
     man = Jf.manifold
+    pts = unit_rows(man, pts)
     rng = np.random.default_rng(seed)
     if scalar_field is None:
         coeffs = 0.5 * rng.standard_normal(man.ambient_dim)
@@ -656,17 +592,15 @@ def nijenhuis_tensoriality_check(
 
     X = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "X")
     Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")
-    fX = X.scaled_by(scalar_field)
-    lhs = nijenhuis_batch(Jf, fX, Y, point.batch)[0]
-    f_at_p = float(scalar_field(point.batch)[0])
-    rhs = f_at_p * nijenhuis_batch(Jf, X, Y, point.batch)[0]
+    lhs = nijenhuis_batch(Jf, X.scaled_by(scalar_field), Y, pts)
+    rhs = scalar_field(pts)[:, np.newaxis] * nijenhuis_batch(Jf, X, Y, pts)
     report = AuditReport(f"Nijenhuis tensoriality for {Jf.name} (seed {seed})")
     report.add(
         "tensoriality",
-        float(np.linalg.norm(lhs - rhs)),
+        np.max(np.linalg.norm(lhs - rhs, axis=1), initial=0.0),
         0.0,
         TOL.exact_nijenhuis,
-        "N(f X, Y) == f(p) N(X, Y)",
+        "N(f X, Y) == f N(X, Y) at every point",
     )
     return report
 
@@ -674,16 +608,16 @@ def nijenhuis_tensoriality_check(
 def acs_field_validity_check(
     Jf: ACSField, pts: Array, tol: float = TOL.acs_validity
 ) -> AuditReport:
-    """validate_acs on the tangent-space restriction at every given point."""
+    """The ACS defects (``acs_defects``) of the tangent-space restriction
+    B^T J B in the orthonormal tangent bases B, over the whole batch."""
     man = Jf.manifold
+    pts = unit_rows(man, pts)
+    bases = tangent_bases(man, pts)
+    restricted = np.swapaxes(bases, 1, 2) @ Jf(pts) @ bases
     report = AuditReport(f"pointwise validity of {Jf.name} at {pts.shape[0]} points")
-    defects = [
-        [c.computed for c in validate_acs(Jf.frame_restriction(EmbeddedPoint(man, row)), tol).checks]
-        for row in pts
-    ]
     report.add(
         "pointwise-validity",
-        np.max(defects, initial=0.0),
+        np.max(acs_defects(man, restricted), initial=0.0),
         0.0,
         tol,
         "tangent restriction passes the ACS validator at every sample point",

@@ -657,7 +657,8 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
     term-by-term defect against its closed form, its sign and the mixed-
     subsample floor; seeded block-diagonal structures (c^2 = 1) must have
     zero defect.  The probe's mixed-subsample size and max |defect| are
-    recorded as values.
+    recorded as values.  Every tolerance scales with the largest factor
+    curvature, as the round-off of the curvature sums does.
     """
     probe = splitting_pressure_probe(manifold, samples, seed)
     oracle = CurvatureOracle(manifold)
@@ -667,16 +668,18 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
         seeds = [[seed, s] for s in range(block.start, block.stop)]
         J = random_block_diagonal_matrices(manifold, seeds)
         split[block] = np.abs(splitting_defect(oracle, J, x, y).direct)
+    kappa = np.max(manifold.curvatures)
     report = AuditReport(f"splitting defect on {manifold.describe()} ({samples} samples, seed {seed})")
     report.add(
         "oracle-equivalence", np.max(np.abs(probe.defects - probe.closed_forms), initial=0.0),
-        0.0, 1e-10, "eight-term defect == -alpha (1 - c^2)^2 + complement term",
+        0.0, 1e-10 * kappa, "eight-term defect == -alpha (1 - c^2)^2 + complement term",
     )
     report.add(
-        "nonpositivity", np.max(probe.defects, initial=0.0), 0.0, 1e-12, "defect <= 0 always"
+        "nonpositivity", np.max(probe.defects, initial=0.0), 0.0, 1e-12 * kappa,
+        "defect <= 0 always",
     )
     report.add(
-        "split-zero", np.max(split, initial=0.0), 0.0, 1e-10,
+        "split-zero", np.max(split, initial=0.0), 0.0, 1e-10 * kappa,
         "block-diagonal structures (c^2 = 1) have zero defect",
     )
     if probe.subsample_count:
@@ -684,7 +687,7 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
             "mixed-floor",
             min(probe.min_core_defect_mixed - probe.alpha * probe.threshold**2, 0.0),
             0.0,
-            1e-12,
+            1e-12 * kappa,
             "defect minus complement term stays below -alpha t^2 when 1 - c^2 > t",
         )
     report.record(

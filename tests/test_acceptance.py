@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sphereacs.acs import random_block_diagonal_acs, random_orthogonal_acs, swap_acs
+from sphereacs.config import TOL
 from sphereacs.fields import (
     default_acs_field,
     lie_bracket_fd_batch,
@@ -187,8 +188,8 @@ def test_criterion_6_nijenhuis_engine():
             projected_constant_field(s6, amb_y[3:]),
             u6,
         )
-        assert np.max(np.abs(full[:, 3:] - alone)) <= 2e-6
-        assert np.max(np.abs(full[:, :3])) <= 2e-6
+        assert np.max(np.abs(full[:, 3:] - alone)) <= TOL.exact_nijenhuis
+        assert np.max(np.abs(full[:, :3])) <= TOL.exact_nijenhuis
         # second-order convergence of the bracket against the rotation oracle
         a1 = np.array([1.0, 0.2, -0.3])
         a2 = np.array([-0.4, 1.1, 0.5])

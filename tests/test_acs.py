@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sphereacs.acs import (
     OrthogonalACS,
+    acs_defects,
     acs_from_text,
     acs_to_text,
     canonical_product_acs,
@@ -188,6 +189,26 @@ def test_nan_entry_fails_block_checks_and_off_block_mass():
     assert not report.passed
     assert np.isnan(J.off_block_mass())
     assert swap_acs(man).off_block_mass() == 1.0
+
+
+def test_acs_defects_of_a_stack_match_the_validator_rows():
+    # one stacked evaluation gives each matrix's validate_acs rows; a stack
+    # with leading axes keeps them
+    man = spheres((2, 1.0), (4, 1.0), (6, 2.0))
+    stack = np.stack([
+        random_orthogonal_matrices(man, range(4)),
+        random_block_diagonal_matrices(man, range(4)),
+    ])
+    stack[1, 2] = np.eye(man.total_dim)
+    defects = acs_defects(man, stack)
+    assert defects.shape == (2, 4, 5)
+    for k in np.ndindex(2, 4):
+        rows = [c.computed for c in validate_acs(OrthogonalACS(man, stack[k])).checks]
+        assert np.array_equal(defects[k], rows)
+    # the identity is orthogonal and fails every other relation by 2
+    assert np.array_equal(defects[1, 2], [0.0, 2.0, 2.0, 2.0, 2.0])
+    with pytest.raises(ContractViolation):
+        acs_defects(man, stack[..., :-1])
 
 
 @pytest.mark.parametrize("dims", [((6, 1.0), (6, 2.0)), ((2, 1.0), (4, 1.0), (6, 2.0))])

@@ -169,6 +169,14 @@ def test_empty_degrees_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
+@pytest.mark.parametrize("command", [["nijenhuis", "gauged"], ["search", "s2xs4"]])
+def test_duplicate_degrees_is_usage_error(tmp_path, capsys, command):
+    # a repeated degree would run the same search cell twice and list it
+    # twice in the baseline next to one cell
+    cfg = write_config(tmp_path, S2XS4 + "points = 2\nrestarts = 1\nbudget = 2\ndegrees = 0,1,0\n")
+    assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
 def test_search_error_is_usage_error(tmp_path, capsys, monkeypatch):
     # an objective that is never finite makes the search give up after its
     # resamples
@@ -227,7 +235,8 @@ TINY_RUN = st.fixed_dictionaries({
 def assert_exit_contract(command, target, config_text, files=None):
     """Run one command on a config (and input files named in it by key) in
     a fresh directory: exit 0 or 1 with finite report values, or exit 2
-    with exactly one error line; never a traceback and never a warning."""
+    with exactly one error line; never a traceback and never a warning.
+    Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         for key, content in (files or {}).items():
             path = Path(tmp) / f"{key}.txt"
@@ -242,12 +251,13 @@ def assert_exit_contract(command, target, config_text, files=None):
         if code == 2:
             assert err.getvalue().startswith("error: ")
             assert len(err.getvalue().splitlines()) == 1
-            return
+            return code
         assert code in (0, 1)
         assert err.getvalue() == ""
         rows = read_rows(Path(tmp) / f"{command}_{target.replace('-', '_')}.csv")
     assert rows
     assert all(math.isfinite(float(row["computed"])) for row in rows)
+    return code
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,6 +339,51 @@ def test_exit_code_contract_on_input_files(run):
         text = "".join(line + "\n" for line in edited_lines(rows, run["edit"]))
         files, options = {"points_file": text}, "frame_pairs = 1\n"
     assert_exit_contract(command, target, factors + options, files)
+
+
+# A factor curvature: log-uniform over 1e-8..1e8, or one no round sphere has.
+CURVATURE = st.one_of(
+    st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, -1.0, math.inf]),
+)
+
+# Each command with the factor dimensions it is built for.
+GENERATED_COMMANDS = [
+    ("audit", "curvature", (2, 4, 6)),
+    ("audit", "gray", (6,)),
+    ("audit", "splitting", (2, 4)),
+    ("audit", "components", (6, 6)),
+    ("audit", "ricci-star", (6, 6)),
+    ("nijenhuis", "s2", (2,)),
+    ("nijenhuis", "s6-octonion", (6,)),
+    ("nijenhuis", "product", (2, 6)),
+]
+
+GENERATED_RUN = st.fixed_dictionaries({
+    "command": st.sampled_from(GENERATED_COMMANDS),
+    # the command's own factor dimensions, or any list of 2/4/6/8-spheres
+    "dims": st.one_of(st.none(), st.lists(st.sampled_from([2, 4, 6, 8]), min_size=1, max_size=3)),
+    "curvatures": st.lists(CURVATURE, min_size=3, max_size=3),
+    "samples": st.integers(1, 8),
+    "points": st.integers(1, 4),
+    "seed": st.integers(0, 3),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=GENERATED_RUN)
+def test_exit_code_contract_on_generated_configs(run):
+    command, target, own_dims = run["command"]
+    dims = run["dims"] or own_dims
+    curvatures = run["curvatures"][: len(dims)]
+    text = "".join(f"factor = dim={d} curvature={k!r}\n" for d, k in zip(dims, curvatures))
+    text += "".join(f"{key} = {run[key]}\n" for key in ("samples", "points", "seed"))
+    code = assert_exit_contract(command, target, text + "frame_pairs = 1\n")
+    # the identity audits hold on every valid product of round spheres
+    if all(0.0 < k < math.inf for k in curvatures) and (
+        target in ("curvature", "gray", "ricci-star") or (target == "splitting" and dims[0] == 2)
+    ):
+        assert code == 0
 
 
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):
@@ -638,6 +693,8 @@ def test_run_config_validation():
         RunConfig(points=0)
     with pytest.raises(ConfigError):
         RunConfig(format="xml")
+    with pytest.raises(ConfigError):
+        RunConfig(degrees=(2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from sphereacs.fields import (
     ACSField,
-    EmbeddedPoint,
+    TangentField,
     acs_field_validity_check,
     complex_step,
     cross_matrix,
     default_acs_field,
     frozen_acs_field,
-    lie_bracket_fd,
     lie_bracket_fd_batch,
     linear_field,
-    nijenhuis,
     nijenhuis_batch,
     nijenhuis_energy,
     nijenhuis_norms,
@@ -31,6 +29,7 @@ from sphereacs.fields import (
     sample_tangent_pairs,
     tangent_bases,
     tangent_project,
+    unit_rows,
 )
 from sphereacs.search import GaugeParametrization
 from sphereacs.manifold import spheres
@@ -51,17 +50,26 @@ S2XS4 = spheres((2, 1.0), (4, 1.0))
 # Basic geometry plumbing
 # ---------------------------------------------------------------------------
 
-def test_embedded_point_validation():
-    man = spheres((2, 1.0), (4, 1.0))
-    good = np.zeros(8)
-    good[0] = 1.0
-    good[3] = 1.0
-    p = EmbeddedPoint(man, good)
-    assert np.allclose(p.factor_direction(0), [1.0, 0.0, 0.0])
-    with pytest.raises(ContractViolation):
-        EmbeddedPoint(man, np.ones(8))
-    with pytest.raises(ContractViolation):
-        EmbeddedPoint(man, np.zeros(5))
+def test_row_validator_rejects_off_sphere_rows():
+    # both field checks validate their batch: shape (n, ambient_dim) and a
+    # unit vector in every factor block, NaN included
+    Jf = default_acs_field(S2XS4)
+    good = chart_safe_points(S2XS4, 3, seed=1)
+    assert acs_field_validity_check(Jf, good).passed
+    assert nijenhuis_tensoriality_check(Jf, good, seed=2).passed
+    # rows within the tolerance come back re-normalised
+    renormalised = unit_rows(S2XS4, good * (1.0 + 1e-10))
+    for sl in S2XS4.ambient_slices:
+        assert np.max(np.abs(np.linalg.norm(renormalised[:, sl], axis=1) - 1.0)) < 1e-15
+    off_sphere, zero_block, nan = good.copy(), good.copy(), good.copy()
+    off_sphere[1, 3:] *= 1.5
+    zero_block[2, :3] = 0.0
+    nan[0, 4] = np.nan
+    for bad in (good[:, :5], good[0], off_sphere, zero_block, nan):
+        with pytest.raises(ContractViolation):
+            acs_field_validity_check(Jf, bad)
+        with pytest.raises(ContractViolation):
+            nijenhuis_tensoriality_check(Jf, bad, seed=2)
 
 
 def test_normalize_blocks_and_projection():
@@ -139,7 +147,8 @@ def test_bracket_bilinearity():
     Y = rotation_field(S2, 0, AXIS_2)
     Z = rotation_field(S2, 0, np.array([0.3, -0.7, 0.9]))
     pts = fibonacci_sphere(8, seed=5)
-    lhs = lie_bracket_fd_batch(X, Y + Z, pts)
+    y_plus_z = TangentField(S2, lambda q: Y(q) + Z(q), "Y+Z")
+    lhs = lie_bracket_fd_batch(X, y_plus_z, pts)
     rhs = lie_bracket_fd_batch(X, Y, pts) + lie_bracket_fd_batch(X, Z, pts)
     assert np.max(np.abs(lhs - rhs)) < TOL.fd_linear
 
@@ -158,11 +167,11 @@ def test_bracket_radius_scaling():
 
 def test_bracket_step_size_contract():
     X = rotation_field(S2, 0, AXIS_1)
-    p = EmbeddedPoint(S2, np.array([0.0, 0.0, 1.0]))
+    pts = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(StepSizeError):
-        lie_bracket_fd(X, X, p, h=1e-10)
+        lie_bracket_fd_batch(X, X, pts, h=1e-10)
     with pytest.raises(StepSizeError):
-        lie_bracket_fd(X, X, p, h=0.5)
+        lie_bracket_fd_batch(X, X, pts, h=0.5)
 
 
 def test_bracket_tangency_before_projection():
@@ -187,9 +196,8 @@ def test_canonical_s2_structure_is_integrable():
     Jf = default_acs_field(S2)
     X = projected_constant_field(S2, np.array([1.0, 0.0, 0.0]))
     Y = projected_constant_field(S2, np.array([0.0, 1.0, 0.5]))
-    for row in fibonacci_sphere(20, seed=2):
-        sample = nijenhuis(Jf, X, Y, EmbeddedPoint(S2, row))
-        assert sample.norm < TOL.fd_bracket
+    values = nijenhuis_batch(Jf, X, Y, fibonacci_sphere(20, seed=2))
+    assert np.max(np.linalg.norm(values, axis=1)) < TOL.exact_nijenhuis
 
 
 def exact_s6_nijenhuis(u, a, b):
@@ -249,9 +257,9 @@ def test_octonionic_s6_matches_exact_bracket_oracle():
         a, b = rng.standard_normal((2, 7))
         X = projected_constant_field(S6, a)
         Y = projected_constant_field(S6, b)
-        sample = nijenhuis(Jf, X, Y, EmbeddedPoint(S6, u))
+        value = nijenhuis_batch(Jf, X, Y, u[np.newaxis])[0]
         oracle = exact_s6_nijenhuis(u, a, b)
-        assert np.max(np.abs(sample.value - oracle)) < 1e-12
+        assert np.max(np.abs(value - oracle)) < 1e-12
         fd = fd_nijenhuis(Jf, X, Y, u[np.newaxis])[0]
         assert np.max(np.abs(fd - oracle)) < TOL.fd_bracket
 
@@ -355,8 +363,7 @@ def test_octonionic_s6_is_far_from_integrable():
     u = low_discrepancy_directions(1, 7, seed=9)[0]
     X = projected_constant_field(S6, np.eye(7)[0])
     Y = projected_constant_field(S6, np.eye(7)[2])
-    sample = nijenhuis(Jf, X, Y, EmbeddedPoint(S6, u))
-    assert sample.norm >= 0.1
+    assert np.linalg.norm(nijenhuis_batch(Jf, X, Y, u[np.newaxis])) >= 0.1
 
 
 def test_octonionic_s6_nearly_kaehler_closed_form():
@@ -387,33 +394,31 @@ def test_product_restriction_to_second_factor():
     pts = np.concatenate([u2, u6], axis=1)
     full = nijenhuis_batch(Jf, X, Y, pts)
     alone = nijenhuis_batch(J6, X6, Y6, u6)
-    assert np.max(np.abs(full[:, :3])) < TOL.fd_linear
-    assert np.max(np.abs(full[:, 3:] - alone)) < TOL.fd_linear
+    assert np.max(np.abs(full[:, :3])) < TOL.exact_nijenhuis
+    assert np.max(np.abs(full[:, 3:] - alone)) < TOL.exact_nijenhuis
 
 
 def test_nijenhuis_antisymmetry_and_j_invariance():
     Jf = default_acs_field(S6)
     rng = np.random.default_rng(8)
-    u = low_discrepancy_directions(1, 7, seed=31)[0]
-    p = EmbeddedPoint(S6, u)
+    pts = low_discrepancy_directions(1, 7, seed=31)
     X = projected_constant_field(S6, rng.standard_normal(7))
     Y = projected_constant_field(S6, rng.standard_normal(7))
-    n_xy = nijenhuis(Jf, X, Y, p).value
-    n_yx = nijenhuis(Jf, Y, X, p).value
-    assert np.max(np.abs(n_xy + n_yx)) < TOL.fd_linear
+    n_xy = nijenhuis_batch(Jf, X, Y, pts)
+    n_yx = nijenhuis_batch(Jf, Y, X, pts)
+    assert np.max(np.abs(n_xy + n_yx)) < TOL.exact_nijenhuis
     JX, JY = Jf.image(X), Jf.image(Y)
-    n_jj = nijenhuis(Jf, JX, JY, p).value
-    assert np.max(np.abs(n_jj + n_xy)) < TOL.fd_linear
+    n_jj = nijenhuis_batch(Jf, JX, JY, pts)
+    assert np.max(np.abs(n_jj + n_xy)) < TOL.exact_nijenhuis
 
 
 def test_nijenhuis_sample_tangency():
     Jf = default_acs_field(S6)
-    u = low_discrepancy_directions(1, 7, seed=2)[0]
-    p = EmbeddedPoint(S6, u)
+    pts = low_discrepancy_directions(5, 7, seed=2)
     X = projected_constant_field(S6, np.eye(7)[1])
     Y = projected_constant_field(S6, np.eye(7)[4])
-    sample = nijenhuis(Jf, X, Y, p)
-    assert abs(np.dot(sample.value, u)) < 1e-12
+    values = nijenhuis_batch(Jf, X, Y, pts)
+    assert np.max(np.abs(np.sum(values * pts, axis=1))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +427,17 @@ def test_nijenhuis_sample_tangency():
 
 def test_tensoriality_canonical_s2():
     Jf = default_acs_field(S2)
-    p = EmbeddedPoint(S2, fibonacci_sphere(5, seed=6)[2])
-    assert nijenhuis_tensoriality_check(Jf, p, seed=3).passed
+    assert nijenhuis_tensoriality_check(Jf, fibonacci_sphere(5, seed=6), seed=3).passed
 
 
 def test_tensoriality_octonion_first_coordinate():
     Jf = default_acs_field(S6)
-    p = EmbeddedPoint(S6, low_discrepancy_directions(1, 7, seed=5)[0])
+    pts = low_discrepancy_directions(4, 7, seed=5)
 
     def first_coordinate(pts):
         return pts[:, 0]
 
-    report = nijenhuis_tensoriality_check(Jf, p, seed=4, scalar_field=first_coordinate)
+    report = nijenhuis_tensoriality_check(Jf, pts, seed=4, scalar_field=first_coordinate)
     assert report.passed
 
 
@@ -446,8 +450,8 @@ def test_exact_engine_checks_reject_offsets_above_round_off(monkeypatch):
     Jf = product_acs_field(man, [s2_rotation_blocks, s6_octonion_blocks], "s2xs6")
     pts = np.concatenate([fibonacci_sphere(3, seed=4), low_discrepancy_directions(3, 7, seed=4)], axis=1)
     assert not fields.second_factor_restriction_check(Jf, pts).passed
-    p = EmbeddedPoint(S6, low_discrepancy_directions(1, 7, seed=5)[0])
-    assert not nijenhuis_tensoriality_check(default_acs_field(S6), p, seed=3).passed
+    pts6 = low_discrepancy_directions(1, 7, seed=5)
+    assert not nijenhuis_tensoriality_check(default_acs_field(S6), pts6, seed=3).passed
 
 
 def test_tensoriality_gauged_field():
@@ -458,7 +462,7 @@ def test_tensoriality_gauged_field():
     theta = 0.3 * np.random.default_rng(5).standard_normal(par.n_params)
     Jf = par.field(theta, default_acs_field(man))
     pts = chart_safe_points(man, 4, seed=6)
-    report = nijenhuis_tensoriality_check(Jf, EmbeddedPoint(man, pts[0]), seed=11)
+    report = nijenhuis_tensoriality_check(Jf, pts, seed=11)
     assert report.passed
 
 

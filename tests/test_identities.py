@@ -13,14 +13,17 @@ from sphereacs.errors import ContractViolation, InvalidManifold
 from sphereacs.identities import (
     _half_trace,
     block_preservation_probe,
+    gray_cancellation_audit,
     gray_combination,
     ricci_star,
     ricci_star_bilinear,
     ricci_star_component_audit,
+    ricci_star_exchange_audit,
     ricci_star_identity_check,
     splitting_defect,
 )
 from sphereacs.manifold import CurvatureOracle, spheres
+from sphereacs.search import splitting_audit
 
 
 def first_block_pair(man):
@@ -456,3 +459,22 @@ def test_probe_random_structure_reports_values():
     assert np.isfinite(probe.symmetry_defect)
     assert np.isfinite(probe.off_block_mass)
     assert probe.off_block_mass > 0.1  # generic structures mix factors
+
+
+@pytest.mark.parametrize("kappa", [1e-12, 1e4, 1e8])
+def test_identity_audits_scale_their_tolerances_with_curvature(kappa):
+    # the round-off of the curvature sums grows linearly with the curvature:
+    # true identities exceed an absolute 1e-10 at kappa = 1e4, and at
+    # kappa = 1e-12 an absolute bound could not fail at all
+    man6 = spheres((6, kappa), (6, kappa))
+    reports = [
+        gray_cancellation_audit(spheres((6, kappa)), 200, 7),
+        ricci_star_exchange_audit(man6, 200, 7),
+        ricci_star_identity_check(
+            ricci_star(CurvatureOracle(man6), random_orthogonal_acs(man6, 7)), 200, 7
+        ),
+        splitting_audit(spheres((2, kappa), (4, kappa)), 200, 7),
+    ]
+    for report in reports:
+        assert report.passed
+        assert max(c.tolerance for c in report.checks if c.kind == "check") <= 1e-9 * kappa
