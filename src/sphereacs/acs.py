@@ -93,12 +93,12 @@ def acs_defects(manifold: ProductManifold, m) -> np.ndarray:
     )
 
 
-def validate_acs(J: OrthogonalACS, tol: float = TOL.acs_validity) -> AuditReport:
+def validate_acs(J: OrthogonalACS) -> AuditReport:
     """Check orthogonality, J^2 = -I, skewness and the two block relations:
     one row per ``acs_defects`` entry."""
-    report = AuditReport(f"ACS validity on {J.manifold.describe()}")
+    report = AuditReport()
     for (name, claim), value in zip(ACS_DEFECTS, acs_defects(J.manifold, J.matrix)):
-        report.add(name, value, 0.0, tol, claim)
+        report.add(name, value, 0.0, TOL.acs_validity, claim)
     return report
 
 

@@ -36,12 +36,22 @@ keys are errors.  Example::
     degrees = 0,1,2
     format = csv
 
-Keys: seed, samples, points, frame_pairs, restarts, budget, generators,
-degrees (a non-empty list of distinct gauge degrees >= 0), init_scale,
-chart_margin (both positive and finite), swap_probe, restriction_check,
-format, out, acs_file and points_file.  The environment variable
-SPHEREACS_CONFIG_DIR may point to a directory searched for bare config file
-names.
+The keys are the fields of ``RunConfig``, each parsed by the field's type
+(``factors`` is given as the ``factor`` lines): seed, samples, points,
+frame_pairs, restarts, budget, generators, degrees (a non-empty list of
+distinct gauge degrees >= 0), init_scale, chart_margin (both positive and
+finite), swap_probe, restriction_check, format, out, acs_file and
+points_file.  A config file without a ``factor`` line is an error; without a
+config file each command runs on its default manifold (``DEFAULT_FACTORS``).
+The commands in ``FIXED_DIMS`` accept only their default manifold's factor
+dimensions, and ``nijenhuis gauged`` takes exactly one degree.  The
+environment variable SPHEREACS_CONFIG_DIR may point to a directory searched
+for bare config file names.
+
+The manifest ``<command>_<target>_manifest.json`` records the package
+version, the command and target, the run's config (every ``RunConfig``
+field but ``out``, with ``factors`` those of the manifold that ran), the
+report's row counts and the wall-clock time.
 
 ``search --baseline PATH`` also writes the experiment's floor baseline as
 JSON: the grid configuration, the cell minima, every restart's energy and
@@ -71,7 +81,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_type_hints
 from pathlib import Path
 
 import numpy as np
@@ -83,9 +94,6 @@ from .fields import (
     acs_field_validity_check,
     default_acs_field,
     nijenhuis_norms,
-    product_acs_field,
-    s2_rotation_blocks,
-    s6_octonion_blocks,
     second_factor_restriction_check,
 )
 from .identities import (
@@ -97,7 +105,6 @@ from .manifold import CurvatureOracle, ProductManifold, SphereFactor
 from .report import AuditReport, Check
 from .sampling import chart_safe_points, load_points
 from .search import (
-    DISCLAIMER,
     ExperimentConfig,
     GaugeParametrization,
     energy_floor_experiment,
@@ -109,6 +116,8 @@ FORMATS = ("table", "csv", "records")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; the fields are the config keys (module docstring)."""
+
     factors: tuple[tuple[int, float], ...] = ()
     seed: int = 7
     samples: int = 500
@@ -128,9 +137,6 @@ class RunConfig:
     # suite, and a plain-text sample-point list for the field commands
     acs_file: str = ""
     points_file: str = ""
-    # set when the config came from an explicit file, which then must carry
-    # its own manifold spec (fail closed) instead of the per-suite default
-    explicit: bool = False
 
     def __post_init__(self):
         if self.seed < 0:
@@ -151,21 +157,8 @@ class RunConfig:
             raise ConfigError(f"format must be one of {FORMATS}")
 
     def manifold(self, default_factors: tuple[tuple[int, float], ...]) -> ProductManifold:
-        if self.explicit and not self.factors:
-            raise ConfigError("config file does not specify any 'factor = dim=.. curvature=..' line")
         factors = self.factors or default_factors
-        if not factors:
-            raise ConfigError("no sphere factors configured")
-        try:
-            return ProductManifold(tuple(SphereFactor(d, k) for d, k in factors))
-        except InvalidManifold as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-_INT_KEYS = ("seed", "samples", "points", "frame_pairs", "restarts", "budget", "generators")
-_FLOAT_KEYS = ("init_scale", "chart_margin")
-_BOOL_KEYS = ("swap_probe", "restriction_check")
-_STR_KEYS = ("format", "out", "acs_file", "points_file")
+        return ProductManifold(tuple(SphereFactor(d, k) for d, k in factors))
 
 
 def _parse_factor(value: str) -> tuple[int, float]:
@@ -192,10 +185,21 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# one value parser per config key, picked by the RunConfig field's type
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str, tuple[int, ...]: _parse_ints}
+_KEY_PARSERS = {
+    name: _PARSERS[hint] for name, hint in get_type_hints(RunConfig).items() if name != "factors"
+}
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse the flat key-value format; unknown keys are errors."""
     factors: list[tuple[int, float]] = []
-    fields: dict = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,29 +209,23 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS + ("factor", "degrees"):
+        if key != "factor" and key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "factor":
                 factors.append(_parse_factor(value))
-            elif key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key in _BOOL_KEYS:
-                fields[key] = _parse_bool(value)
-            elif key in _STR_KEYS:
-                fields[key] = value
             else:
-                fields["degrees"] = tuple(int(tok) for tok in value.replace(",", " ").split())
+                values[key] = _KEY_PARSERS[key](value)
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return RunConfig(factors=tuple(factors), **fields)
+    return RunConfig(factors=tuple(factors), **values)
 
 
 def load_config(path: str | None) -> RunConfig:
+    """The default config without a path; a config file must carry its own
+    manifold spec (fail closed) instead of the per-command default."""
     if path is None:
         return RunConfig()
     p = Path(path)
@@ -239,7 +237,10 @@ def load_config(path: str | None) -> RunConfig:
                 p = candidate
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    return replace(parse_config_text(p.read_text(encoding="utf-8")), explicit=True)
+    cfg = parse_config_text(p.read_text(encoding="utf-8"))
+    if not cfg.factors:
+        raise ConfigError("config file does not specify any 'factor = dim=.. curvature=..' line")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,16 @@ DEFAULT_FACTORS = {
     ("search", "s6"): ((6, 1.0),),
 }
 
+# commands whose field or experiment is built for the factor dimensions of
+# their default manifold only; the curvatures stay free
+FIXED_DIMS = {
+    ("nijenhuis", "s2"),
+    ("nijenhuis", "s6-octonion"),
+    ("nijenhuis", "product"),
+    ("search", "s2xs4"),
+    ("search", "s6"),
+}
+
 
 def _acs_input(man: ProductManifold, cfg: RunConfig) -> OrthogonalACS | None:
     """The structure serialised in ``acs_file``, if one is configured."""
@@ -344,25 +355,15 @@ AUDITS = {
 
 
 def _field_for(target: str, man: ProductManifold, cfg: RunConfig):
-    if target == "s2":
-        if man.n_factors != 1 or man.factors[0].dim != 2:
-            raise ConfigError("the s2 field needs a single 2-sphere factor")
-        return default_acs_field(man)
-    if target == "s6-octonion":
-        if man.n_factors != 1 or man.factors[0].dim != 6:
-            raise ConfigError("the s6-octonion field needs a single 6-sphere factor")
-        return default_acs_field(man)
-    if target == "product":
-        dims = tuple(f.dim for f in man.factors)
-        if dims != (2, 6):
-            raise ConfigError("the product field needs factors (2-sphere, 6-sphere)")
-        return product_acs_field(man, [s2_rotation_blocks, s6_octonion_blocks], "s2xs6")
-    if target == "gauged":
-        parametrization = GaugeParametrization(man, cfg.degrees[0], cfg.generators, cfg.seed)
-        rng = np.random.default_rng([cfg.seed, 3])
-        theta = 0.3 * rng.standard_normal(parametrization.n_params)
-        return parametrization.field(theta, default_acs_field(man))
-    raise ConfigError(f"unknown field {target!r}")
+    base = default_acs_field(man)
+    if target != "gauged":
+        return base
+    if len(cfg.degrees) != 1:
+        raise ConfigError("the gauged field takes exactly one gauge degree")
+    parametrization = GaugeParametrization(man, cfg.degrees[0], cfg.generators, cfg.seed)
+    rng = np.random.default_rng([cfg.seed, 3])
+    theta = 0.3 * rng.standard_normal(parametrization.n_params)
+    return parametrization.field(theta, base)
 
 
 def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport:
@@ -391,46 +392,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def run_search(
-    target: str, man: ProductManifold, cfg: RunConfig, baseline: str | None = None
-) -> AuditReport:
+def run_search(man: ProductManifold, cfg: RunConfig, baseline: str | None = None) -> AuditReport:
     """Run the energy-floor experiment; with ``baseline``, also write its
     floor baseline JSON to that path."""
-    if target == "s2xs4":
-        dims = tuple(f.dim for f in man.factors)
-        if dims != (2, 4):
-            raise ConfigError("the s2xs4 experiment needs factors (2-sphere, 4-sphere)")
-    elif target == "s6":
-        if man.n_factors != 1 or man.factors[0].dim != 6:
-            raise ConfigError("the s6 experiment needs a single 6-sphere factor")
-    else:
-        raise ConfigError(f"unknown experiment {target!r}")
-    exp_cfg = ExperimentConfig(
+    experiment = energy_floor_experiment(ExperimentConfig(
         manifold=man,
-        degrees=cfg.degrees,
-        restarts=cfg.restarts,
-        budget=cfg.budget,
-        points=cfg.points,
-        frame_pairs=cfg.frame_pairs,
-        seed=cfg.seed,
-        generators=cfg.generators,
-        init_scale=cfg.init_scale,
-        chart_margin=cfg.chart_margin,
-    )
-    experiment = energy_floor_experiment(exp_cfg)
+        **{f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig) if f.name != "manifold"},
+    ))
     if baseline:
         _write_json(Path(baseline), experiment.baseline_record())
-    report = AuditReport(f"search {target} on {man.describe()}")
-    for row in experiment.rows():
-        key = f"degree[{row['degree']}].restart[{row['restart']}]"
-        report.record(f"{key}.energy", row["energy"], "restart best energy")
-        report.record(
-            f"{key}.best-so-far", row["best_so_far"], "minimum energy over the restart prefix"
-        )
-    for deg, cell in sorted(experiment.cell_minima().items()):
-        report.record(f"degree[{deg}].cell-minimum", cell, "best energy of the degree cell")
-    report.record("floor", experiment.floor, DISCLAIMER)
-    return report
+    return experiment.report()
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: AuditReport, cfg: RunConfig, command: str, target: str, elapsed: float) -> None:
+def _emit(
+    report: AuditReport, cfg: RunConfig, man: ProductManifold, command: str, target: str,
+    elapsed: float,
+) -> None:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{command}_{target.replace('-', '_')}"
@@ -471,28 +445,13 @@ def _emit(report: AuditReport, cfg: RunConfig, command: str, target: str, elapse
         (out_dir / f"{stem}.records").write_text(rows_to_records(report.checks), encoding="utf-8")
     else:
         (out_dir / f"{stem}.csv").write_text(rows_to_csv(report.checks), encoding="utf-8")
+    config = asdict(replace(cfg, factors=tuple((f.dim, f.curvature) for f in man.factors)))
+    del config["out"]
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "target": target,
-        "config": {
-            "factors": [list(f) for f in cfg.factors],
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "points": cfg.points,
-            "frame_pairs": cfg.frame_pairs,
-            "restarts": cfg.restarts,
-            "budget": cfg.budget,
-            "generators": cfg.generators,
-            "degrees": list(cfg.degrees),
-            "init_scale": cfg.init_scale,
-            "chart_margin": cfg.chart_margin,
-            "swap_probe": cfg.swap_probe,
-            "restriction_check": cfg.restriction_check,
-            "acs_file": cfg.acs_file,
-            "points_file": cfg.points_file,
-            "format": cfg.format,
-        },
+        "config": config,
         "counts": report.counts(),
         "wall_clock_s": round(elapsed, 6),
     }
@@ -515,14 +474,20 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, out=args.out)
         start = time.perf_counter()
         man = cfg.manifold(DEFAULT_FACTORS[(command, target)])
+        dims = [d for d, _ in DEFAULT_FACTORS[(command, target)]]
+        if (command, target) in FIXED_DIMS and [f.dim for f in man.factors] != dims:
+            raise ConfigError(
+                f"{command} {target} needs sphere factors of dimensions "
+                + " x ".join(map(str, dims))
+            )
         if command == "audit":
             report = AUDITS[target](man, cfg)
         elif command == "nijenhuis":
             report = run_nijenhuis(target, man, cfg)
         else:
-            report = run_search(target, man, cfg, args.baseline)
+            report = run_search(man, cfg, args.baseline)
         elapsed = time.perf_counter() - start
-        _emit(report, cfg, command, target, elapsed)
+        _emit(report, cfg, man, command, target, elapsed)
     except (
         ConfigError, InvalidManifold, ContractViolation, DegenerateInput, SearchError, OSError,
     ) as exc:

@@ -594,7 +594,7 @@ def nijenhuis_tensoriality_check(
     Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")
     lhs = nijenhuis_batch(Jf, X.scaled_by(scalar_field), Y, pts)
     rhs = scalar_field(pts)[:, np.newaxis] * nijenhuis_batch(Jf, X, Y, pts)
-    report = AuditReport(f"Nijenhuis tensoriality for {Jf.name} (seed {seed})")
+    report = AuditReport()
     report.add(
         "tensoriality",
         np.max(np.linalg.norm(lhs - rhs, axis=1), initial=0.0),
@@ -605,21 +605,19 @@ def nijenhuis_tensoriality_check(
     return report
 
 
-def acs_field_validity_check(
-    Jf: ACSField, pts: Array, tol: float = TOL.acs_validity
-) -> AuditReport:
+def acs_field_validity_check(Jf: ACSField, pts: Array) -> AuditReport:
     """The ACS defects (``acs_defects``) of the tangent-space restriction
     B^T J B in the orthonormal tangent bases B, over the whole batch."""
     man = Jf.manifold
     pts = unit_rows(man, pts)
     bases = tangent_bases(man, pts)
     restricted = np.swapaxes(bases, 1, 2) @ Jf(pts) @ bases
-    report = AuditReport(f"pointwise validity of {Jf.name} at {pts.shape[0]} points")
+    report = AuditReport()
     report.add(
         "pointwise-validity",
         np.max(acs_defects(man, restricted), initial=0.0),
         0.0,
-        tol,
+        TOL.acs_validity,
         "tangent restriction passes the ACS validator at every sample point",
     )
     return report
@@ -632,7 +630,7 @@ def second_factor_restriction_check(Jf: ACSField, pts: Array) -> AuditReport:
     man = Jf.manifold
     if tuple(f.dim for f in man.factors) != (2, 6):
         raise InvalidManifold("the restriction check needs factors (2-sphere, 6-sphere)")
-    report = AuditReport("restriction")
+    report = AuditReport()
     man6 = ProductManifold((man.factors[1],))
     j6 = default_acs_field(man6)
     sl6 = man.ambient_slices[1]

@@ -92,7 +92,7 @@ def gray_cancellation_audit(manifold: ProductManifold, samples: int, seed: int) 
         J = random_block_diagonal_matrices(manifold, seeds)
         w, x, y, z = np.moveaxis(rng.standard_normal((len(J), 4, manifold.total_dim)), 1, 0)
         vals[block] = np.abs(gray_combination(oracle, J, w, x, y, z))
-    report = AuditReport(f"Gray cancellation on {manifold.describe()} ({samples} samples, seed {seed})")
+    report = AuditReport()
     report.add(
         "gray-cancellation",
         np.max(vals, initial=0.0),
@@ -131,11 +131,9 @@ class SplittingDefect:
     second_factor_term: float
 
 
-def splitting_defect(
-    oracle: CurvatureOracle, J, x, y, pair_tol: float = 1e-9
-) -> SplittingDefect:
-    """Evaluate the splitting defect for unit orthogonal x, y supported in the
-    first factor's block, which must be 2-dimensional.
+def splitting_defect(oracle: CurvatureOracle, J, x, y) -> SplittingDefect:
+    """Evaluate the splitting defect for x, y unit, orthogonal and supported
+    in the first factor's block to 1e-9; that block must be 2-dimensional.
 
     J is an OrthogonalACS or a (..., n, n) stack of structure matrices; for
     a stack every field of the result is an array over the leading axes."""
@@ -147,12 +145,13 @@ def splitting_defect(
     first = man.block_slices[0]
     rest = np.ones(man.total_dim, dtype=bool)
     rest[first] = False
+    tol = 1e-9
     for v, label in ((x, "x"), (y, "y")):
-        if not np.all(np.abs(v[..., rest]) <= pair_tol):
+        if not np.all(np.abs(v[..., rest]) <= tol):
             raise ContractViolation(f"{label} must be supported in the first factor block")
-        if not np.all(np.abs(inner(v, v) - 1.0) <= pair_tol):
+        if not np.all(np.abs(inner(v, v) - 1.0) <= tol):
             raise ContractViolation(f"{label} must be a unit vector")
-    if not np.all(np.abs(inner(x, y)) <= pair_tol):
+    if not np.all(np.abs(inner(x, y)) <= tol):
         raise ContractViolation("x and y must be orthogonal")
 
     m = _matrices(J)
@@ -229,9 +228,7 @@ def ricci_star_identity_check(
     x, y = np.moveaxis(rng.standard_normal((sample_count, 2, man.total_dim)), 1, 0)
     jm = form.acs.matrix
     errs = np.abs(form.bilinear(x, y) - form.bilinear(_apply(jm, y), _apply(jm, x)))
-    report = AuditReport(
-        f"rho* exchange identity on {man.describe()} ({sample_count} samples, seed {seed})"
-    )
+    report = AuditReport()
     report.add(
         "exchange-identity",
         np.max(errs, initial=0.0),
@@ -256,9 +253,7 @@ def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int
         lhs = ricci_star_bilinear(oracle, J, x, y)
         rhs = ricci_star_bilinear(oracle, J, _apply(J, y), _apply(J, x))
         errs[block] = np.abs(lhs - rhs)
-    report = AuditReport(
-        f"rho* exchange identity on {manifold.describe()} ({samples} samples, seed {seed})"
-    )
+    report = AuditReport()
     report.add(
         "exchange-identity", np.max(errs, initial=0.0), 0.0,
         TOL.contraction * np.max(manifold.curvatures),
@@ -316,7 +311,7 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
             "rho*(J e(b)i, e(a)j) == -beta_a c(a,b)[i,j]", h_left, -beta[None, :] * coeff,
         ),
     }
-    report = AuditReport(f"rho* component audit on {man.describe()}")
+    report = AuditReport()
     tol = TOL.contraction
     errors: dict[str, list[float]] = {family: [] for family in families}
 
@@ -369,7 +364,7 @@ def component_audit_suite(
     optionally the factor-swapping probe (its family maxima and every
     mismatching row, prefixed ``swap.``)."""
     oracle = CurvatureOracle(manifold)
-    report = AuditReport(f"rho* component audits on {manifold.describe()}")
+    report = AuditReport()
     if structure is not None:
         report.extend(validate_acs(structure))
         report.extend(ricci_star_component_audit(oracle, structure))

@@ -279,9 +279,7 @@ class CurvatureOracle:
             ("pair-symmetry", "R(w,x,y,z) - R(y,z,w,x) == 0"),
             ("first-bianchi", "R(w,x,y,z) + R(x,y,w,z) + R(y,w,x,z) == 0"),
         )
-        report = AuditReport(
-            f"curvature symmetries on {man.describe()} ({sample_count} samples, seed {seed})"
-        )
+        report = AuditReport()
         for (name, claim), value in zip(claims, worst):
             report.add(name, value, 0.0, TOL.linalg * scale, claim)
         return report

@@ -51,7 +51,6 @@ class Check:
 
 @dataclass
 class AuditReport:
-    title: str
     checks: list[Check] = field(default_factory=list)
 
     def add(

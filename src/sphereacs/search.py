@@ -22,7 +22,7 @@ sample points used, and is reported as data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
@@ -245,18 +245,17 @@ def nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
     budget: int,
-    init_radius: float = 0.25,
     fatol: float = 1e-7,
     xatol: float = 1e-6,
-    stale_rounds: int = 2,
     restart_gain: float = 1e-4,
     f0: float | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Nelder-Mead descent under a hard evaluation budget.
 
-    When the simplex collapses, a fresh smaller simplex is rebuilt around the
-    incumbent best until the budget runs out or ``stale_rounds`` consecutive
-    rebuilds improve the best value by less than a relative ``restart_gain``.
+    The first simplex has edge 0.25 around x0.  When the simplex collapses, a
+    fresh simplex a quarter the size is rebuilt around the incumbent best
+    until the budget runs out or two consecutive rebuilds improve the best
+    value by less than a relative ``restart_gain``.
     Fully deterministic in (objective, x0, budget); a larger budget replays
     the same evaluation sequence as a prefix, so the best value found is
     monotone in the budget.  The stopping rules other than the budget never
@@ -287,9 +286,9 @@ def nelder_mead(
 
     stale = 0
     round_idx = 0
-    while used < budget and stale < stale_rounds:
+    while used < budget and stale < 2:
         f_before = best_f
-        radius = init_radius * (0.25 ** round_idx)
+        radius = 0.25 ** (round_idx + 1)
         round_idx += 1
         # simplex around the incumbent best
         xs = [best_x.copy()]
@@ -363,13 +362,6 @@ class SearchResult:
     best_params: np.ndarray
     restart_energies: tuple[float, ...]
     evals_per_restart: tuple[int, ...]
-    seed: int
-
-    def best_for_restart_prefix(self, r: int) -> float:
-        """Best energy over the first r restarts (restart-count grid cell)."""
-        if not 1 <= r <= len(self.restart_energies):
-            raise ContractViolation("restart prefix out of range")
-        return min(self.restart_energies[:r])
 
 
 def make_energy_objective(
@@ -427,7 +419,6 @@ def minimize_energy(
     base_field: ACSField | None = None,
     frame_pairs: int = 1,
     init_scale: float = 0.5,
-    max_resample: int = 5,
 ) -> SearchResult:
     """Simplex descent from seeded random initial gauge parameters, one
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
@@ -449,7 +440,7 @@ def minimize_energy(
         rng = np.random.default_rng([seed, r])
         theta0 = np.zeros(n_params) if r == 0 else init_scale * rng.standard_normal(n_params)
         theta0, f0 = finite_start(
-            objective, theta0, lambda: init_scale * rng.standard_normal(n_params), max_resample
+            objective, theta0, lambda: init_scale * rng.standard_normal(n_params)
         )
         xb, fb, used = nelder_mead(objective, theta0, budget, f0=f0)
         restart_energies.append(fb)
@@ -461,7 +452,6 @@ def minimize_energy(
         best_params=best_params,
         restart_energies=tuple(restart_energies),
         evals_per_restart=tuple(evals),
-        seed=seed,
     )
 
 
@@ -487,7 +477,6 @@ class ExperimentConfig:
 class ExperimentReport:
     config: ExperimentConfig
     results: dict[int, SearchResult] = field(default_factory=dict)
-    disclaimer: str = DISCLAIMER
 
     @property
     def floor(self) -> float:
@@ -498,51 +487,41 @@ class ExperimentReport:
         return {deg: r.best_energy for deg, r in self.results.items()}
 
     def baseline_record(self) -> dict:
-        """The floor baseline as a JSON-ready dict: the grid configuration,
-        each degree cell's minimum, every restart's energy and evaluation
-        count (keyed by the degree as a string), the floor and the
-        disclaimer."""
+        """The floor baseline as a JSON-ready dict: the grid configuration
+        (every ``ExperimentConfig`` field, the manifold as its description
+        and its factors), each degree cell's minimum, every restart's energy
+        and evaluation count (keyed by the degree as a string), the floor and
+        the disclaimer."""
         cfg = self.config
         degrees = sorted(self.results)
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        config["manifold"] = cfg.manifold.describe()
+        config["factors"] = [[f.dim, f.curvature] for f in cfg.manifold.factors]
         return {
-            "config": {
-                "manifold": cfg.manifold.describe(),
-                "factors": [[f.dim, f.curvature] for f in cfg.manifold.factors],
-                "degrees": list(cfg.degrees),
-                "restarts": cfg.restarts,
-                "budget": cfg.budget,
-                "points": cfg.points,
-                "frame_pairs": cfg.frame_pairs,
-                "seed": cfg.seed,
-                "generators": cfg.generators,
-                "init_scale": cfg.init_scale,
-                "chart_margin": cfg.chart_margin,
-            },
+            "config": config,
             "cell_minima": {str(d): self.results[d].best_energy for d in degrees},
             "restart_energies": {str(d): list(self.results[d].restart_energies) for d in degrees},
             "evals_per_restart": {str(d): list(self.results[d].evals_per_restart) for d in degrees},
             "floor": self.floor,
-            "disclaimer": self.disclaimer,
+            "disclaimer": DISCLAIMER,
         }
 
-    def rows(self) -> list[dict]:
-        """Flat rows: one per (degree, restart), with the running best."""
-        out = []
+    def report(self) -> AuditReport:
+        """The grid as value rows: each restart's energy and the best energy
+        over the restart prefix, per degree, then each degree cell's minimum
+        and the floor under the disclaimer."""
+        report = AuditReport()
         for deg in sorted(self.results):
-            res = self.results[deg]
             best = np.inf
-            for idx, energy in enumerate(res.restart_energies):
+            for idx, energy in enumerate(self.results[deg].restart_energies):
                 best = min(best, energy)
-                out.append(
-                    {
-                        "degree": deg,
-                        "restart": idx,
-                        "energy": energy,
-                        "best_so_far": best,
-                        "evals": res.evals_per_restart[idx],
-                    }
-                )
-        return out
+                key = f"degree[{deg}].restart[{idx}]"
+                report.record(f"{key}.energy", energy, "restart best energy")
+                report.record(f"{key}.best-so-far", best, "minimum energy over the restart prefix")
+        for deg, cell in sorted(self.cell_minima().items()):
+            report.record(f"degree[{deg}].cell-minimum", cell, "best energy of the degree cell")
+        report.record("floor", self.floor, DISCLAIMER)
+        return report
 
 
 def energy_floor_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -588,7 +567,6 @@ class SplittingPressureReport:
     second_factor_terms: np.ndarray
     subsample_count: int
     max_abs_defect_mixed: float
-    min_abs_defect_mixed: float
     min_core_defect_mixed: float
 
 
@@ -601,19 +579,16 @@ def _first_factor_pair(manifold: ProductManifold) -> tuple[np.ndarray, np.ndarra
 
 
 def splitting_pressure_probe(
-    manifold: ProductManifold,
-    samples: int,
-    seed: int,
-    threshold: float = 0.1,
+    manifold: ProductManifold, samples: int, seed: int
 ) -> SplittingPressureReport:
     """Sample seeded random valid pointwise structures and record the defect
     against the mixing amount 1 - c^2.
 
     The core defect (defect minus the complementary-factor term) equals
-    alpha (1 - c^2)^2 exactly, so over the subsample with 1 - c^2 > threshold
-    it is bounded below by alpha * threshold^2; with generic sampling the
-    subsample also contains near-fully-mixing structures, pushing the max
-    |defect| above alpha * 0.81.
+    alpha (1 - c^2)^2 exactly, so over the mixed subsample 1 - c^2 > t, for
+    the threshold t = 0.1, it is bounded below by alpha t^2; with generic
+    sampling the subsample also contains near-fully-mixing structures,
+    pushing the max |defect| above alpha * 0.81.
     """
     if manifold.factors[0].dim != 2:
         raise ContractViolation("the probe needs a 2-sphere first factor")
@@ -631,6 +606,7 @@ def splitting_pressure_probe(
         closed[block] = d.closed_form
         mixes[block] = 1.0 - d.c * d.c
         rests[block] = d.second_factor_term
+    threshold = 0.1
     mixed = mixes > threshold
     sub_d = defects[mixed]
     sub_core = rests[mixed] - defects[mixed]
@@ -645,7 +621,6 @@ def splitting_pressure_probe(
         second_factor_terms=rests,
         subsample_count=int(np.sum(mixed)),
         max_abs_defect_mixed=float(np.max(np.abs(sub_d))) if sub_d.size else 0.0,
-        min_abs_defect_mixed=float(np.min(np.abs(sub_d))) if sub_d.size else 0.0,
         min_core_defect_mixed=float(np.min(sub_core)) if sub_core.size else 0.0,
     )
 
@@ -669,7 +644,7 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
         J = random_block_diagonal_matrices(manifold, seeds)
         split[block] = np.abs(splitting_defect(oracle, J, x, y).direct)
     kappa = np.max(manifold.curvatures)
-    report = AuditReport(f"splitting defect on {manifold.describe()} ({samples} samples, seed {seed})")
+    report = AuditReport()
     report.add(
         "oracle-equivalence", np.max(np.abs(probe.defects - probe.closed_forms), initial=0.0),
         0.0, 1e-10 * kappa, "eight-term defect == -alpha (1 - c^2)^2 + complement term",

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from sphereacs.acs import acs_to_text, random_block_diagonal_acs
 from sphereacs.cli import (
+    DEFAULT_FACTORS,
+    FIXED_DIMS,
     RunConfig,
     load_config,
     main,
@@ -93,6 +96,28 @@ def test_parse_config_rejects_bad_values():
         parse_config_text("samples = 0\n")
     with pytest.raises(ConfigError):
         parse_config_text("format = yaml\n")
+
+
+def test_run_config_round_trips_through_config_text():
+    # every field away from its default, written out as config lines
+    cfg = RunConfig(
+        factors=((2, 0.5), (6, 3.0)), seed=3, samples=11, points=13, frame_pairs=3,
+        restarts=5, budget=17, generators=6, degrees=(2, 0, 1), init_scale=0.125,
+        chart_margin=0.01, swap_probe=True, restriction_check=True, format="records",
+        out="elsewhere", acs_file="a.acs", points_file="p.txt",
+    )
+    default = RunConfig()
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert all(getattr(cfg, name) != getattr(default, name) for name in names)
+    lines = [f"factor = dim={d} curvature={k!r}" for d, k in cfg.factors]
+    for name in names[1:]:
+        value = getattr(cfg, name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{name} = {value}")
+    assert parse_config_text("\n".join(lines) + "\n") == cfg
 
 
 def test_parse_config_comments_and_degrees():
@@ -532,6 +557,23 @@ def test_nijenhuis_gauged_runs(tmp_path):
     assert main(["nijenhuis", "gauged", "--config", cfg, "--out", str(out)]) == 0
 
 
+def test_nijenhuis_gauged_rejects_several_degrees(tmp_path, capsys):
+    # the gauged field is built at one degree; a second one must not be
+    # dropped silently
+    cfg = write_config(tmp_path, S2XS4 + "points = 4\ndegrees = 1,2\n")
+    out = str(tmp_path / "o")
+    assert_usage_error(["nijenhuis", "gauged", "--config", cfg, "--out", out], capsys)
+
+
+@pytest.mark.parametrize("command, target", sorted(FIXED_DIMS))
+def test_fixed_dimension_commands_reject_other_manifolds(tmp_path, capsys, command, target):
+    # same factor count as the default where possible, one dimension changed
+    dims = [d for d, _ in DEFAULT_FACTORS[(command, target)]]
+    dims[-1] = 4 if dims[-1] != 4 else 6
+    cfg = write_config(tmp_path, "".join(f"factor = dim={d} curvature=1.0\n" for d in dims))
+    assert_usage_error([command, target, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
 def test_nijenhuis_wrong_manifold_rejected(tmp_path):
     cfg = write_config(tmp_path, "factor = dim=4 curvature=1.0\n")
     assert main(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -555,6 +597,29 @@ def test_search_byte_identical_reruns(tmp_path):
     m2 = [l for l in (out2 / "search_s2xs4_manifest.json").read_text().splitlines()
           if "wall_clock" not in l]
     assert m1 == m2
+
+
+def test_manifest_config_is_the_run_config(tmp_path):
+    cfg = write_config(tmp_path, S2 + "points = 5\nseed = 4\ndegrees = 1,0\nswap_probe = on\n")
+    out = tmp_path / "m"
+    assert main(["nijenhuis", "s2", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    config = json.loads((out / "nijenhuis_s2_manifest.json").read_text())["config"]
+    expected = dataclasses.asdict(
+        dataclasses.replace(load_config(cfg), format="csv", out=str(out))
+    )
+    del expected["out"]
+    assert set(config) == {f.name for f in dataclasses.fields(RunConfig)} - {"out"}
+    assert config == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("command, target", [("audit", "gray"), ("nijenhuis", "s2")])
+def test_manifest_records_the_default_manifold(tmp_path, command, target):
+    # without a config file the command's default manifold runs, and the
+    # manifest names it
+    out = tmp_path / "d"
+    assert main([command, target, "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{command}_{target}_manifest.json").read_text())
+    assert manifest["config"]["factors"] == [list(f) for f in DEFAULT_FACTORS[(command, target)]]
 
 
 def test_audit_byte_identical_reruns(tmp_path):
@@ -669,7 +734,7 @@ def test_records_and_csv_same_numeric_content(tmp_path):
 
 
 def test_row_serialisers_handle_missing_fields():
-    report = AuditReport("demo")
+    report = AuditReport()
     report.record("x", 1.0, "c")
     csv_text = rows_to_csv(report.checks)
     assert "value,x,1,,,recorded,false,c" in csv_text
@@ -679,7 +744,7 @@ def test_row_serialisers_handle_missing_fields():
 
 
 def test_table_render():
-    report = AuditReport("demo")
+    report = AuditReport()
     report.add("alpha", 1.0, 1.0, 1e-9, "claim text")
     report.record("x", 1.0, "c")
     text = rows_to_table("demo", report.checks)

@@ -4,7 +4,7 @@ from sphereacs.report import AuditReport
 
 
 def test_verdicts_and_counts():
-    report = AuditReport("demo")
+    report = AuditReport()
     report.add("ok", 1.0, 1.0 + 1e-12, 1e-9, "close enough")
     report.add("bad", 1.0, 2.0, 1e-9, "asserted failure")
     report.add("noted", 0.0, 1.0, 1e-9, "recorded only", asserted=False)
@@ -19,14 +19,14 @@ def test_verdicts_and_counts():
 
 
 def test_report_passes_when_only_recorded_mismatches():
-    report = AuditReport("demo")
+    report = AuditReport()
     report.add("noted", 0.0, 1.0, 1e-9, "recorded only", asserted=False)
     assert report.passed
     assert report.max_error() == 1.0
 
 
 def test_select_and_max_error_prefix():
-    report = AuditReport("demo")
+    report = AuditReport()
     report.add("fam[0]", 0.0, 0.5, 1e-9, "x", asserted=False)
     report.add("fam[1]", 0.0, 0.25, 1e-9, "x", asserted=False)
     report.add("other", 0.0, 0.0, 1e-9, "y")
@@ -36,8 +36,8 @@ def test_select_and_max_error_prefix():
 
 def test_max_error_propagates_nan_in_any_order():
     for values in ((1.0, float("nan")), (float("nan"), 1.0)):
-        report = AuditReport("demo")
+        report = AuditReport()
         for k, value in enumerate(values):
             report.add(f"row[{k}]", value, 0.0, 1e-9, "x", asserted=False)
         assert np.isnan(report.max_error())
-    assert AuditReport("empty").max_error() == 0.0
+    assert AuditReport().max_error() == 0.0

@@ -257,7 +257,7 @@ def test_search_restart_prefix_nesting():
     long = small_search(S2XS4, restarts=4)
     assert long.restart_energies[:2] == short.restart_energies
     assert long.best_energy <= short.best_energy
-    assert long.best_for_restart_prefix(2) == short.best_energy
+    assert min(long.restart_energies[:2]) == short.best_energy
 
 
 def test_search_budget_monotone():
@@ -311,15 +311,24 @@ def test_energy_floor_experiment_structure():
     assert set(report.results) == {0, 1}
     assert report.floor == min(report.cell_minima().values())
     assert report.floor > 0.0
-    assert report.disclaimer == DISCLAIMER
-    rows = report.rows()
-    assert len(rows) == 4  # two degrees x two restarts
+    rows = report.report().checks
+    assert all(r.kind == "value" for r in rows)
+    # two degrees x two restarts x (energy, best-so-far), two cells, the floor
+    assert len(rows) == 11
+    values = {r.name: r.computed for r in rows}
     for deg in (0, 1):
-        sub = [r for r in rows if r["degree"] == deg]
+        energies = report.results[deg].restart_energies
+        assert len(energies) == 2
         best = np.inf
-        for r in sub:
-            best = min(best, r["energy"])
-            assert r["best_so_far"] == best  # monotone best-so-far
+        for idx, energy in enumerate(energies):
+            key = f"degree[{deg}].restart[{idx}]"
+            best = min(best, energy)
+            assert values[f"{key}.energy"] == energy
+            assert values[f"{key}.best-so-far"] == best  # monotone best-so-far
+        assert values[f"degree[{deg}].cell-minimum"] == report.cell_minima()[deg] == best
+    assert rows[-1].name == "floor"
+    assert rows[-1].computed == report.floor
+    assert rows[-1].claim == DISCLAIMER
 
 
 def test_energy_floor_experiment_deterministic():
@@ -329,7 +338,8 @@ def test_energy_floor_experiment_deterministic():
     a = energy_floor_experiment(cfg)
     b = energy_floor_experiment(cfg)
     assert a.cell_minima() == b.cell_minima()
-    assert a.rows() == b.rows()
+    assert a.results[0].restart_energies == b.results[0].restart_energies
+    assert a.report().checks == b.report().checks
 
 
 # ---------------------------------------------------------------------------
