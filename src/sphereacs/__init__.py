@@ -1,14 +1,15 @@
 """Numerical auditor and experiment harness for orthogonal almost complex
 structures on Riemannian products of round even-dimensional spheres.
 
-The frame-level modules (manifold, acs, identities) evaluate product
-curvature tensors, the eight-term curvature identity satisfied by Hermitian
-manifolds, splitting defects and Ricci *-tensor component formulas as exact
-linear algebra.  The field-level modules (fields, sampling, search) compute
-Nijenhuis tensors of structure fields on the embedded spheres from exact
-directional derivatives (central-difference Lie brackets are kept as the
-oracle) and run seeded energy-minimisation searches over gauged families of
-structures.
+The frame-level modules (manifold, acs, identities) take tangent vectors
+and structures as plain arrays in the standard product frame and evaluate
+product curvature tensors, the eight-term curvature identity satisfied by
+Hermitian manifolds, splitting defects, the Ricci *-tensor and its component
+formulas as exact linear algebra.  The field-level modules (fields,
+sampling, search) compute Nijenhuis tensors of structure fields on the
+embedded spheres from exact directional derivatives (central-difference Lie
+brackets are kept as the oracle) and run seeded energy-minimisation searches
+over gauged families of structures.
 """
 
 __version__ = "0.1.0"
@@ -23,30 +24,25 @@ from .acs import (
 )
 from .config import TOL, Tolerances
 from .identities import (
-    RicciStarForm,
     SplittingDefect,
-    block_preservation_probe,
     gray_combination,
     ricci_star,
     ricci_star_component_audit,
     splitting_defect,
 )
-from .manifold import CurvatureOracle, FrameVector, ProductManifold, SphereFactor, spheres
+from .manifold import CurvatureOracle, ProductManifold, SphereFactor, spheres
 from .report import AuditReport, Check
 
 __all__ = [
     "AuditReport",
     "Check",
     "CurvatureOracle",
-    "FrameVector",
     "OrthogonalACS",
     "ProductManifold",
-    "RicciStarForm",
     "SphereFactor",
     "SplittingDefect",
     "TOL",
     "Tolerances",
-    "block_preservation_probe",
     "canonical_product_acs",
     "gray_combination",
     "random_block_diagonal_acs",

@@ -281,12 +281,10 @@ def rows_to_records(rows: list[Check]) -> str:
             v = getattr(row, col)
             if v is None:
                 encoded = "null"
-            elif isinstance(v, bool):
-                encoded = "true" if v else "false"
-            elif isinstance(v, float):
-                encoded = format(v, ".17g")
-            else:
+            elif isinstance(v, str):
                 encoded = json.dumps(v)
+            else:
+                encoded = _fmt(v)
             parts.append(f"{json.dumps(col)}: {encoded}")
         lines.append("{" + ", ".join(parts) + "}")
     return "\n".join(lines) + "\n"
@@ -373,7 +371,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
     else:
         pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
     norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed)
-    report = acs_field_validity_check(jf, pts[: min(len(pts), 25)])
+    report = acs_field_validity_check(jf, pts[:25])
     for k, norm in enumerate(norms):
         report.record(
             f"point[{k}].rms-norm", norm,
@@ -381,9 +379,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
         )
     report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
     if target == "product" and cfg.restriction_check:
-        report.extend(
-            second_factor_restriction_check(jf, pts[: min(cfg.points, 10)])
-        )
+        report.extend(second_factor_restriction_check(jf, pts[:10]))
     return report
 
 

@@ -194,49 +194,14 @@ def ricci_star_bilinear(oracle: CurvatureOracle, J, x, y):
     return _half_trace(oracle, J, x, _apply(_matrices(J), as_coords(man, y)))
 
 
-@dataclass(frozen=True)
-class RicciStarForm:
-    """The Ricci *-tensor as a matrix in the standard frame: entry (i, j) is
-    rho*(e_i, e_j).  Satisfies rho*(X, Y) = rho*(JY, JX) for every valid J."""
-
-    oracle: CurvatureOracle
-    acs: OrthogonalACS
-    matrix: np.ndarray
-
-    def bilinear(self, x, y):
-        """rho*(x, y) from the matrix, over broadcasting (..., n) vectors."""
-        man = self.oracle.manifold
-        return _scalar(inner(as_coords(man, x) @ self.matrix, as_coords(man, y)))
-
-
-def ricci_star(oracle: CurvatureOracle, J: OrthogonalACS) -> RicciStarForm:
-    """Assemble the full rho* matrix by frame contraction: entry (i, j) is
-    ricci_star_bilinear(e_i, e_j), all n^2 entries in one batched call."""
+def ricci_star(oracle: CurvatureOracle, J: OrthogonalACS) -> np.ndarray:
+    """The read-only (n, n) rho* matrix in the standard frame, assembled by
+    frame contraction: entry (i, j) is ricci_star_bilinear(e_i, e_j), all
+    n^2 entries in one batched call."""
     eye = np.eye(oracle.manifold.total_dim)
     m = ricci_star_bilinear(oracle, J, eye[:, np.newaxis, :], eye[np.newaxis, :, :])
     m.flags.writeable = False
-    return RicciStarForm(oracle, J, m)
-
-
-def ricci_star_identity_check(
-    form: RicciStarForm, sample_count: int, seed: int
-) -> AuditReport:
-    """Check rho*(X, Y) = rho*(JY, JX) on seeded random vector pairs; the
-    tolerance scales with the largest factor curvature."""
-    man = form.oracle.manifold
-    rng = np.random.default_rng(seed)
-    x, y = np.moveaxis(rng.standard_normal((sample_count, 2, man.total_dim)), 1, 0)
-    jm = form.acs.matrix
-    errs = np.abs(form.bilinear(x, y) - form.bilinear(_apply(jm, y), _apply(jm, x)))
-    report = AuditReport()
-    report.add(
-        "exchange-identity",
-        np.max(errs, initial=0.0),
-        0.0,
-        TOL.contraction * np.max(man.curvatures),
-        "rho*(X, Y) == rho*(JY, JX)",
-    )
-    return report
+    return m
 
 
 def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
@@ -382,19 +347,3 @@ def component_audit_suite(
         )
     return report
 
-
-@dataclass(frozen=True)
-class BlockPreservationProbe:
-    """Data pair for the empirical implication 'rho* symmetric implies J is
-    block diagonal': no assertion is made, the caller studies the values."""
-
-    symmetry_defect: float
-    off_block_mass: float
-
-
-def block_preservation_probe(form: RicciStarForm) -> BlockPreservationProbe:
-    man = form.oracle.manifold
-    if any(f.dim != 6 for f in man.factors):
-        raise InvalidManifold("the block preservation probe needs 6-sphere factors")
-    sym = float(np.max(np.abs(form.matrix - form.matrix.T)))
-    return BlockPreservationProbe(sym, form.acs.off_block_mass())

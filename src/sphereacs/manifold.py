@@ -145,36 +145,10 @@ def spheres(*dim_curvature: tuple[int, float]) -> ProductManifold:
     return ProductManifold(tuple(SphereFactor(d, k) for d, k in dim_curvature))
 
 
-@dataclass(frozen=True)
-class FrameVector:
-    """A tangent vector in the standard orthonormal product frame."""
-
-    manifold: ProductManifold
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.shape != (self.manifold.total_dim,):
-            raise ContractViolation(
-                f"frame vector must have length {self.manifold.total_dim}, got {coords.shape}"
-            )
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-
-    def block(self, a: int) -> np.ndarray:
-        return self.coords[self.manifold.block_slice(a)]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
-
-
 def as_coords(manifold: ProductManifold, v) -> np.ndarray:
-    """Coerce a FrameVector or array-like of shape (..., total_dim) to a
-    float coordinate array, validating the last axis."""
+    """Coerce an array-like of shape (..., total_dim), tangent vectors in the
+    standard orthonormal product frame, to a float array, validating the
+    last axis."""
     a = np.asarray(v, dtype=float)
     if a.shape[-1:] != (manifold.total_dim,):
         raise ContractViolation(
@@ -235,9 +209,6 @@ class CurvatureOracle:
                 inner(xa, ya) * inner(wa, za) - inner(wa, ya) * inner(xa, za)
             )
         return float(total) if np.ndim(total) == 0 else total
-
-    def __call__(self, w, x, y, z):
-        return self.product_curvature(w, x, y, z)
 
     def sectional_curvature(self, x, y):
         """-R(x, y, x, y) normalised by the squared area of the (x, y) plane."""

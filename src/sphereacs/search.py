@@ -22,7 +22,7 @@ sample points used, and is reported as data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
@@ -40,7 +40,7 @@ from .fields import (
     frozen_acs_field,
     tangent_project,
 )
-from .identities import splitting_defect
+from .identities import SplittingDefect, splitting_defect
 from .manifold import CurvatureOracle, ProductManifold, sample_blocks
 from .report import AuditReport
 from .sampling import chart_safe_points
@@ -410,26 +410,23 @@ def finite_start(
 
 
 def minimize_energy(
-    manifold: ProductManifold,
     parametrization: GaugeParametrization,
     points: np.ndarray,
     restarts: int,
     seed: int,
     budget: int,
-    base_field: ACSField | None = None,
     frame_pairs: int = 1,
     init_scale: float = 0.5,
 ) -> SearchResult:
-    """Simplex descent from seeded random initial gauge parameters, one
+    """Simplex descent over the gauge family of the manifold's default
+    structure field, from seeded random initial gauge parameters, one
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
-    base field's own energy is always the first value on record.  A given
-    ``base_field`` is differentiated by complex step, so its evaluator must
-    be analytic in its input (see ``fields.Field``)."""
+    base field's own energy is always the first value on record."""
     if restarts < 1:
         raise ContractViolation("need at least one restart")
     if budget < 1:
         raise ContractViolation("need a budget of at least one evaluation per restart")
-    base = base_field if base_field is not None else default_acs_field(manifold)
+    base = default_acs_field(parametrization.manifold)
     objective = make_energy_objective(parametrization, base, points, frame_pairs, pair_seed=seed)
     n_params = parametrization.n_params
     restart_energies: list[float] = []
@@ -462,15 +459,15 @@ def minimize_energy(
 @dataclass(frozen=True)
 class ExperimentConfig:
     manifold: ProductManifold
-    degrees: tuple[int, ...] = (0, 1, 2)
-    restarts: int = 20
-    budget: int = 2000
-    points: int = 100
-    frame_pairs: int = 1
-    seed: int = 7
-    generators: int = 4
-    init_scale: float = 0.5
-    chart_margin: float = 0.05
+    degrees: tuple[int, ...]
+    restarts: int
+    budget: int
+    points: int
+    frame_pairs: int
+    seed: int
+    generators: int
+    init_scale: float
+    chart_margin: float
 
 
 @dataclass
@@ -529,18 +526,15 @@ def energy_floor_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     restart-count axis of the grid is read off the restart prefixes."""
     man = cfg.manifold
     pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
-    base = default_acs_field(man)
     report = ExperimentReport(cfg)
     for deg in cfg.degrees:
         parametrization = GaugeParametrization(man, deg, cfg.generators, cfg.seed)
         report.results[deg] = minimize_energy(
-            man,
             parametrization,
             pts,
             restarts=cfg.restarts,
             seed=cfg.seed,
             budget=cfg.budget,
-            base_field=base,
             frame_pairs=cfg.frame_pairs,
             init_scale=cfg.init_scale,
         )
@@ -550,25 +544,6 @@ def energy_floor_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # Pointwise splitting-pressure probe
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplittingPressureReport:
-    """Joint distribution of the splitting defect against 1 - c^2 over seeded
-    random pointwise structures; summaries restricted to the mixed subsample
-    1 - c^2 > threshold, where the defect is forced away from zero."""
-
-    manifold: str
-    alpha: float
-    samples: int
-    threshold: float
-    defects: np.ndarray
-    closed_forms: np.ndarray
-    mixes: np.ndarray
-    second_factor_terms: np.ndarray
-    subsample_count: int
-    max_abs_defect_mixed: float
-    min_core_defect_mixed: float
-
 
 def _first_factor_pair(manifold: ProductManifold) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal pair e_0, e_1 spanning the first factor's tangent plane."""
@@ -580,59 +555,33 @@ def _first_factor_pair(manifold: ProductManifold) -> tuple[np.ndarray, np.ndarra
 
 def splitting_pressure_probe(
     manifold: ProductManifold, samples: int, seed: int
-) -> SplittingPressureReport:
-    """Sample seeded random valid pointwise structures and record the defect
-    against the mixing amount 1 - c^2.
-
-    The core defect (defect minus the complementary-factor term) equals
-    alpha (1 - c^2)^2 exactly, so over the mixed subsample 1 - c^2 > t, for
-    the threshold t = 0.1, it is bounded below by alpha t^2; with generic
-    sampling the subsample also contains near-fully-mixing structures,
-    pushing the max |defect| above alpha * 0.81.
-    """
+) -> SplittingDefect:
+    """The splitting defect of seeded random valid pointwise structures on
+    the first factor's tangent plane, stacked: every field is an array over
+    the samples, which ``splitting_audit`` reads against the mixing amount
+    1 - c^2."""
     if manifold.factors[0].dim != 2:
         raise ContractViolation("the probe needs a 2-sphere first factor")
     oracle = CurvatureOracle(manifold)
     x, y = _first_factor_pair(manifold)
-    defects = np.empty(samples)
-    closed = np.empty(samples)
-    mixes = np.empty(samples)
-    rests = np.empty(samples)
+    values = np.empty((len(fields(SplittingDefect)), samples))
     for block in sample_blocks(samples):
         seeds = [[seed, s] for s in range(block.start, block.stop)]
         J = random_orthogonal_matrices(manifold, seeds)
-        d = splitting_defect(oracle, J, x, y)
-        defects[block] = d.direct
-        closed[block] = d.closed_form
-        mixes[block] = 1.0 - d.c * d.c
-        rests[block] = d.second_factor_term
-    threshold = 0.1
-    mixed = mixes > threshold
-    sub_d = defects[mixed]
-    sub_core = rests[mixed] - defects[mixed]
-    return SplittingPressureReport(
-        manifold=manifold.describe(),
-        alpha=manifold.factors[0].curvature,
-        samples=samples,
-        threshold=threshold,
-        defects=defects,
-        closed_forms=closed,
-        mixes=mixes,
-        second_factor_terms=rests,
-        subsample_count=int(np.sum(mixed)),
-        max_abs_defect_mixed=float(np.max(np.abs(sub_d))) if sub_d.size else 0.0,
-        min_core_defect_mixed=float(np.min(sub_core)) if sub_core.size else 0.0,
-    )
+        values[:, block] = astuple(splitting_defect(oracle, J, x, y))
+    return SplittingDefect(*values)
 
 
 def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
     """Audit the splitting defect on the first factor's tangent plane.
 
     One splitting_pressure_probe pass over seeded random structures gives the
-    term-by-term defect against its closed form, its sign and the mixed-
-    subsample floor; seeded block-diagonal structures (c^2 = 1) must have
-    zero defect.  The probe's mixed-subsample size and max |defect| are
-    recorded as values.  Every tolerance scales with the largest factor
+    term-by-term defect against its closed form and its sign.  The core
+    defect (defect minus the complementary-factor term) equals
+    alpha (1 - c^2)^2, so over the mixed subsample 1 - c^2 > t, t = 0.1, it
+    stays above alpha t^2; the subsample's size and max |defect| are
+    recorded as values.  Seeded block-diagonal structures (c^2 = 1) must
+    have zero defect.  Every tolerance scales with the largest factor
     curvature, as the round-off of the curvature sums does.
     """
     probe = splitting_pressure_probe(manifold, samples, seed)
@@ -643,34 +592,36 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
         seeds = [[seed, s] for s in range(block.start, block.stop)]
         J = random_block_diagonal_matrices(manifold, seeds)
         split[block] = np.abs(splitting_defect(oracle, J, x, y).direct)
+    threshold = 0.1
+    mixed = 1.0 - probe.c * probe.c > threshold
+    count = np.count_nonzero(mixed)
     kappa = np.max(manifold.curvatures)
     report = AuditReport()
     report.add(
-        "oracle-equivalence", np.max(np.abs(probe.defects - probe.closed_forms), initial=0.0),
+        "oracle-equivalence", np.max(np.abs(probe.direct - probe.closed_form), initial=0.0),
         0.0, 1e-10 * kappa, "eight-term defect == -alpha (1 - c^2)^2 + complement term",
     )
     report.add(
-        "nonpositivity", np.max(probe.defects, initial=0.0), 0.0, 1e-12 * kappa,
+        "nonpositivity", np.max(probe.direct, initial=0.0), 0.0, 1e-12 * kappa,
         "defect <= 0 always",
     )
     report.add(
         "split-zero", np.max(split, initial=0.0), 0.0, 1e-10 * kappa,
         "block-diagonal structures (c^2 = 1) have zero defect",
     )
-    if probe.subsample_count:
+    if count:
+        core = probe.second_factor_term[mixed] - probe.direct[mixed]
+        alpha = manifold.factors[0].curvature
         report.add(
             "mixed-floor",
-            min(probe.min_core_defect_mixed - probe.alpha * probe.threshold**2, 0.0),
+            min(np.min(core) - alpha * threshold**2, 0.0),
             0.0,
             1e-12 * kappa,
             "defect minus complement term stays below -alpha t^2 when 1 - c^2 > t",
         )
+    report.record("mixed-subsample-count", count, f"samples with 1 - c^2 > {threshold}")
     report.record(
-        "mixed-subsample-count", probe.subsample_count,
-        f"samples with 1 - c^2 > {probe.threshold}",
-    )
-    report.record(
-        "mixed-max-abs-defect", probe.max_abs_defect_mixed,
+        "mixed-max-abs-defect", np.max(np.abs(probe.direct[mixed]), initial=0.0),
         "max |defect| over the mixed subsample",
     )
     return report

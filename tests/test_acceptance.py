@@ -243,7 +243,7 @@ def test_criterion_7_obstruction_experiment_floor():
         pts = chart_safe_points(cfg.manifold, cfg.points, cfg.seed, cfg.chart_margin)
         par0 = GaugeParametrization(cfg.manifold, 0, cfg.generators, cfg.seed)
         rerun = minimize_energy(
-            cfg.manifold, par0, pts, restarts=3, seed=cfg.seed, budget=cfg.budget,
+            par0, pts, restarts=3, seed=cfg.seed, budget=cfg.budget,
             frame_pairs=cfg.frame_pairs, init_scale=cfg.init_scale,
         ).restart_energies
         assert tuple(rerun) == tuple(full0)
@@ -258,5 +258,5 @@ def test_criterion_8_2_sphere_product_sanity():
         man = spheres((2, 1.0), (2, 1.0))
         par = GaugeParametrization(man, degree=0, generators=4, seed=7)
         pts = manifold_points(man, 60, seed=7)
-        res = minimize_energy(man, par, pts, restarts=4, seed=7, budget=400)
+        res = minimize_energy(par, pts, restarts=4, seed=7, budget=400)
         assert res.best_energy <= 1e-8, f"best energy {res.best_energy}"

@@ -803,3 +803,24 @@ def test_nijenhuis_points_file(tmp_path):
     assert main(["nijenhuis", "s2", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "nijenhuis_s2.csv")
     assert sum(1 for r in rows if r["name"].startswith("point[")) == 7
+
+
+def test_nijenhuis_product_restriction_check_follows_points_file(tmp_path):
+    # the points key is ignored with a points_file, so it must not size the
+    # restriction check either: 12 file points give the full 10 checks
+    from sphereacs.sampling import save_points
+
+    pts_path = tmp_path / "pts.txt"
+    save_points(pts_path, manifold_points(spheres((2, 1.0), (6, 1.0)), 12, seed=4))
+    cfg = write_config(
+        tmp_path,
+        "factor = dim=2 curvature=1.0\nfactor = dim=6 curvature=1.0\n"
+        f"points_file = {pts_path}\npoints = 3\nrestriction_check = true\nformat = csv\n",
+    )
+    out = tmp_path / "nijpf"
+    assert main(["nijenhuis", "product", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "nijenhuis_product.csv")
+    assert sum(1 for r in rows if r["name"].startswith("point[")) == 12
+    matches = [r for r in rows if r["name"].startswith("restriction[") and r["name"].endswith(".match")]
+    assert len(matches) == 10
+    assert all(r["verdict"] == "pass" for r in matches)

@@ -9,17 +9,16 @@ from sphereacs.acs import (
     swap_acs,
     validate_acs,
 )
+from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, InvalidManifold
 from sphereacs.identities import (
     _half_trace,
-    block_preservation_probe,
     gray_cancellation_audit,
     gray_combination,
     ricci_star,
     ricci_star_bilinear,
     ricci_star_component_audit,
     ricci_star_exchange_audit,
-    ricci_star_identity_check,
     splitting_defect,
 )
 from sphereacs.manifold import CurvatureOracle, spheres
@@ -204,24 +203,24 @@ def test_ricci_star_single_factor_is_beta_identity():
     man = spheres((6, beta))
     oracle = CurvatureOracle(man)
     for s in range(5):
-        form = ricci_star(oracle, random_orthogonal_acs(man, s))
-        assert np.max(np.abs(form.matrix - beta * np.eye(6))) < 1e-12
+        rho = ricci_star(oracle, random_orthogonal_acs(man, s))
+        assert np.max(np.abs(rho - beta * np.eye(6))) < 1e-12
 
 
 def test_ricci_star_block_diagonal_structure_values():
     man = spheres((6, 1.0), (6, 2.0))
     oracle = CurvatureOracle(man)
     J = random_block_diagonal_acs(man, 4)
-    form = ricci_star(oracle, J)
+    rho = ricci_star(oracle, J)
     expected = np.diag([1.0] * 6 + [2.0] * 6)
-    assert np.max(np.abs(form.matrix - expected)) < 1e-11
+    assert np.max(np.abs(rho - expected)) < 1e-11
 
 
 def test_ricci_star_swap_structure_vanishes():
     man = spheres((6, 1.0), (6, 1.0))
     oracle = CurvatureOracle(man)
-    form = ricci_star(oracle, swap_acs(man))
-    assert np.max(np.abs(form.matrix)) == 0.0
+    rho = ricci_star(oracle, swap_acs(man))
+    assert np.max(np.abs(rho)) == 0.0
 
 
 def test_ricci_star_matches_trace_definition():
@@ -294,9 +293,10 @@ def test_ricci_star_matrix_is_minus_k_j(dims):
     oracle = CurvatureOracle(man)
     for s in range(5):
         J = random_orthogonal_acs(man, [s, 32])
-        form = ricci_star(oracle, J)
+        rho = ricci_star(oracle, J)
         closed = -curvature_weighted_diagonal(man, J) @ J.matrix
-        assert np.max(np.abs(form.matrix - closed)) <= 1e-13
+        assert np.max(np.abs(rho - closed)) <= 1e-13
+        assert not rho.flags.writeable
 
 
 def test_stacked_structures_match_single_evaluations():
@@ -324,26 +324,32 @@ def test_stacked_structures_match_single_evaluations():
             )
 
 
+def exchange_defect(oracle, J, samples, seed):
+    """max |rho*(X, Y) - rho*(JY, JX)| over seeded random vector pairs, by
+    direct contraction."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, samples, oracle.manifold.total_dim))
+    m = J.matrix
+    lhs = ricci_star_bilinear(oracle, J, x, y)
+    rhs = ricci_star_bilinear(oracle, J, y @ m.T, x @ m.T)
+    return np.max(np.abs(lhs - rhs))
+
+
 def test_ricci_star_exchange_identity():
     man = spheres((6, 1.0), (6, 2.0))
     oracle = CurvatureOracle(man)
     for s in range(5):
         J = random_orthogonal_acs(man, s)
-        form = ricci_star(oracle, J)
-        report = ricci_star_identity_check(form, 50, seed=s)
-        assert report.passed
+        assert exchange_defect(oracle, J, 50, seed=s) <= TOL.contraction * 2.0
     # swap probe: the identity is universal even where the component audit mismatches
-    form = ricci_star(CurvatureOracle(spheres((6, 1.0), (6, 1.0))),
-                      swap_acs(spheres((6, 1.0), (6, 1.0))))
-    assert ricci_star_identity_check(form, 50, seed=0).passed
+    man11 = spheres((6, 1.0), (6, 1.0))
+    assert exchange_defect(CurvatureOracle(man11), swap_acs(man11), 50, seed=0) <= TOL.contraction
 
 
 def test_ricci_star_canonical_2_sphere_identity_tight():
     man = spheres((2, 1.0), (2, 1.0))
     oracle = CurvatureOracle(man)
-    form = ricci_star(oracle, canonical_product_acs(man))
-    report = ricci_star_identity_check(form, 100, seed=1)
-    assert report.checks[0].computed <= 1e-13
+    assert exchange_defect(oracle, canonical_product_acs(man), 100, seed=1) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -432,33 +438,36 @@ def test_component_audit_rejects_non_6_sphere():
 
 
 # ---------------------------------------------------------------------------
-# Block preservation probe
+# Block preservation probe: rho* symmetry against the off-block mass of J
 # ---------------------------------------------------------------------------
+
+def symmetry_defect(rho):
+    return float(np.max(np.abs(rho - rho.T)))
+
 
 def test_probe_block_diagonal():
     man = spheres((6, 1.0), (6, 2.0))
     oracle = CurvatureOracle(man)
-    form = ricci_star(oracle, random_block_diagonal_acs(man, 1))
-    probe = block_preservation_probe(form)
-    assert probe.symmetry_defect <= 1e-13
-    assert probe.off_block_mass <= 1e-13
+    J = random_block_diagonal_acs(man, 1)
+    assert symmetry_defect(ricci_star(oracle, J)) <= 1e-13
+    assert J.off_block_mass() <= 1e-13
 
 
 def test_probe_swap():
     man = spheres((6, 1.0), (6, 1.0))
     oracle = CurvatureOracle(man)
-    probe = block_preservation_probe(ricci_star(oracle, swap_acs(man)))
-    assert probe.symmetry_defect <= 1e-13
-    assert probe.off_block_mass == pytest.approx(1.0)
+    J = swap_acs(man)
+    assert symmetry_defect(ricci_star(oracle, J)) <= 1e-13
+    assert J.off_block_mass() == pytest.approx(1.0)
 
 
 def test_probe_random_structure_reports_values():
     man = spheres((6, 1.0), (6, 2.0))
     oracle = CurvatureOracle(man)
-    probe = block_preservation_probe(ricci_star(oracle, random_orthogonal_acs(man, 9)))
-    assert np.isfinite(probe.symmetry_defect)
-    assert np.isfinite(probe.off_block_mass)
-    assert probe.off_block_mass > 0.1  # generic structures mix factors
+    J = random_orthogonal_acs(man, 9)
+    assert np.isfinite(symmetry_defect(ricci_star(oracle, J)))
+    assert np.isfinite(J.off_block_mass())
+    assert J.off_block_mass() > 0.1  # generic structures mix factors
 
 
 @pytest.mark.parametrize("kappa", [1e-12, 1e4, 1e8])
@@ -470,11 +479,10 @@ def test_identity_audits_scale_their_tolerances_with_curvature(kappa):
     reports = [
         gray_cancellation_audit(spheres((6, kappa)), 200, 7),
         ricci_star_exchange_audit(man6, 200, 7),
-        ricci_star_identity_check(
-            ricci_star(CurvatureOracle(man6), random_orthogonal_acs(man6, 7)), 200, 7
-        ),
         splitting_audit(spheres((2, kappa), (4, kappa)), 200, 7),
     ]
     for report in reports:
         assert report.passed
         assert max(c.tolerance for c in report.checks if c.kind == "check") <= 1e-9 * kappa
+    J = random_orthogonal_acs(man6, 7)
+    assert exchange_defect(CurvatureOracle(man6), J, 200, seed=7) <= TOL.contraction * kappa

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from sphereacs.errors import ContractViolation, DegenerateInput, InvalidManifold
 from sphereacs.manifold import (
     CurvatureOracle,
-    FrameVector,
     ProductManifold,
     SphereFactor,
+    as_coords,
     factor_curvature_endo,
     spheres,
 )
@@ -47,21 +47,20 @@ def test_product_manifold_layout():
 
 def test_frame_vector_blocks():
     man = spheres((2, 1.0), (4, 3.0))
-    v = FrameVector(man, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(v.block(0), [1.0, 2.0])
-    assert np.array_equal(v.block(1), [3.0, 4.0, 5.0, 6.0])
+    v = as_coords(man, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(v[man.block_slice(0)], [1.0, 2.0])
+    assert np.array_equal(v[man.block_slice(1)], [3.0, 4.0, 5.0, 6.0])
     with pytest.raises(ContractViolation):
-        FrameVector(man, [1.0, 2.0])
+        as_coords(man, [1.0, 2.0])
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_frame_vector_pythagoras(seed):
     man = spheres((2, 1.0), (4, 1.0), (6, 0.5))
-    coords = np.random.default_rng(seed).standard_normal(man.total_dim)
-    v = FrameVector(man, coords)
-    blocks_sq = sum(float(np.dot(v.block(a), v.block(a))) for a in range(3))
-    assert blocks_sq == pytest.approx(v.norm**2, rel=1e-12)
+    v = np.random.default_rng(seed).standard_normal(man.total_dim)
+    blocks_sq = sum(float(np.dot(v[sl], v[sl])) for sl in man.block_slices)
+    assert blocks_sq == pytest.approx(float(np.dot(v, v)), rel=1e-12)
 
 
 def test_factor_endo_basis_example():

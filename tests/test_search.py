@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import warnings
+from dataclasses import fields
 
+from sphereacs.acs import random_block_diagonal_acs, random_orthogonal_acs
 from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import acs_field_validity_check, default_acs_field, tangent_project
-from sphereacs.manifold import spheres
+from sphereacs.identities import SplittingDefect, splitting_defect
+from sphereacs.manifold import SAMPLE_BLOCK, CurvatureOracle, spheres
 from sphereacs.sampling import chart_safe_points, manifold_points
 from sphereacs import search
 from sphereacs.search import (
@@ -200,7 +203,7 @@ def test_finite_start_resamples_then_errors():
 def small_search(man, restarts=3, budget=60, degree=0, seed=7, points=20):
     par = GaugeParametrization(man, degree=degree, generators=4, seed=seed)
     pts = chart_safe_points(man, points, seed=seed)
-    return minimize_energy(man, par, pts, restarts=restarts, seed=seed, budget=budget)
+    return minimize_energy(par, pts, restarts=restarts, seed=seed, budget=budget)
 
 
 def test_search_recovers_integrable_member_on_2_sphere_product():
@@ -219,7 +222,7 @@ def test_search_restart_zero_starts_at_base_field():
     base = default_acs_field(man)
     objective = make_energy_objective(par, base, pts, 1, pair_seed=7)
     base_energy = objective(np.zeros(par.n_params))
-    res = minimize_energy(man, par, pts, restarts=1, seed=7, budget=25)
+    res = minimize_energy(par, pts, restarts=1, seed=7, budget=25)
     assert res.restart_energies[0] <= base_energy
 
 
@@ -271,7 +274,7 @@ def test_search_trivial_family_keeps_base_energy():
     man = spheres((6, 1.0))
     par = GaugeParametrization(man, degree=0, generators=0, seed=1)
     pts = manifold_points(man, 25, seed=1)
-    res = minimize_energy(man, par, pts, restarts=3, seed=1, budget=10)
+    res = minimize_energy(par, pts, restarts=3, seed=1, budget=10)
     assert len(set(res.restart_energies)) == 1
     base_energy = make_energy_objective(
         par, default_acs_field(man), pts, 1, pair_seed=1
@@ -283,9 +286,9 @@ def test_search_contracts():
     par = GaugeParametrization(S2XS4, degree=0, generators=1, seed=0)
     pts = chart_safe_points(S2XS4, 5, seed=0)
     with pytest.raises(ContractViolation):
-        minimize_energy(S2XS4, par, pts, restarts=0, seed=0, budget=10)
+        minimize_energy(par, pts, restarts=0, seed=0, budget=10)
     with pytest.raises(ContractViolation):
-        minimize_energy(S2XS4, par, pts, restarts=1, seed=0, budget=0)
+        minimize_energy(par, pts, restarts=1, seed=0, budget=0)
 
 
 def test_best_params_reconstruct_valid_field():
@@ -293,7 +296,7 @@ def test_best_params_reconstruct_valid_field():
     # restriction passes the validator at every sample point
     par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=9)
     pts = chart_safe_points(S2XS4, 15, seed=9)
-    res = minimize_energy(S2XS4, par, pts, restarts=2, seed=9, budget=50)
+    res = minimize_energy(par, pts, restarts=2, seed=9, budget=50)
     rebuilt = par.field(res.best_params, default_acs_field(S2XS4))
     assert acs_field_validity_check(rebuilt, pts).passed
 
@@ -305,7 +308,7 @@ def test_best_params_reconstruct_valid_field():
 def test_energy_floor_experiment_structure():
     cfg = ExperimentConfig(
         manifold=S2XS4, degrees=(0, 1), restarts=2, budget=25, points=12,
-        frame_pairs=1, seed=5,
+        frame_pairs=1, seed=5, generators=4, init_scale=0.5, chart_margin=0.05,
     )
     report = energy_floor_experiment(cfg)
     assert set(report.results) == {0, 1}
@@ -333,7 +336,8 @@ def test_energy_floor_experiment_structure():
 
 def test_energy_floor_experiment_deterministic():
     cfg = ExperimentConfig(
-        manifold=S2XS4, degrees=(0,), restarts=2, budget=20, points=10, seed=3
+        manifold=S2XS4, degrees=(0,), restarts=2, budget=20, points=10,
+        frame_pairs=1, seed=3, generators=4, init_scale=0.5, chart_margin=0.05,
     )
     a = energy_floor_experiment(cfg)
     b = energy_floor_experiment(cfg)
@@ -348,14 +352,17 @@ def test_energy_floor_experiment_deterministic():
 
 def test_probe_summaries():
     man = spheres((2, 1.0), (4, 1.0))
+    alpha, threshold = 1.0, 0.1
     probe = splitting_pressure_probe(man, samples=400, seed=11)
-    assert probe.samples == 400
-    assert probe.subsample_count > 200
+    assert probe.direct.shape == (400,)
+    mixed = 1.0 - probe.c**2 > threshold
+    assert np.sum(mixed) > 200
     # over the mixed subsample the core defect is bounded below exactly
-    assert probe.min_core_defect_mixed >= probe.alpha * probe.threshold**2 * (1 - 1e-9)
+    core = probe.second_factor_term[mixed] - probe.direct[mixed]
+    assert np.min(core) >= alpha * threshold**2 * (1 - 1e-9)
     # generic sampling reaches nearly fully mixing structures
-    assert probe.max_abs_defect_mixed >= probe.alpha * 0.81 * (1 - 1e-3)
-    assert np.all(probe.defects <= 1e-12)
+    assert np.max(np.abs(probe.direct[mixed])) >= alpha * 0.81 * (1 - 1e-3)
+    assert np.all(probe.direct <= 1e-12)
 
 
 def test_probe_alpha_scaling():
@@ -365,16 +372,27 @@ def test_probe_alpha_scaling():
     man2 = spheres((2, 2.0), (4, 0.7))
     p1 = splitting_pressure_probe(man1, samples=50, seed=4)
     p2 = splitting_pressure_probe(man2, samples=50, seed=4)
-    core1 = p1.second_factor_terms - p1.defects
-    core2 = p2.second_factor_terms - p2.defects
+    core1 = p1.second_factor_term - p1.direct
+    core2 = p2.second_factor_term - p2.direct
     assert np.allclose(core2, 2.0 * core1, atol=1e-11)
 
 
-def test_probe_split_structures_have_zero_defect():
-    from sphereacs.acs import random_block_diagonal_acs
-    from sphereacs.identities import splitting_defect
-    from sphereacs.manifold import CurvatureOracle
+def test_probe_equals_per_structure_defects():
+    # more samples than one SAMPLE_BLOCK, so the stack spans two blocks
+    man = spheres((2, 1.3), (4, 0.8))
+    samples = SAMPLE_BLOCK + 3
+    probe = splitting_pressure_probe(man, samples=samples, seed=5)
+    oracle = CurvatureOracle(man)
+    x, y = np.eye(man.total_dim)[:2]
+    for s in (0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, samples - 1):
+        one = splitting_defect(oracle, random_orthogonal_acs(man, [5, s]), x, y)
+        for f in fields(SplittingDefect):
+            assert getattr(probe, f.name)[s] == pytest.approx(
+                getattr(one, f.name), rel=1e-12, abs=1e-12
+            )
 
+
+def test_probe_split_structures_have_zero_defect():
     man = spheres((2, 1.0), (4, 1.0))
     oracle = CurvatureOracle(man)
     x = np.zeros(6)
