@@ -2,9 +2,10 @@
 structures on Riemannian products of round even-dimensional spheres.
 
 The frame-level modules (manifold, acs, identities) take tangent vectors
-and structures as plain arrays in the standard product frame and evaluate
-product curvature tensors, the eight-term curvature identity satisfied by
-Hermitian manifolds, splitting defects, the Ricci *-tensor and its component
+as (..., n) arrays and pointwise structures as (n, n) matrices, or stacks
+of them, in the standard product frame, and evaluate product curvature
+tensors, the eight-term curvature identity satisfied by Hermitian
+manifolds, splitting defects, the Ricci *-tensor and its component
 formulas as exact linear algebra.  The field-level modules (fields,
 sampling, search) compute Nijenhuis tensors of structure fields on the
 embedded spheres from exact directional derivatives (central-difference Lie
@@ -15,7 +16,6 @@ over gauged families of structures.
 __version__ = "0.1.0"
 
 from .acs import (
-    OrthogonalACS,
     canonical_product_acs,
     random_block_diagonal_acs,
     random_orthogonal_acs,
@@ -37,7 +37,6 @@ __all__ = [
     "AuditReport",
     "Check",
     "CurvatureOracle",
-    "OrthogonalACS",
     "ProductManifold",
     "SphereFactor",
     "SplittingDefect",

@@ -1,17 +1,16 @@
 """Pointwise orthogonal almost complex structures on the product tangent space.
 
-An orthogonal almost complex structure (OACS) at a point is a real matrix J
-on R^total_dim with J^T J = I and J^2 = -I; skewness J^T = -J follows.  The
-factor splitting induces a block decomposition: ``block(a, b)`` is the plain
-matrix block (rows of factor a, columns of factor b), which maps factor-b
-frame vectors to factor-a components.  The mapping coefficients
-``<J e(a)_i, e(b)_j>`` used by the component audits are the transposed layout
-``coefficient_block(a, b) = block(b, a).T``.
+An orthogonal almost complex structure (OACS) at a point is a real
+(total_dim, total_dim) matrix J with J^T J = I and J^2 = -I; skewness
+J^T = -J follows.  With ``sl = manifold.block_slices``, the factor splitting
+induces a block decomposition: ``J[sl[a], sl[b]]`` (rows of factor a, columns
+of factor b), written block(a, b) in the report claims, maps factor-b frame
+vectors to factor-a components.  The mapping coefficients
+c(a,b)[i,j] = <J e(a)_i, e(b)_j> used by the component audits are the
+transposed layout ``J[sl[b], sl[a]].T``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,39 +18,6 @@ from .config import TOL
 from .errors import ContractViolation, InvalidManifold
 from .manifold import ProductManifold
 from .report import AuditReport
-
-
-@dataclass(frozen=True)
-class OrthogonalACS:
-    """A pointwise orthogonal almost complex structure as a square matrix."""
-
-    manifold: ProductManifold
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        n = self.manifold.total_dim
-        if m.shape != (n, n):
-            raise ContractViolation(f"ACS matrix must be {n}x{n}, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """The dim_a x dim_b submatrix at the block offsets (rows a, cols b)."""
-        man = self.manifold
-        return self.matrix[man.block_slice(a), man.block_slice(b)]
-
-    def coefficient_block(self, a: int, b: int) -> np.ndarray:
-        """Array of mapping coefficients c[i, j] = <J e(a)_i, e(b)_j>."""
-        return self.block(b, a).T
-
-    def off_block_mass(self) -> float:
-        """Max |entry| over all off-factor blocks (0.0 for block-diagonal J);
-        NaN when such an entry is NaN."""
-        man = self.manifold
-        owner = np.repeat(np.arange(man.n_factors), [f.dim for f in man.factors])
-        off_block = owner[:, np.newaxis] != owner[np.newaxis, :]
-        return float(np.max(np.abs(self.matrix[off_block]), initial=0.0))
 
 
 ACS_DEFECTS = (
@@ -93,11 +59,11 @@ def acs_defects(manifold: ProductManifold, m) -> np.ndarray:
     )
 
 
-def validate_acs(J: OrthogonalACS) -> AuditReport:
-    """Check orthogonality, J^2 = -I, skewness and the two block relations:
-    one row per ``acs_defects`` entry."""
+def validate_acs(manifold: ProductManifold, m) -> AuditReport:
+    """Check orthogonality, J^2 = -I, skewness and the two block relations of
+    the (n, n) structure matrix m: one row per ``acs_defects`` entry."""
     report = AuditReport()
-    for (name, claim), value in zip(ACS_DEFECTS, acs_defects(J.manifold, J.matrix)):
+    for (name, claim), value in zip(ACS_DEFECTS, acs_defects(manifold, m)):
         report.add(name, value, 0.0, TOL.acs_validity, claim)
     return report
 
@@ -115,13 +81,13 @@ def standard_rotation_structure(dim: int) -> np.ndarray:
     return m
 
 
-def canonical_product_acs(manifold: ProductManifold) -> OrthogonalACS:
+def canonical_product_acs(manifold: ProductManifold) -> np.ndarray:
     """The product of the per-factor rotations on a product of 2-spheres."""
     if any(f.dim != 2 for f in manifold.factors):
         raise InvalidManifold(
             "the canonical product structure needs every factor to be a 2-sphere"
         )
-    return OrthogonalACS(manifold, standard_rotation_structure(manifold.total_dim))
+    return standard_rotation_structure(manifold.total_dim)
 
 
 def _sign_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -163,18 +129,18 @@ def random_block_diagonal_matrices(manifold: ProductManifold, seeds) -> np.ndarr
     return m
 
 
-def random_orthogonal_acs(manifold: ProductManifold, seed) -> OrthogonalACS:
+def random_orthogonal_acs(manifold: ProductManifold, seed) -> np.ndarray:
     """J = Q J0 Q^T for a seeded Haar-orthogonal Q and the standard block
     rotation J0; deterministic in the seed."""
-    return OrthogonalACS(manifold, random_orthogonal_matrices(manifold, [seed])[0])
+    return random_orthogonal_matrices(manifold, [seed])[0]
 
 
-def random_block_diagonal_acs(manifold: ProductManifold, seed) -> OrthogonalACS:
+def random_block_diagonal_acs(manifold: ProductManifold, seed) -> np.ndarray:
     """Independent seeded OACS on each factor block, assembled block-diagonally."""
-    return OrthogonalACS(manifold, random_block_diagonal_matrices(manifold, [seed])[0])
+    return random_block_diagonal_matrices(manifold, [seed])[0]
 
 
-def swap_acs(manifold: ProductManifold) -> OrthogonalACS:
+def swap_acs(manifold: ProductManifold) -> np.ndarray:
     """The factor-exchanging structure e(1)_i -> e(2)_i, e(2)_i -> -e(1)_i on
     a product of exactly two equal-dimension factors; every diagonal block is
     zero, which makes it the canonical probe for factor-mixing behaviour."""
@@ -188,19 +154,20 @@ def swap_acs(manifold: ProductManifold) -> OrthogonalACS:
     s1, s2 = manifold.block_slices
     m[s2, s1] = np.eye(d1)
     m[s1, s2] = -np.eye(d1)
-    return OrthogonalACS(manifold, m)
+    return m
 
 
-def acs_to_text(J: OrthogonalACS) -> str:
-    """Plain-text row-major serialisation: header line with total_dim, then
-    one whitespace-separated row per line at 17 significant digits."""
-    lines = [str(J.manifold.total_dim)]
-    for row in J.matrix:
+def acs_to_text(m: np.ndarray) -> str:
+    """Plain-text row-major serialisation of the (n, n) matrix m: header line
+    with n, then one whitespace-separated row per line at 17 significant
+    digits."""
+    lines = [str(len(m))]
+    for row in m:
         lines.append(" ".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
-def acs_from_text(manifold: ProductManifold, text: str) -> OrthogonalACS:
+def acs_from_text(manifold: ProductManifold, text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ContractViolation("empty ACS serialisation")
@@ -226,4 +193,4 @@ def acs_from_text(manifold: ProductManifold, text: str) -> OrthogonalACS:
     # finite
     if not np.all(np.abs(matrix) <= 1.0 + TOL.acs_validity):
         raise ContractViolation("matrix entry non-finite or above 1 in magnitude")
-    return OrthogonalACS(manifold, matrix)
+    return matrix

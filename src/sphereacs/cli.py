@@ -88,7 +88,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acs import OrthogonalACS, acs_from_text
+from .acs import acs_from_text
 from .errors import ConfigError, ContractViolation, DegenerateInput, InvalidManifold, SearchError
 from .fields import (
     acs_field_validity_check,
@@ -330,7 +330,7 @@ FIXED_DIMS = {
 }
 
 
-def _acs_input(man: ProductManifold, cfg: RunConfig) -> OrthogonalACS | None:
+def _acs_input(man: ProductManifold, cfg: RunConfig) -> np.ndarray | None:
     """The structure serialised in ``acs_file``, if one is configured."""
     if not cfg.acs_file:
         return None
@@ -404,6 +404,11 @@ def run_search(man: ProductManifold, cfg: RunConfig, baseline: str | None = None
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _targets(command: str) -> tuple[str, ...]:
+    """The targets of a command, in ``DEFAULT_FACTORS`` order."""
+    return tuple(t for c, t in DEFAULT_FACTORS if c == command)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="path to a run configuration file")
@@ -417,15 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_audit = sub.add_parser("audit", parents=[shared], help="run a formula audit suite")
-    p_audit.add_argument("target", metavar="suite", choices=tuple(AUDITS))
+    p_audit.add_argument("target", metavar="suite", choices=_targets("audit"))
     p_nij = sub.add_parser(
         "nijenhuis", parents=[shared], help="evaluate a structure field's Nijenhuis tensor"
     )
-    p_nij.add_argument("target", metavar="field", choices=("s2", "s6-octonion", "product", "gauged"))
+    p_nij.add_argument("target", metavar="field", choices=_targets("nijenhuis"))
     p_search = sub.add_parser(
         "search", parents=[shared], help="run a seeded energy-minimisation experiment"
     )
-    p_search.add_argument("target", metavar="experiment", choices=("s2xs4", "s6"))
+    p_search.add_argument("target", metavar="experiment", choices=_targets("search"))
     p_search.add_argument("--baseline", help="also write the floor baseline JSON to this path")
     return parser
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acs import (
-    OrthogonalACS,
     random_block_diagonal_acs,
     random_block_diagonal_matrices,
     random_orthogonal_matrices,
@@ -37,12 +36,6 @@ from .config import TOL
 from .errors import ContractViolation, InvalidManifold
 from .manifold import CurvatureOracle, ProductManifold, as_coords, inner, sample_blocks
 from .report import AuditReport
-
-
-def _matrices(J) -> np.ndarray:
-    """The matrix of an OrthogonalACS, or a (..., n, n) stack of structure
-    matrices as given."""
-    return J.matrix if isinstance(J, OrthogonalACS) else np.asarray(J, dtype=float)
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -58,13 +51,12 @@ def _scalar(v):
 def gray_combination(oracle: CurvatureOracle, J, w, x, y, z):
     """The signed eight-term curvature sum; zero for integrable orthogonal J.
 
-    J is an OrthogonalACS or a (..., n, n) stack of structure matrices, and
+    J is an (n, n) structure matrix or a (..., n, n) stack of them, and
     w, x, y, z are (..., n) vectors; the leading axes broadcast, and a single
     structure on single vectors gives a plain float."""
     man = oracle.manifold
     w, x, y, z = (as_coords(man, v) for v in (w, x, y, z))
-    m = _matrices(J)
-    jw, jx, jy, jz = (_apply(m, v) for v in (w, x, y, z))
+    jw, jx, jy, jz = (_apply(J, v) for v in (w, x, y, z))
     R = oracle.product_curvature
     return (
         R(w, x, y, z)
@@ -135,8 +127,8 @@ def splitting_defect(oracle: CurvatureOracle, J, x, y) -> SplittingDefect:
     """Evaluate the splitting defect for x, y unit, orthogonal and supported
     in the first factor's block to 1e-9; that block must be 2-dimensional.
 
-    J is an OrthogonalACS or a (..., n, n) stack of structure matrices; for
-    a stack every field of the result is an array over the leading axes."""
+    J is an (n, n) structure matrix or a (..., n, n) stack of them; for a
+    stack every field of the result is an array over the leading axes."""
     man = oracle.manifold
     if man.factors[0].dim != 2:
         raise InvalidManifold("splitting defect needs a 2-dimensional first factor")
@@ -154,9 +146,8 @@ def splitting_defect(oracle: CurvatureOracle, J, x, y) -> SplittingDefect:
     if not np.all(np.abs(inner(x, y)) <= tol):
         raise ContractViolation("x and y must be orthogonal")
 
-    m = _matrices(J)
-    direct = gray_combination(oracle, m, x, y, x, y)
-    jx, jy = _apply(m, x), _apply(m, y)
+    direct = gray_combination(oracle, J, x, y, x, y)
+    jx, jy = _apply(J, x), _apply(J, y)
     c = inner(jx, y)
     jx_rest = np.where(rest, jx, 0.0)
     jy_rest = np.where(rest, jy, 0.0)
@@ -176,14 +167,13 @@ def _half_trace(oracle: CurvatureOracle, J, u, v):
     contraction every component formula of the audit reduces to.
 
     u and v are (..., n) vectors broadcasting against the leading axes of J
-    (an OrthogonalACS or a (..., n, n) matrix stack); the frame index k is
-    one more broadcast axis of a single oracle call."""
+    (an (n, n) matrix or a (..., n, n) stack); the frame index k is one more
+    broadcast axis of a single oracle call."""
     man = oracle.manifold
-    m = _matrices(J)
     u = as_coords(man, u)[..., np.newaxis, :]
     v = as_coords(man, v)[..., np.newaxis, :]
     frame = np.eye(man.total_dim)
-    jframe = np.swapaxes(m, -1, -2)  # row k is J e_k
+    jframe = np.swapaxes(J, -1, -2)  # row k is J e_k
     return _scalar(-0.5 * np.sum(oracle.product_curvature(u, v, frame, jframe), axis=-1))
 
 
@@ -191,10 +181,10 @@ def ricci_star_bilinear(oracle: CurvatureOracle, J, x, y):
     """rho*(x, y) = -(1/2) sum_k R(x, Jy, e_k, J e_k) over the standard frame;
     batched like _half_trace."""
     man = oracle.manifold
-    return _half_trace(oracle, J, x, _apply(_matrices(J), as_coords(man, y)))
+    return _half_trace(oracle, J, x, _apply(J, as_coords(man, y)))
 
 
-def ricci_star(oracle: CurvatureOracle, J: OrthogonalACS) -> np.ndarray:
+def ricci_star(oracle: CurvatureOracle, J: np.ndarray) -> np.ndarray:
     """The read-only (n, n) rho* matrix in the standard frame, assembled by
     frame contraction: entry (i, j) is ricci_star_bilinear(e_i, e_j), all
     n^2 entries in one batched call."""
@@ -227,7 +217,7 @@ def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int
     return report
 
 
-def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> AuditReport:
+def ricci_star_component_audit(oracle: CurvatureOracle, J: np.ndarray) -> AuditReport:
     """Audit the six claimed component formulas for rho* on a product of
     6-spheres.
 
@@ -242,9 +232,8 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
     if any(f.dim != 6 for f in man.factors):
         raise InvalidManifold("the component audit needs every factor to be a 6-sphere")
     n, t, dim = man.total_dim, man.n_factors, 6
-    jm = J.matrix
     frame = np.eye(n)
-    jframe = jm.T  # row k is J e_k
+    jframe = J.T  # row k is J e_k
     # Every left-hand side is an entry of one of three half-trace matrices
     # over the whole frame, all computed in one oracle call:
     # h_right[p, q] = h(e_p, J e_q), h_plain[p, q] = h(e_p, e_q) and
@@ -253,10 +242,10 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
     vs = np.stack((jframe, frame, jframe))[:, np.newaxis, :, :]
     h_right, h_plain, h_left = _half_trace(oracle, J, us, vs)
     # Global frame index p = (a, i) is factor a's offset plus i.  For
-    # p = (b, i) and q = (a, j), coeff[p, q] = c(a,b)[i,j] = jm[(b,j), (a,i)].
+    # p = (b, i) and q = (a, j), coeff[p, q] = c(a,b)[i,j] = J[(b,j), (a,i)].
     start = np.repeat(man.block_offsets, dim)
     within = np.tile(np.arange(dim), t)
-    coeff = jm[start[:, None] + within[None, :], start[None, :] + within[:, None]]
+    coeff = J[start[:, None] + within[None, :], start[None, :] + within[:, None]]
     beta = np.repeat(man.curvatures, dim)  # curvature of each frame index
     zero = np.zeros((n, n))
     # family -> (claim, computed, claimed), both indexed [p, q]
@@ -265,7 +254,7 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: OrthogonalACS) -> Aud
             "rho*(e(a)i, e(a)j) == beta_a delta_ij", h_right, beta[:, None] * frame,
         ),
         "star-right-rotated": (
-            "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]", -h_plain, beta[:, None] * jm,
+            "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]", -h_plain, beta[:, None] * J,
         ),
         "star-left-rotated": (
             "rho*(J e(a)i, e(a)j) == beta_a c(a,a)[i,j]", h_left, beta[:, None] * coeff,
@@ -320,7 +309,7 @@ def component_audit_suite(
     manifold: ProductManifold,
     samples: int,
     seed: int,
-    structure: OrthogonalACS | None = None,
+    structure: np.ndarray | None = None,
     swap_probe: bool = False,
 ) -> AuditReport:
     """The component audit in three parts: a given structure in full detail
@@ -331,7 +320,7 @@ def component_audit_suite(
     oracle = CurvatureOracle(manifold)
     report = AuditReport()
     if structure is not None:
-        report.extend(validate_acs(structure))
+        report.extend(validate_acs(manifold, structure))
         report.extend(ricci_star_component_audit(oracle, structure))
     for s in range(min(samples, 10)):
         sub = ricci_star_component_audit(oracle, random_block_diagonal_acs(manifold, [seed, s]))

@@ -131,11 +131,6 @@ class ProductManifold:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    def block_slice(self, a: int) -> slice:
-        if not 0 <= a < self.n_factors:
-            raise ContractViolation(f"factor index {a} out of range [0, {self.n_factors})")
-        return self.block_slices[a]
-
     def describe(self) -> str:
         return " x ".join(f"S{f.dim}({f.curvature:g})" for f in self.factors)
 

@@ -80,10 +80,6 @@ class AuditReport:
         """True when every asserted check passes."""
         return all(c.passed for c in self.checks if c.asserted)
 
-    def failures(self) -> list[Check]:
-        """Asserted checks that missed their tolerance."""
-        return [c for c in self.checks if c.asserted and not c.passed]
-
     def mismatches(self) -> list[Check]:
         """Recorded-only checks that missed their tolerance."""
         return [c for c in self.checks if not c.asserted and c.verdict == "mismatch"]

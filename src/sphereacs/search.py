@@ -100,28 +100,30 @@ class GaugeParametrization:
         return self.generators * self.feature_count
 
     @cached_property
-    def _quad_index(self) -> tuple[np.ndarray, np.ndarray]:
+    def _degree_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """For each degree d >= 2, the monomials of degree d in ``monomials``
+        order as index arrays: the column of each one's first d - 1 factors
+        within the degree d - 1 block, and its last factor's coordinate."""
         amb = self.manifold.ambient_dim
-        return np.triu_indices(amb)
+        out = []
+        column = {(var,): var for var in range(amb)}
+        for deg in range(2, self.degree + 1):
+            monos = list(itertools.combinations_with_replacement(range(amb), deg))
+            out.append((
+                np.array([column[mono[:-1]] for mono in monos]),
+                np.array([mono[-1] for mono in monos]),
+            ))
+            column = {mono: k for k, mono in enumerate(monos)}
+        return tuple(out)
 
     def features(self, pts: np.ndarray) -> np.ndarray:
-        """Monomial features of the ambient unit coordinates, shape (n, F)."""
-        n, amb = pts.shape
-        if self.degree <= 2:
-            blocks = [np.ones((n, 1))]
-            if self.degree >= 1:
-                blocks.append(pts)
-            if self.degree == 2:
-                ii, jj = self._quad_index
-                blocks.append(pts[:, ii] * pts[:, jj])
-            return np.concatenate(blocks, axis=1)
-        cols = np.empty((n, self.feature_count), dtype=pts.dtype)
-        for idx, mono in enumerate(self.monomials):
-            col = np.ones(n)
-            for var in mono:
-                col = col * pts[:, var]
-            cols[:, idx] = col
-        return cols
+        """Monomial features of the ambient unit coordinates, shape (n, F),
+        C-contiguous; each degree block is the previous block's columns times
+        one coordinate."""
+        blocks = [np.ones((pts.shape[0], 1)), pts][: self.degree + 1]
+        for prefix, last in self._degree_index:
+            blocks.append(blocks[-1][:, prefix] * pts[:, last])
+        return np.concatenate(blocks, axis=1)
 
     def feature_derivatives(self, pts: np.ndarray, du: np.ndarray) -> np.ndarray:
         """Derivatives of the features at the rows pts along velocities du of

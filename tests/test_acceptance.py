@@ -126,7 +126,7 @@ def test_criterion_4_ricci_star_exchange_identity():
             J = random_orthogonal_acs(man, [s, t])
             xv, yv = rng.standard_normal((2, man.total_dim))
             lhs = ricci_star_bilinear(oracle, J, xv, yv)
-            rhs = ricci_star_bilinear(oracle, J, J.matrix @ yv, J.matrix @ xv)
+            rhs = ricci_star_bilinear(oracle, J, J @ yv, J @ xv)
             worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-9, f"worst exchange violation {worst}"
 

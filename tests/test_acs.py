@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphereacs.acs import (
-    OrthogonalACS,
     acs_defects,
     acs_from_text,
     acs_to_text,
@@ -27,10 +26,11 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 def test_canonical_product_structure():
     man = spheres((2, 1.0), (2, 3.0))
     J = canonical_product_acs(man)
-    assert np.array_equal(J.block(0, 0), ROT)
-    assert np.array_equal(J.block(1, 1), ROT)
-    assert np.all(J.block(0, 1) == 0.0)
-    report = validate_acs(J)
+    s0, s1 = man.block_slices
+    assert np.array_equal(J[s0, s0], ROT)
+    assert np.array_equal(J[s1, s1], ROT)
+    assert np.all(J[s0, s1] == 0.0)
+    report = validate_acs(man, J)
     assert report.passed
     assert all(c.computed <= 1e-14 for c in report.checks)
 
@@ -42,8 +42,7 @@ def test_canonical_product_needs_2_spheres():
 
 def test_identity_fails_square_check():
     man = spheres((2, 1.0), (2, 1.0))
-    J = OrthogonalACS(man, np.eye(4))
-    report = validate_acs(J)
+    report = validate_acs(man, np.eye(4))
     assert not report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["square"].verdict == "mismatch"
@@ -54,17 +53,18 @@ def test_random_acs_deterministic_and_valid():
     man = spheres((2, 1.0), (4, 1.0))
     a = random_orthogonal_acs(man, 42)
     b = random_orthogonal_acs(man, 42)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a, b)
     c = random_orthogonal_acs(man, 43)
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(a, c)
     for seed in range(100):
-        assert validate_acs(random_orthogonal_acs(man, seed)).passed
+        assert validate_acs(man, random_orthogonal_acs(man, seed)).passed
 
 
 def test_random_acs_generically_mixes_factors():
     man = spheres((2, 1.0), (4, 1.0))
+    s0, s1 = man.block_slices
     mixing = sum(
-        1 for seed in range(40) if random_orthogonal_acs(man, seed).off_block_mass() > 0.1
+        1 for seed in range(40) if np.max(np.abs(random_orthogonal_acs(man, seed)[s0, s1])) > 0.1
     )
     assert mixing > 20
 
@@ -72,8 +72,10 @@ def test_random_acs_generically_mixes_factors():
 def test_random_block_diagonal_acs():
     man = spheres((6, 1.0), (6, 2.0))
     J = random_block_diagonal_acs(man, 3)
-    assert validate_acs(J).passed
-    assert J.off_block_mass() <= 1e-15
+    assert validate_acs(man, J).passed
+    s0, s1 = man.block_slices
+    assert np.max(np.abs(J[s0, s1])) <= 1e-15
+    assert np.max(np.abs(J[s1, s0])) <= 1e-15
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -82,43 +84,42 @@ def test_conjugation_invariance(seed):
     man = spheres((2, 1.0), (2, 1.0), (2, 1.0))
     J = canonical_product_acs(man)
     q = haar_orthogonal(man.total_dim, np.random.default_rng(seed))
-    assert validate_acs(OrthogonalACS(man, q @ J.matrix @ q.T)).passed
+    assert validate_acs(man, q @ J @ q.T).passed
 
 
 def test_eigenstructure_of_valid_acs():
     man = spheres((4, 1.0), (2, 1.0))
     for seed in range(10):
         J = random_orthogonal_acs(man, seed)
-        assert abs(np.trace(J.matrix)) < 1e-10
-        assert np.max(np.abs(J.matrix @ J.matrix + np.eye(6))) < 1e-12
+        assert abs(np.trace(J)) < 1e-10
+        assert np.max(np.abs(J @ J + np.eye(6))) < 1e-12
 
 
 def test_block_accessors():
     man = spheres((2, 1.0), (4, 1.0))
     J = random_orthogonal_acs(man, 5)
-    assert J.block(0, 1).shape == (2, 4)
-    assert np.allclose(J.block(0, 1).T, -J.block(1, 0), atol=1e-14)
-    reassembled = np.block(
-        [[J.block(0, 0), J.block(0, 1)], [J.block(1, 0), J.block(1, 1)]]
-    )
-    assert np.array_equal(reassembled, J.matrix)
-    with pytest.raises(ContractViolation):
-        J.block(2, 0)
+    s0, s1 = man.block_slices
+    assert J[s0, s1].shape == (2, 4)
+    assert np.allclose(J[s0, s1].T, -J[s1, s0], atol=1e-14)
+    reassembled = np.block([[J[s0, s0], J[s0, s1]], [J[s1, s0], J[s1, s1]]])
+    assert np.array_equal(reassembled, J)
 
 
 def test_coefficient_block_convention():
-    # coefficient_block(a, b)[i, j] must equal <J e(a)_i, e(b)_j>
+    # the coefficient block J[sl[b], sl[a]].T of the module docstring has
+    # entries c(a,b)[i,j] = <J e(a)_i, e(b)_j>
     man = spheres((2, 1.0), (4, 1.0))
     J = random_orthogonal_acs(man, 8)
+    sl = man.block_slices
     eye = np.eye(6)
     for a in range(2):
         for b in range(2):
-            coeff = J.coefficient_block(a, b)
+            coeff = J[sl[b], sl[a]].T
             for i in range(man.factors[a].dim):
                 for j in range(man.factors[b].dim):
                     ei = eye[man.block_offsets[a] + i]
                     ej = eye[man.block_offsets[b] + j]
-                    assert coeff[i, j] == pytest.approx(float(ej @ J.matrix @ ei), abs=1e-15)
+                    assert coeff[i, j] == pytest.approx(float(ej @ J @ ei), abs=1e-15)
 
 
 def test_swap_structure():
@@ -127,10 +128,11 @@ def test_swap_structure():
     expected = np.block(
         [[np.zeros((6, 6)), -np.eye(6)], [np.eye(6), np.zeros((6, 6))]]
     )
-    assert np.array_equal(J.matrix, expected)
-    assert validate_acs(J).passed
-    assert np.all(J.block(0, 0) == 0.0)
-    assert np.all(J.block(1, 1) == 0.0)
+    assert np.array_equal(J, expected)
+    assert validate_acs(man, J).passed
+    s0, s1 = man.block_slices
+    assert np.all(J[s0, s0] == 0.0)
+    assert np.all(J[s1, s1] == 0.0)
 
 
 def test_swap_structure_preconditions():
@@ -148,9 +150,11 @@ def test_standard_rotation_structure_validation():
 
 
 def test_matrix_shape_contract():
-    man = spheres((2, 1.0))
+    man = spheres((2, 1.0), (2, 1.0))
     with pytest.raises(ContractViolation):
-        OrthogonalACS(man, np.eye(3))
+        validate_acs(man, np.eye(3))
+    with pytest.raises(ContractViolation):
+        acs_defects(man, np.eye(3))
 
 
 def test_serialization_round_trip():
@@ -158,7 +162,7 @@ def test_serialization_round_trip():
     J = random_orthogonal_acs(man, 17)
     text = acs_to_text(J)
     back = acs_from_text(man, text)
-    assert np.array_equal(back.matrix, J.matrix)
+    assert np.array_equal(back, J)
     assert text.splitlines()[0] == "6"
 
 
@@ -176,19 +180,16 @@ def test_serialization_errors():
         acs_from_text(man, "2\n0 nan\n-1 0\n")
 
 
-def test_nan_entry_fails_block_checks_and_off_block_mass():
+def test_nan_entry_fails_block_checks():
     man = spheres((6, 1.0), (6, 1.0))
-    m = swap_acs(man).matrix.copy()
+    m = swap_acs(man)
     m[6, 0] = np.nan  # an off-block entry
-    J = OrthogonalACS(man, m)
-    report = validate_acs(J)
+    report = validate_acs(man, m)
     rows = {c.name: c for c in report.checks}
     for name in ("block-skew", "block-composition"):
         assert np.isnan(rows[name].computed)
         assert not rows[name].passed
     assert not report.passed
-    assert np.isnan(J.off_block_mass())
-    assert swap_acs(man).off_block_mass() == 1.0
 
 
 def test_acs_defects_of_a_stack_match_the_validator_rows():
@@ -203,7 +204,7 @@ def test_acs_defects_of_a_stack_match_the_validator_rows():
     defects = acs_defects(man, stack)
     assert defects.shape == (2, 4, 5)
     for k in np.ndindex(2, 4):
-        rows = [c.computed for c in validate_acs(OrthogonalACS(man, stack[k])).checks]
+        rows = [c.computed for c in validate_acs(man, stack[k]).checks]
         assert np.array_equal(defects[k], rows)
     # the identity is orthogonal and fails every other relation by 2
     assert np.array_equal(defects[1, 2], [0.0, 2.0, 2.0, 2.0, 2.0])
@@ -224,10 +225,10 @@ def test_batched_draws_equal_single_draws(dims):
     for k, seed in enumerate(seeds):
         q = haar_orthogonal(n, np.random.default_rng(seed))
         assert np.array_equal(stack[k], q @ j0 @ q.T)
-        assert np.array_equal(stack[k], random_orthogonal_acs(man, seed).matrix)
+        assert np.array_equal(stack[k], random_orthogonal_acs(man, seed))
         expected = np.zeros((n, n))
         for a, (f, sl) in enumerate(zip(man.factors, man.block_slices)):
             qa = haar_orthogonal(f.dim, np.random.default_rng([seed, a]))
             expected[sl, sl] = qa @ standard_rotation_structure(f.dim) @ qa.T
         assert np.array_equal(blocks[k], expected)
-        assert np.array_equal(blocks[k], random_block_diagonal_acs(man, seed).matrix)
+        assert np.array_equal(blocks[k], random_block_diagonal_acs(man, seed))

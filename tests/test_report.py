@@ -9,7 +9,6 @@ def test_verdicts_and_counts():
     report.add("bad", 1.0, 2.0, 1e-9, "asserted failure")
     report.add("noted", 0.0, 1.0, 1e-9, "recorded only", asserted=False)
     assert not report.passed
-    assert [c.name for c in report.failures()] == ["bad"]
     assert [c.name for c in report.mismatches()] == ["noted"]
     report.record("value", 2.0, "recorded value")
     assert report.counts() == {"pass": 1, "mismatch": 1, "fail": 1, "recorded": 1}

@@ -49,14 +49,27 @@ def test_parametrization_validation():
 
 
 def test_features_match_monomials():
-    par = GaugeParametrization(S2XS4, degree=2, generators=1, seed=0)
+    # each column is its monomial's coordinate product, bit for bit, on real
+    # rows and on complex-step rows, at every degree up to 3
     pts = chart_safe_points(S2XS4, 7, seed=1)
-    feats = par.features(pts)
-    for idx, mono in enumerate(par.monomials):
-        col = np.ones(7)
-        for var in mono:
-            col = col * pts[:, var]
-        assert np.allclose(feats[:, idx], col, atol=1e-15)
+    du = np.random.default_rng(1).standard_normal(pts.shape)
+    for degree in range(4):
+        par = GaugeParametrization(S2XS4, degree=degree, generators=1, seed=0)
+        for rows in (pts, pts + 1j * du):
+            feats = par.features(rows)
+            cols = []
+            for mono in par.monomials:
+                col = np.ones(7)
+                for var in mono:
+                    col = col * rows[:, var]
+                cols.append(col)
+            expected = np.stack(cols, axis=1)
+            assert feats.shape == expected.shape == (7, par.feature_count)
+            assert np.array_equal(feats.real, expected.real)
+            assert np.array_equal(feats.imag, expected.imag)
+            # equal values in column-major layout still move the objective in
+            # the last digit: the BLAS products downstream round differently
+            assert feats.flags.c_contiguous
 
 
 def test_zero_parameters_reproduce_base_field():
