@@ -141,14 +141,15 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        # counts stay below 2**31 so that array sizes built from them fit
         for name in ("samples", "points", "frame_pairs", "restarts", "budget"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) < 2**31:
+                raise ConfigError(f"{name} must be >= 1 and < 2**31")
         for name in ("init_scale", "chart_margin"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        if self.generators < 0:
-            raise ConfigError("generators must be >= 0")
+        if not 0 <= self.generators < 2**31:
+            raise ConfigError("generators must be >= 0 and < 2**31")
         if not self.degrees or min(self.degrees) < 0:
             raise ConfigError("degrees must list at least one gauge degree, each >= 0")
         if len(set(self.degrees)) != len(self.degrees):
@@ -491,6 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, cfg, man, command, target, elapsed)
     except (
         ConfigError, InvalidManifold, ContractViolation, DegenerateInput, SearchError, OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -243,25 +243,32 @@ class GaugeParametrization:
 # Deterministic simplex descent with shrink restarts
 # ---------------------------------------------------------------------------
 
+FATOL = 1e-7  # simplex collapse: relative spread of the vertex values
+XATOL = 1e-6  # simplex collapse: relative spread of the vertices
+RESTART_GAIN = 1e-4  # a simplex that improves less than this, relatively, is stale
+MAX_RESAMPLE = 5  # redraws of a start point whose objective value is not finite
+
+
+class _BudgetSpent(Exception):
+    """Raised by nelder_mead's evaluator when asked for one evaluation too many."""
+
+
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
     budget: int,
-    fatol: float = 1e-7,
-    xatol: float = 1e-6,
-    restart_gain: float = 1e-4,
     f0: float | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Nelder-Mead descent under a hard evaluation budget.
 
-    The first simplex has edge 0.25 around x0.  When the simplex collapses, a
-    fresh simplex a quarter the size is rebuilt around the incumbent best
-    until the budget runs out or two consecutive rebuilds improve the best
-    value by less than a relative ``restart_gain``.
-    Fully deterministic in (objective, x0, budget); a larger budget replays
-    the same evaluation sequence as a prefix, so the best value found is
-    monotone in the budget.  The stopping rules other than the budget never
-    consult the budget, which is what makes the prefix property hold.
+    Each simplex around the incumbent best steps along the axes in turn,
+    each step from the best point so far (a staircase, not an axis-aligned
+    simplex); the first has edge 0.25, and each rebuild after a collapse a
+    quarter of the edge before.  The run stops when the budget runs out or
+    two simplices in a row are stale.  Fully deterministic in (objective, x0,
+    budget); only the evaluator consults the budget, so a larger budget
+    replays the same evaluation sequence as a prefix and the best value
+    found is monotone in the budget.
 
     ``f0``, if given, is the objective value at x0 that the caller already
     computed; it stands in for the first evaluation, which still counts
@@ -274,6 +281,8 @@ def nelder_mead(
 
     def ev(x: np.ndarray, fx: float | None = None) -> float:
         nonlocal used, best_x, best_f
+        if used == budget:
+            raise _BudgetSpent
         fx = float(objective(x) if fx is None else fx)
         used += 1
         if fx < best_f:
@@ -283,72 +292,55 @@ def nelder_mead(
     if budget < 1:
         raise ContractViolation("budget must be >= 1 evaluation")
     ev(x0, f0)
-    if dim == 0:
-        return best_x, best_f, used
-
     stale = 0
-    round_idx = 0
-    while used < budget and stale < 2:
-        f_before = best_f
-        radius = 0.25 ** (round_idx + 1)
-        round_idx += 1
-        # simplex around the incumbent best
-        xs = [best_x.copy()]
-        fs = [best_f]
-        for i in range(dim):
-            if used >= budget:
-                break
-            v = best_x.copy()
-            v[i] += radius
-            xs.append(v)
-            fs.append(ev(v))
-        if len(xs) < dim + 1:
-            break
-        xs = np.array(xs)
-        fs = np.array(fs)
-        while used < budget:
-            order = np.argsort(fs, kind="stable")
-            xs, fs = xs[order], fs[order]
-            spread_f = fs[-1] - fs[0]
-            spread_x = np.max(np.abs(xs[1:] - xs[0])) if dim else 0.0
-            if spread_f <= fatol * max(1.0, abs(fs[0])) and spread_x <= xatol * max(
-                1.0, float(np.max(np.abs(xs[0])))
-            ):
-                break
-            centroid = np.mean(xs[:-1], axis=0)
-            xr = centroid + (centroid - xs[-1])
-            fr = ev(xr)
-            if fr < fs[0]:
-                if used < budget:
+    radius = 1.0
+    try:
+        while dim and stale < 2:
+            f_before = best_f
+            radius *= 0.25
+            # simplex around the incumbent best, built one axis step at a time
+            xs = [best_x.copy()]
+            fs = [best_f]
+            for i in range(dim):
+                v = best_x.copy()
+                v[i] += radius
+                xs.append(v)
+                fs.append(ev(v))
+            xs = np.array(xs)
+            fs = np.array(fs)
+            while True:
+                order = np.argsort(fs, kind="stable")
+                xs, fs = xs[order], fs[order]
+                spread_f = fs[-1] - fs[0]
+                spread_x = np.max(np.abs(xs[1:] - xs[0]))
+                if spread_f <= FATOL * max(1.0, abs(fs[0])) and spread_x <= XATOL * max(
+                    1.0, float(np.max(np.abs(xs[0])))
+                ):
+                    break
+                centroid = np.mean(xs[:-1], axis=0)
+                xr = centroid + (centroid - xs[-1])
+                fr = ev(xr)
+                if fr < fs[0]:
                     xe = centroid + 2.0 * (centroid - xs[-1])
                     fe = ev(xe)
-                    if fe < fr:
-                        xs[-1], fs[-1] = xe, fe
-                    else:
-                        xs[-1], fs[-1] = xr, fr
-                else:
+                    xs[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+                elif fr < fs[-2]:
                     xs[-1], fs[-1] = xr, fr
-            elif fr < fs[-2]:
-                xs[-1], fs[-1] = xr, fr
-            else:
-                if fr < fs[-1]:
-                    xc = centroid + 0.5 * (xr - centroid)
                 else:
-                    xc = centroid - 0.5 * (centroid - xs[-1])
-                if used >= budget:
-                    break
-                fc = ev(xc)
-                if fc < min(fr, fs[-1]):
-                    xs[-1], fs[-1] = xc, fc
-                else:
-                    # shrink toward the best vertex
-                    for i in range(1, dim + 1):
-                        if used >= budget:
-                            break
-                        xs[i] = xs[0] + 0.5 * (xs[i] - xs[0])
-                        fs[i] = ev(xs[i])
-        improved = best_f < f_before - max(restart_gain * abs(f_before), 1e-15)
-        stale = 0 if improved else stale + 1
+                    # outside contraction if the reflection helped, else inside
+                    xc = centroid + 0.5 * ((xr if fr < fs[-1] else xs[-1]) - centroid)
+                    fc = ev(xc)
+                    if fc < min(fr, fs[-1]):
+                        xs[-1], fs[-1] = xc, fc
+                    else:
+                        # shrink toward the best vertex
+                        for i in range(1, dim + 1):
+                            xs[i] = xs[0] + 0.5 * (xs[i] - xs[0])
+                            fs[i] = ev(xs[i])
+            improved = best_f < f_before - max(RESTART_GAIN * abs(f_before), 1e-15)
+            stale = 0 if improved else stale + 1
+    except _BudgetSpent:
+        pass
     return best_x, best_f, used
 
 
@@ -398,17 +390,16 @@ def finite_start(
     objective: Callable[[np.ndarray], float],
     theta0: np.ndarray,
     redraw: Callable[[], np.ndarray],
-    max_resample: int = 5,
 ) -> tuple[np.ndarray, float]:
     """Return an initial point with a finite objective value, and that
-    value, redrawing at most ``max_resample`` times before giving up."""
+    value, redrawing at most ``MAX_RESAMPLE`` times before giving up."""
     theta = theta0
-    for _ in range(max_resample + 1):
+    for _ in range(MAX_RESAMPLE + 1):
         value = objective(theta)
         if np.isfinite(value):
             return theta, value
         theta = redraw()
-    raise SearchError(f"no finite objective value after {max_resample} resamples")
+    raise SearchError(f"no finite objective value after {MAX_RESAMPLE} resamples")
 
 
 def minimize_energy(

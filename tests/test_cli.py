@@ -202,6 +202,28 @@ def test_duplicate_degrees_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
+@pytest.mark.parametrize("command, key, value", [
+    (["audit", "gray"], "samples", 10**19),
+    (["audit", "gray"], "samples", 2**62),
+    (["audit", "curvature"], "samples", 10**19),
+    (["audit", "curvature"], "samples", 2**62),
+    (["nijenhuis", "gauged"], "points", 10**19),
+    (["nijenhuis", "gauged"], "frame_pairs", 10**19),
+    (["nijenhuis", "gauged"], "generators", 10**19),
+    (["nijenhuis", "s2"], "points", 2**62),
+    (["search", "s2xs4"], "restarts", 2**31),
+    (["search", "s2xs4"], "budget", 2**31),
+])
+def test_oversized_count_is_usage_error(tmp_path, capsys, command, key, value):
+    # rejected when the config is parsed, before any array is sized from it
+    factors = "".join(
+        f"factor = dim={d} curvature={k}\n" for d, k in DEFAULT_FACTORS[tuple(command)]
+    )
+    cfg = write_config(tmp_path, factors + f"{key} = {value}\n")
+    assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert getattr(RunConfig(**{key: 2**31 - 1}), key) == 2**31 - 1
+
+
 def test_search_error_is_usage_error(tmp_path, capsys, monkeypatch):
     # an objective that is never finite makes the search give up after its
     # resamples

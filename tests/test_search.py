@@ -162,8 +162,7 @@ def quadratic(x):
 
 
 def test_nelder_mead_minimises_quadratic():
-    xb, fb, used = nelder_mead(quadratic, np.zeros(4), budget=800,
-                               fatol=1e-13, xatol=1e-12, restart_gain=1e-12)
+    xb, fb, used = nelder_mead(quadratic, np.zeros(4), budget=800)
     assert fb < 1e-12
     assert np.allclose(xb, 1.5, atol=1e-5)
     assert used <= 800
@@ -181,6 +180,35 @@ def test_nelder_mead_budget_prefix_monotone():
     best = [nelder_mead(quadratic, np.zeros(6), budget=b)[1] for b in (50, 150, 400, 800)]
     for lo, hi in zip(best[1:], best[:-1]):
         assert lo <= hi
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def abs_rosenbrock(x):
+    # non-smooth, so the simplex also shrinks, and the budget cuts some shrinks
+    return float(np.sum(100.0 * np.abs(x[1:] - x[:-1] ** 2) + np.abs(1.0 - x[:-1])))
+
+
+@pytest.mark.parametrize("fn", [rosenbrock, abs_rosenbrock])
+def test_nelder_mead_budget_prefix_at_every_budget(fn):
+    # whichever step the budget cuts, a smaller budget's evaluations are a
+    # prefix of a larger one's, and every counted evaluation is one call
+    def evaluated_points(budget):
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            return fn(x)
+
+        _, _, used = nelder_mead(objective, np.full(3, -0.5), budget)
+        assert used == len(calls)
+        return np.array(calls)
+
+    full = evaluated_points(400)
+    for budget in range(1, 401):
+        assert np.array_equal(evaluated_points(budget), full[: min(budget, len(full))])
 
 
 def test_nelder_mead_zero_dimensional():
@@ -202,11 +230,13 @@ def test_finite_start_resamples_then_errors():
         return float("nan") if x[0] < 2.5 else 1.0
 
     draws = iter([np.array([1.0]), np.array([2.0]), np.array([3.0])])
-    theta, value = finite_start(objective, np.array([0.0]), lambda: next(draws), max_resample=5)
+    theta, value = finite_start(objective, np.array([0.0]), lambda: next(draws))
     assert theta[0] == 3.0 and value == 1.0
     assert calls == [0.0, 1.0, 2.0, 3.0]
+    calls.clear()
     with pytest.raises(SearchError):
-        finite_start(lambda x: float("inf"), np.zeros(1), lambda: np.zeros(1), max_resample=2)
+        finite_start(objective, np.zeros(1), lambda: np.zeros(1))
+    assert len(calls) == 1 + 5
 
 
 # ---------------------------------------------------------------------------
