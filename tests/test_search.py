@@ -233,10 +233,14 @@ def test_finite_start_resamples_then_errors():
     theta, value = finite_start(objective, np.array([0.0]), lambda: next(draws))
     assert theta[0] == 3.0 and value == 1.0
     assert calls == [0.0, 1.0, 2.0, 3.0]
-    calls.clear()
-    with pytest.raises(SearchError):
-        finite_start(objective, np.zeros(1), lambda: np.zeros(1))
-    assert len(calls) == 1 + 5
+    # a failed energy evaluation returns inf; a NaN must be refused the same way
+    for bad in (float("inf"), float("nan")):
+        calls.clear()
+        with pytest.raises(SearchError):
+            finite_start(
+                lambda x: calls.append(float(x[0])) or bad, np.zeros(1), lambda: np.zeros(1)
+            )
+        assert len(calls) == 1 + 5
 
 
 # ---------------------------------------------------------------------------
