@@ -31,9 +31,12 @@ X along Y and of Y along X.
 
 Derivatives.  Every field has a ``jet``: its values at a row batch and its
 derivative map there, du -> D_du X for a tangent field and
-(du, w) -> (D_du J) w for a structure field, over stacks of tangent
-velocities du.  By default the derivatives are the complex step of the
-field's own evaluator,
+(du, w) -> (D_du J) w for a structure field.  A stack of k tangent
+velocities or vectors at n rows is an (n, ambient_dim, k) array of columns:
+the stack index comes after the row index, so that one per-row operator
+(n, ambient_dim, ambient_dim) reaches the whole stack in one batched product
+``m @ cols``, and column j of w pairs with column j of du.  By default the
+derivatives are the complex step of the field's own evaluator,
 
     D f(u)[du] = Im f(u + i eps du) / eps,      eps = COMPLEX_STEP,
 
@@ -41,10 +44,11 @@ exact to round-off because no difference of nearby values is formed
 (Squire & Trapp 1998).  Evaluators must therefore keep complex input complex
 (no casts to float, no abs or norm of the input; chart tests look at the real
 part); a cast that would drop the imaginary part raises ``ContractViolation``.
-Two fields pass their own ``jet_fn``: the energy's base field
-(``frozen_acs_field``: values and frame derivatives computed once for a fixed
-row batch) and the Cayley-gauged family of ``search``, whose rotation is
-differentiated in closed form.
+Two kinds of field pass their own ``jet_fn``: frozen fields (``frozen_field``:
+values and frame derivatives computed once for a fixed row batch, as the
+energy objective does for its base field and frame pairs) and the
+Cayley-gauged family of ``search``, whose rotation is differentiated in
+closed form.
 
 The FD oracle ``lie_bracket_fd_batch`` extends fields radially,
 X(q) = X(q / |q| per factor), and evaluates the bracket by central
@@ -91,15 +95,17 @@ def normalize_blocks(man: ProductManifold, q: Array) -> Array:
     return out
 
 
-def apply(m: Array, v: Array) -> Array:
-    """Batched matrix-vector products m[..., i, j] v[..., j]."""
-    return (m @ v[..., np.newaxis])[..., 0]
-
-
 def tangent_project(man: ProductManifold, pts: Array, vecs: Array) -> Array:
     """Remove the per-factor normal component <v_a, u_a> u_a; vecs may carry
     leading axes over the (n, ambient_dim) rows of pts."""
     return vecs - ((vecs * pts) @ man.ambient_block_mask) * pts
+
+
+def tangent_projectors(man: ProductManifold, pts: Array) -> Array:
+    """Per-row tangent projectors I - sum_a u_a u_a^T, shape (n, ambient_dim,
+    ambient_dim); ``projectors @ cols`` projects a whole column stack."""
+    outer = pts[:, :, np.newaxis] * pts[:, np.newaxis, :]
+    return np.eye(man.ambient_dim) - outer * man.ambient_block_mask
 
 
 def to_geometric(man: ProductManifold, pts: Array) -> Array:
@@ -173,10 +179,10 @@ Jet = tuple[Array, Callable[..., Array]]
 
 
 def complex_steps(fn: Callable[[Array], Array], pts: Array, du: Array) -> Array:
-    """complex_step along each of a stack of tangent velocities du, shape
-    (k, n, ambient_dim); one evaluator call per direction keeps the batch
-    row contract."""
-    return np.stack([complex_step(fn, pts, d) for d in du])
+    """complex_step along each column of a stack du of shape
+    (n, ambient_dim, k), stacked on a new last axis; one evaluator call per
+    column keeps the batch row contract."""
+    return np.stack([complex_step(fn, pts, du[..., j]) for j in range(du.shape[-1])], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,9 @@ class Field:
 
     def jet(self, pts: Array) -> Jet:
         """Values at the rows pts and the derivative map there: du -> D_du X
-        for a tangent field, (du, w) -> (D_du J) w for a structure field,
-        with du and w stacks of shape (k, n, ambient_dim)."""
+        for a tangent field, (du, w) -> (D_du J) w for a structure field.
+        du and w are column stacks of shape (n, ambient_dim, k), one column
+        per velocity or vector, and so is the result."""
         if self.jet_fn is not None:
             return self.jet_fn(pts)
         return self.fn(pts), self.complex_step_derivative(pts)
@@ -226,8 +233,16 @@ class ACSField(Field):
     def complex_step_derivative(self, pts: Array) -> Callable[..., Array]:
         """Structure fields hand out their derivative applied to vectors,
         (du, w) -> (D_du J) w: all the Nijenhuis tensor needs, and it lets
-        closed forms skip the derivative matrices."""
-        return lambda du, w: apply(complex_steps(self.fn, pts, du), w)
+        closed forms skip the derivative matrices.  Each column's derivative
+        matrix meets its column of w as soon as it is formed."""
+
+        def derivative(du: Array, w: Array) -> Array:
+            return np.concatenate([
+                complex_step(self.fn, pts, du[..., j]) @ w[..., j, np.newaxis]
+                for j in range(du.shape[-1])
+            ], axis=-1)
+
+        return derivative
 
     def image(self, X: TangentField) -> TangentField:
         """The field J X: q -> J(q) X(q)."""
@@ -238,21 +253,37 @@ class ACSField(Field):
         )
 
 
-def frozen_acs_field(Jf: ACSField, rows: Array) -> ACSField:
-    """Jf with its values and its complex-step derivatives along the tangent
+def frozen_field(F: Field, rows: Array) -> Field:
+    """F with its values and its complex-step derivatives along the tangent
     frame of each row computed once, so a derivative along a tangent du is a
-    contraction with du's frame coordinates.  Valid only on exactly this row
-    batch (checked with np.array_equal).  Jf.fn must be analytic in its input
-    (see ``Field``): an evaluator that takes abs or norms of its rows gives a
-    wrong derivative without an error."""
-    man = Jf.manifold
+    batched product with du's frame coordinates.  Valid only on exactly this
+    row batch (checked with np.array_equal).  F.fn must be analytic in its
+    input (see ``Field``): an evaluator that takes abs or norms of its rows
+    gives a wrong derivative without an error."""
+    man = F.manifold
     rows = np.array(rows, dtype=float)
+    n, amb = rows.shape
     frame = tangent_bases(man, rows)
-    value = Jf.fn(rows)
-    # row-major (n, frame index, amb * amb): one batched product per call
-    along_frame = np.moveaxis(complex_steps(Jf.fn, rows, np.moveaxis(frame, 2, 0)), 0, 1)
-    along_frame = along_frame.reshape(rows.shape[0], man.total_dim, -1)
-    for a in (rows, value, along_frame):
+    # (n, total_dim, ambient_dim): the frame coordinates of du are coords @ du
+    coords = np.ascontiguousarray(np.swapaxes(frame, 1, 2))
+    value = F.fn(rows)
+    along = complex_steps(F.fn, rows, frame)
+    if isinstance(F, ACSField):
+        # (n, amb, total_dim * amb): the frame derivatives D_i J side by side,
+        # so (D_du J) w is one product with the outer (frame coords of du) x w
+        along = np.ascontiguousarray(np.moveaxis(along, 3, 2)).reshape(n, amb, -1)
+
+        def derivative(du: Array, w: Array) -> Array:
+            # column by column, the frame coordinates of du times w
+            outer = np.repeat(coords @ du, amb, axis=1) * np.concatenate([w] * man.total_dim, axis=-2)
+            return along @ outer
+    else:
+        # D_du X = (sum_i (D_i X) e_i^T) du for tangent du
+        along = along @ coords
+
+        def derivative(du: Array) -> Array:
+            return along @ du
+    for a in (rows, value, along, coords):
         a.flags.writeable = False
 
     def check(pts: Array) -> None:
@@ -263,15 +294,11 @@ def frozen_acs_field(Jf: ACSField, rows: Array) -> ACSField:
         check(pts)
         return value
 
-    def derivative(du: Array, w: Array) -> Array:
-        coords = np.swapaxes(du, 0, 1) @ frame
-        return apply(np.swapaxes(coords @ along_frame, 0, 1).reshape(du.shape + (-1,)), w)
-
     def jet(pts: Array) -> Jet:
         check(pts)
         return value, derivative
 
-    return ACSField(man, fn, Jf.name, jet)
+    return type(F)(man, fn, F.name, jet)
 
 
 def projected_constant_field(man: ProductManifold, ambient: Array, name: str = "const") -> TangentField:
@@ -495,14 +522,19 @@ def nijenhuis_batch(Jf: ACSField, X: TangentField, Y: TangentField, pts: Array) 
     j, dj = Jf.jet(pts)
     x, dx = X.jet(pts)
     y, dy = Y.jet(pts)
-    jx, jy = apply(j, np.stack([x, y]))
-    # velocities P_a v_a / r_a of the unit directions under the displacements
-    vel = tangent_project(man, pts, np.stack([jx, jy, x, y])) / man.ambient_radii
+    pi = tangent_projectors(man, pts)
+    # the displacements JX, JY, X, Y as columns, and their velocities
+    # P_a v_a / r_a of the unit directions
+    cols = np.empty(x.shape + (4,))
+    cols[..., 2] = x
+    cols[..., 3] = y
+    np.matmul(j, cols[..., 2:], out=cols[..., :2])
+    vel = pi @ cols / man.ambient_radii[:, np.newaxis]
     # (D_JX J) Y, (D_JY J) X, (D_X J) Y, (D_Y J) X
-    t = dj(vel, np.stack([y, x, y, x]))
-    b_xy = dy(vel[2:3])[0] - dx(vel[3:4])[0]
-    value = t[0] - t[1] - b_xy + apply(j, t[3] - t[2] - apply(j, b_xy))
-    return tangent_project(man, pts, value)
+    t = dj(vel, cols[..., [3, 2, 3, 2]])
+    b_xy = dy(vel[..., 2:3]) - dx(vel[..., 3:4])
+    value = t[..., :1] - t[..., 1:2] - b_xy + j @ (t[..., 3:] - t[..., 2:3] - j @ b_xy)
+    return (pi @ value)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +569,20 @@ def sample_tangent_pairs(
     return pts_rep, xs, ys
 
 
-def frame_pair_sq_norms(
+def frame_pair_fields(
     man: ProductManifold, pts: Array, frame_pairs: int, seed: int
-) -> tuple[Array, Callable[[ACSField], Array]]:
-    """Freeze seeded orthonormal tangent frame pairs at the sample points
-    once.  Returns the rows the engine evaluates on (each point repeated per
-    frame pair, point-major) and the function mapping a structure field to
-    |N(X_i, Y_i)|^2, one entry per row."""
+) -> tuple[Array, TangentField, TangentField]:
+    """Seeded orthonormal tangent frame pairs at the sample points as two
+    per-row fields X and Y on the rows the engine evaluates on (each point
+    repeated per frame pair, point-major)."""
     pts_rep, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, seed)
-    X = row_constant_field(man, xs, "frame-x")
-    Y = row_constant_field(man, ys, "frame-y")
+    return pts_rep, row_constant_field(man, xs, "frame-x"), row_constant_field(man, ys, "frame-y")
 
-    def sq_norms(Jf: ACSField) -> Array:
-        values = nijenhuis_batch(Jf, X, Y, pts_rep)
-        return np.sum(values * values, axis=1)
 
-    return pts_rep, sq_norms
+def nijenhuis_sq_norms(Jf: ACSField, X: TangentField, Y: TangentField, pts: Array) -> Array:
+    """|N(X, Y)|^2, one entry per row."""
+    values = nijenhuis_batch(Jf, X, Y, pts)
+    return np.sum(values * values, axis=1)
 
 
 def nijenhuis_energy(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> float:
@@ -561,14 +591,15 @@ def nijenhuis_energy(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int =
     the seed."""
     if pts.shape[0] == 0:
         raise ContractViolation("energy needs at least one sample point")
-    _, sq_norms = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed)
-    return float(np.mean(sq_norms(Jf)))
+    rows, X, Y = frame_pair_fields(Jf.manifold, pts, frame_pairs, seed)
+    return float(np.mean(nijenhuis_sq_norms(Jf, X, Y, rows)))
 
 
 def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> Array:
     """Per-point root-mean-square Nijenhuis norm over the seeded frame pairs."""
-    _, sq_norms = frame_pair_sq_norms(Jf.manifold, pts, frame_pairs, seed)
-    return np.sqrt(np.mean(sq_norms(Jf).reshape(pts.shape[0], frame_pairs), axis=1))
+    rows, X, Y = frame_pair_fields(Jf.manifold, pts, frame_pairs, seed)
+    sq_norms = nijenhuis_sq_norms(Jf, X, Y, rows)
+    return np.sqrt(np.mean(sq_norms.reshape(pts.shape[0], frame_pairs), axis=1))
 
 
 def nijenhuis_tensoriality_check(

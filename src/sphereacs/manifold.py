@@ -169,19 +169,6 @@ def inner(a, b) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def factor_curvature_endo(
-    factor: SphereFactor, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Constant-curvature endomorphism R(x, y)z = kappa (<y,z> x - <x,z> y)."""
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    for v in (x, y, z):
-        if v.shape != (factor.dim,):
-            raise ContractViolation(
-                f"expected factor vectors of length {factor.dim}, got shape {v.shape}"
-            )
-    return factor.curvature * (np.dot(y, z) * x - np.dot(x, z) * y)
-
-
 @dataclass(frozen=True)
 class CurvatureOracle:
     """Evaluates the curvature 4-tensor of a product of round spheres."""

@@ -101,12 +101,6 @@ def chart_safe_points(
     return kept[:n]
 
 
-def save_points(path, pts: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in pts:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
 def load_points(path, man: ProductManifold) -> np.ndarray:
     """Load a plain-text list of ambient coordinates; each factor block must
     already be a unit vector to 1e-6 and is re-normalised exactly."""

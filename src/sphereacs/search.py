@@ -33,12 +33,12 @@ from .config import TOL
 from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
     ACSField,
-    apply,
     complex_step,
     default_acs_field,
-    frame_pair_sq_norms,
-    frozen_acs_field,
-    tangent_project,
+    frame_pair_fields,
+    frozen_field,
+    nijenhuis_sq_norms,
+    tangent_projectors,
 )
 from .identities import SplittingDefect, splitting_defect
 from .manifold import CurvatureOracle, ProductManifold, sample_blocks
@@ -84,6 +84,15 @@ class GaugeParametrization:
         return basis
 
     @cached_property
+    def skew_columns(self) -> np.ndarray:
+        """The generators side by side, shape (A, K * A): applied to the
+        stacked products c_k v it gives sum_k c_k S_k v."""
+        amb = self.manifold.ambient_dim
+        columns = np.ascontiguousarray(np.moveaxis(self.skew_basis, 0, 1)).reshape(amb, -1)
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         amb = self.manifold.ambient_dim
         out: list[tuple[int, ...]] = []
@@ -125,90 +134,101 @@ class GaugeParametrization:
             blocks.append(blocks[-1][:, prefix] * pts[:, last])
         return np.concatenate(blocks, axis=1)
 
-    def feature_derivatives(self, pts: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """Derivatives of the features at the rows pts along velocities du of
-        shape (..., n, ambient_dim): the complex step of ``features``."""
-        rows = np.broadcast_to(pts, du.shape).reshape(-1, pts.shape[1])
-        dfeat = complex_step(self.features, rows, du.reshape(rows.shape))
-        return dfeat.reshape(du.shape[:-1] + (self.feature_count,))
+    def frozen(self, rows: np.ndarray) -> "GaugeParametrization":
+        """This family with its theta-independent pieces at the row batch
+        rows (features and their ambient gradient, tangent projectors)
+        computed once.  Valid only on exactly these rows: any other batch
+        raises ``ContractViolation``."""
+        rows = np.array(rows, dtype=float)
+        return _FrozenGauge(
+            self.manifold, self.degree, self.generators, self.seed, _GaugePieces(self, rows, frozen=True)
+        )
 
-    def _tangent_projectors(self, pts: np.ndarray) -> np.ndarray:
-        outer = pts[:, :, np.newaxis] * pts[:, np.newaxis, :]
-        return np.eye(self.manifold.ambient_dim) - outer * self.manifold.ambient_block_mask
+    def _pieces(self, pts: np.ndarray) -> "_GaugePieces":
+        return _GaugePieces(self, pts)
 
-    def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Batched orthogonal Q(theta, p), identity on normals."""
+    def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray, _cayley: list | None = None) -> np.ndarray:
+        """Batched orthogonal Q(theta, p), identity on normals.  ``_cayley``,
+        a list, receives the pieces, C and (I + A)^(-1) for ``rotation_jet``
+        (nothing when theta = 0, where Q = I)."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ContractViolation(f"theta must have {self.n_params} entries")
-        n = pts.shape[0]
-        amb = self.manifold.ambient_dim
-        eye = np.broadcast_to(np.eye(amb), (n, amb, amb))
         if self.n_params == 0 or not np.any(theta):
-            return eye.copy()
-        pi = self._tangent_projectors(pts)
-        a = pi @ self._skew_field(theta, self.features(pts)) @ pi
+            amb = self.manifold.ambient_dim
+            return np.broadcast_to(np.eye(amb), (pts.shape[0], amb, amb)).copy()
+        pieces = self._pieces(pts)
+        pi, eye = pieces.projectors, pieces.identity
+        c = self._skew_field(theta, pieces.features)
+        a = pi @ c @ pi
         # Q = (I - A)(I + A)^(-1); I + A is well conditioned for skew A of
         # moderate size, so the batched explicit inverse is safe and fastest
         # here.  Its error grows like |A| eps: a Q that is not orthogonal to
         # the validator's tolerance (or a singular I + A, which only happens
         # in floating point) means theta is too large to give a structure.
         try:
-            q = (eye - a) @ np.linalg.inv(eye + a)
+            h = np.linalg.inv(eye + a)
         except np.linalg.LinAlgError as exc:
             raise DegenerateInput("Cayley inverse failed: gauge parameters too large") from exc
-        defect = np.max(np.abs(q @ q.transpose(0, 2, 1) - eye), initial=0.0)
+        q = (eye - a) @ h
+        defect = np.max(np.abs(q.transpose(0, 2, 1) @ q - eye), initial=0.0)
         if not defect <= TOL.acs_validity:
             raise DegenerateInput(
                 f"Cayley transform not orthogonal (defect {defect:.3g}): gauge parameters too large"
             )
+        if _cayley is not None:
+            _cayley.extend((pieces, c, h))
         return q
 
     def _skew_field(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """C = sum_k c_k S_k with c = features @ theta, batched; linear in the
-        features, so feature derivatives give dC."""
+        """C = sum_k c_k S_k with c = features @ theta, batched."""
         coeff = features @ theta.reshape(self.feature_count, self.generators)
         amb = self.manifold.ambient_dim
         return (coeff @ self.skew_basis.reshape(self.generators, amb * amb)).reshape(-1, amb, amb)
 
     def rotation_jet(self, theta: np.ndarray, pts: np.ndarray):
         """Q from one gauge_rotations call on the rows pts, and the map
-        (du, z) -> dQ[du] z for a stack du of tangent velocities, shape
-        (k, n, ambient_dim), applied to vectors z of shape
-        (..., k, n, ambient_dim).
+        (du, z) -> dQ[du] z for a column stack du of tangent velocities,
+        shape (n, ambient_dim, k), applied to z of shape
+        (n, ambient_dim, r * k): r column stacks side by side, each paired
+        column by column with du, so one batched product per operator
+        reaches all of them.
 
-        Closed form, without forming a derivative matrix: since
-        (I + A)^(-1) = (I + Q) / 2, dQ = -(1/2) (I + Q) dA (I + Q); with
+        Closed form, without forming a derivative matrix, from the C and
+        H = (I + A)^(-1) of the gauge_rotations call: dQ = -2 H dA H; with
         A = Pi C Pi, Pi = I - U, U = u u^T per factor block and C skew,
 
-            dA z = Pi dC Pi z - dU C Pi z - Pi C dU z,
+            dA y = Pi dC Pi y - dU C Pi y - Pi C dU y,
             dU y = du <u, y>_a + u <du, y>_a     (per factor block a),
 
-        and dC = sum_k dc_k S_k with dc linear in ``feature_derivatives``.
-        Pi is applied as ``tangent_project``."""
-        q = self.gauge_rotations(theta, pts)
-        theta = np.asarray(theta, dtype=float)
-        man = self.manifold
-        amb, gens = man.ambient_dim, self.generators
-        mask = man.ambient_block_mask
-        half = 0.5 * (np.eye(amb) + q)
-        c = self._skew_field(theta, self.features(pts))
-        # v @ generator_rows lists S_1 v, ..., S_K v
-        generator_rows = self.skew_basis.transpose(2, 0, 1).reshape(amb, gens * amb)
+        and dC = sum_k dc_k S_k with dc the derivative of the coefficients
+        features @ theta along du."""
+        cayley: list = []
+        q = self.gauge_rotations(theta, pts, _cayley=cayley)
+        if not cayley:
+            return q, lambda du, z: np.zeros(z.shape)
+        pieces, c, h = cayley
+        amb = self.manifold.ambient_dim
+        pi = pieces.projectors
+        coefficient_derivatives = pieces.coefficient_derivatives(
+            np.asarray(theta, dtype=float).reshape(self.feature_count, self.generators)
+        )
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
-            dfeat = self.feature_derivatives(pts, du)
-            dcoeff = (dfeat @ theta.reshape(self.feature_count, gens))[..., np.newaxis, :]
-
-            def d_projector(y: np.ndarray) -> np.ndarray:
-                return du * ((pts * y) @ mask) + pts * ((du * y) @ mask)
-
-            y = apply(half, z)
-            pi_y = tangent_project(man, pts, y)
-            s = (pi_y @ generator_rows).reshape(y.shape[:-1] + (gens, amb))
-            da_y = tangent_project(man, pts, (dcoeff @ s)[..., 0, :] - apply(c, d_projector(y)))
-            da_y -= d_projector(apply(c, pi_y))
-            return -2.0 * apply(half, da_y)
+            k, m = du.shape[-1], z.shape[-1]
+            # dc_k repeated over the rows of S_k v, to meet the stacked S_k v
+            dc = np.concatenate([coefficient_derivatives(du)] * (m // k), axis=-1)
+            dc_rows = np.repeat(dc, amb, axis=1)
+            # y and C Pi y side by side, for dU to take both in one pass
+            both = np.empty(z.shape[:-1] + (2 * m,))
+            y = np.matmul(h, z, out=both[..., :m])
+            pi_y = pi @ y
+            np.matmul(c, pi_y, out=both[..., m:])
+            du_both = np.concatenate([du] * (2 * m // k), axis=-1)
+            d_u = du_both * (pieces.block_rows @ both) + pieces.block_cols @ (du_both * both)
+            dc_pi_y = self.skew_columns @ (dc_rows * np.concatenate([pi_y] * self.generators, axis=-2))
+            da_y = pi @ (dc_pi_y - c @ d_u[..., :m]) - d_u[..., m:]
+            return -2.0 * (h @ da_y)
 
         return q, derivative
 
@@ -226,17 +246,80 @@ class GaugeParametrization:
         def jet(pts: np.ndarray):
             q, dq = self.rotation_jet(theta, pts)
             b, db = base.jet(pts)
-            qt = q.transpose(0, 2, 1)
+            qt = np.ascontiguousarray(q.transpose(0, 2, 1))
             j = q @ b @ qt
 
             def derivative(du: np.ndarray, w: np.ndarray) -> np.ndarray:
-                v = apply(qt, w)
-                dq_bv, dq_v = dq(du, np.stack([apply(b, v), v]))
-                return dq_bv - apply(j, dq_v) + apply(q, db(du, v))
+                k = w.shape[-1]
+                z = np.empty(w.shape[:-1] + (2 * k,))
+                v = np.matmul(qt, w, out=z[..., k:])
+                np.matmul(b, v, out=z[..., :k])
+                dq_z = dq(du, z)
+                return dq_z[..., :k] - j @ dq_z[..., k:] + q @ db(du, v)
 
             return j, derivative
 
         return ACSField(self.manifold, fn, f"gauge(deg={self.degree})[{base.name}]", jet)
+
+
+class _GaugePieces:
+    """The theta-independent pieces of a gauge family at a row batch: the
+    monomial features, the tangent projectors (with a stack of identities
+    of their shape, so I +- A are plain sums) and the block rows mask * u^T
+    of the unit points u.  Frozen pieces also hold the ambient
+    gradient of the features, so coefficient derivatives along any
+    velocities are one product; otherwise they are complex steps of
+    ``features`` along just the columns asked for."""
+
+    def __init__(self, par: GaugeParametrization, rows: np.ndarray, frozen: bool = False):
+        man = par.manifold
+        self.par = par
+        self.rows = rows
+        self.features = par.features(rows)
+        self.projectors = tangent_projectors(man, rows)
+        self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
+        # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T per
+        # factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
+        self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
+        self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
+        self.gradient = None
+        if frozen:
+            n, amb = rows.shape
+            # (n * amb, F): row i * amb + a is the derivative along axis a at row i
+            self.gradient = complex_step(
+                par.features, np.repeat(rows, amb, axis=0), np.tile(np.eye(amb), (n, 1))
+            )
+            for a in (rows, self.features, self.projectors, self.identity, self.block_rows,
+                      self.block_cols, self.gradient):
+                a.flags.writeable = False
+
+    def coefficient_derivatives(self, theta_m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """du -> the derivatives of the coefficients features @ theta_m along
+        the columns of du (n, ambient_dim, k), shape (n, generators, k)."""
+        n, amb = self.rows.shape
+        if self.gradient is not None:
+            grad_t = np.ascontiguousarray(np.swapaxes((self.gradient @ theta_m).reshape(n, amb, -1), 1, 2))
+            return lambda du: grad_t @ du
+
+        def along(du: np.ndarray) -> np.ndarray:
+            k = du.shape[-1]
+            cols = np.swapaxes(du, 1, 2).reshape(n * k, amb)
+            dfeat = complex_step(self.par.features, np.repeat(self.rows, k, axis=0), cols)
+            return np.swapaxes((dfeat @ theta_m).reshape(n, k, -1), 1, 2)
+
+        return along
+
+
+@dataclass(frozen=True)
+class _FrozenGauge(GaugeParametrization):
+    """A gauge family bound to the frozen pieces of one row batch."""
+
+    pieces: _GaugePieces | None = field(default=None, repr=False, compare=False)
+
+    def _pieces(self, pts: np.ndarray) -> _GaugePieces:
+        if not np.array_equal(pts, self.pieces.rows):
+            raise ContractViolation("frozen gauge pieces evaluated off their row batch")
+        return self.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +449,23 @@ def make_energy_objective(
     pair_seed: int,
 ) -> Callable[[np.ndarray], float]:
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
-    once, so energies are comparable across restarts and evaluations; the
-    base field's values and derivatives, which do not depend on theta, are
-    frozen with them.  The base derivatives are complex steps of ``base.fn``,
-    which must therefore be analytic in its input (see ``fields.Field``).  A
-    failed Cayley transform or a non-finite energy (theta far too large)
-    gives inf, which the simplex rejects."""
-    rows, sq_norms = frame_pair_sq_norms(parametrization.manifold, pts, frame_pairs, pair_seed)
-    frozen = frozen_acs_field(base, rows)
+    once, so energies are comparable across restarts and evaluations.  What
+    does not depend on theta is frozen with them: the base field's values
+    and frame derivatives, the frame fields' values and frame derivatives,
+    and the gauge family's features, feature gradient and tangent
+    projectors (``GaugeParametrization.frozen``).  The frozen derivatives
+    are complex steps of the fields' evaluators, which must therefore be
+    analytic in their input (see ``fields.Field``).  A failed Cayley
+    transform or a non-finite energy (theta far too large) gives inf, which
+    the simplex rejects."""
+    rows, X, Y = frame_pair_fields(parametrization.manifold, pts, frame_pairs, pair_seed)
+    base, X, Y = (frozen_field(f, rows) for f in (base, X, Y))
+    gauge = parametrization.frozen(rows)
 
     def objective(theta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                energy = float(np.mean(sq_norms(parametrization.field(theta, frozen))))
+                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), X, Y, rows)))
             except DegenerateInput:
                 return np.inf
         return energy if np.isfinite(energy) else np.inf

@@ -1,17 +1,28 @@
 """The benchmark tracer in ``perfbench/`` wraps library functions by name;
-every name it wraps must still exist in the package."""
+every name it wraps must still exist in the package, and the per-layer
+spans it records must still see the work they name."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from sphereacs import search
+from sphereacs.fields import default_acs_field
+from sphereacs.manifold import spheres
+from sphereacs.sampling import chart_safe_points
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("tracing").Tracer()
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tracer):
     # a deleted or renamed function that the tracer wraps fails here, in the
     # package's own suite, and not only in the benchmark's self-tests
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracer = importlib.import_module("tracing").Tracer()
     original = search.nelder_mead
     try:
         tracer.install()
@@ -19,3 +30,35 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert search.nelder_mead is original
+
+
+def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer):
+    # the per-layer metrics read these spans: an objective that routes
+    # around gauge_rotations or nijenhuis_batch would zero them silently
+    man = spheres((2, 1.0), (4, 1.0))
+    pts = chart_safe_points(man, 6, seed=1)
+    par = search.GaugeParametrization(man, degree=1, generators=4, seed=1)
+    thetas = 0.3 * np.random.default_rng(1).standard_normal((3, par.n_params))
+    try:
+        tracer.install()
+        objective = search.make_energy_objective(par, default_acs_field(man), pts, 1, pair_seed=1)
+        root = tracer.begin_command(0, "cli.search.s2xs4")
+        for theta in thetas:
+            objective(theta)
+        tracer.end_command(root)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    ids = {name: i for i, name in enumerate(spans.names)}
+    evaluations = np.flatnonzero(spans.name == ids["search.objective"])
+    assert evaluations.size == 3
+
+    def evaluation_of(span: int) -> int:
+        while span >= 0 and spans.name[span] != ids["search.objective"]:
+            span = spans.parent[span]
+        return span
+
+    for name in ("search.gauge_rotations", "fields.nijenhuis_batch"):
+        inside = np.flatnonzero(spans.name == ids[name])
+        assert sorted(evaluation_of(s) for s in inside) == list(evaluations), name
+        assert np.all(spans.n[inside] == pts.shape[0]), name

@@ -823,11 +823,11 @@ def test_components_audits_serialised_structure(tmp_path):
 
 def test_nijenhuis_points_file(tmp_path):
     from sphereacs.manifold import spheres
-    from sphereacs.sampling import manifold_points, save_points
+    from sphereacs.sampling import manifold_points
 
     man = spheres((2, 1.0))
     pts_path = tmp_path / "pts.txt"
-    save_points(pts_path, manifold_points(man, 7, seed=3))
+    np.savetxt(pts_path, manifold_points(man, 7, seed=3), fmt="%.17g")
     cfg = write_config(
         tmp_path,
         f"factor = dim=2 curvature=1.0\npoints_file = {pts_path}\nformat = csv\n",
@@ -841,10 +841,8 @@ def test_nijenhuis_points_file(tmp_path):
 def test_nijenhuis_product_restriction_check_follows_points_file(tmp_path):
     # the points key is ignored with a points_file, so it must not size the
     # restriction check either: 12 file points give the full 10 checks
-    from sphereacs.sampling import save_points
-
     pts_path = tmp_path / "pts.txt"
-    save_points(pts_path, manifold_points(spheres((2, 1.0), (6, 1.0)), 12, seed=4))
+    np.savetxt(pts_path, manifold_points(spheres((2, 1.0), (6, 1.0)), 12, seed=4), fmt="%.17g")
     cfg = write_config(
         tmp_path,
         "factor = dim=2 curvature=1.0\nfactor = dim=6 curvature=1.0\n"

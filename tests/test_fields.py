@@ -11,7 +11,7 @@ from sphereacs.fields import (
     complex_step,
     cross_matrix,
     default_acs_field,
-    frozen_acs_field,
+    frozen_field,
     lie_bracket_fd_batch,
     linear_field,
     nijenhuis_batch,
@@ -22,6 +22,7 @@ from sphereacs.fields import (
     product_acs_field,
     projected_constant_field,
     rotation_field,
+    row_constant_field,
     s2_rotation_blocks,
     s4_chart_blocks,
     s4_integrable_chart_blocks,
@@ -29,6 +30,7 @@ from sphereacs.fields import (
     sample_tangent_pairs,
     tangent_bases,
     tangent_project,
+    tangent_projectors,
     unit_rows,
 )
 from sphereacs.search import GaugeParametrization
@@ -339,10 +341,11 @@ def test_complex_step_is_the_directional_derivative():
 def test_frozen_field_matches_the_field_on_its_rows_only():
     base = default_acs_field(S2XS4)
     pts = chart_safe_points(S2XS4, 5, seed=1)
-    frozen = frozen_acs_field(base, pts)
+    frozen = frozen_field(base, pts)
     rng = np.random.default_rng(2)
-    du = tangent_project(S2XS4, pts, rng.standard_normal((3, 5, 8)))
-    w = rng.standard_normal((3, 5, 8))
+    # the draws as three (5, 8) rows each, laid out as column stacks (5, 8, 3)
+    du = np.moveaxis(tangent_project(S2XS4, pts, rng.standard_normal((3, 5, 8))), 0, -1)
+    w = np.moveaxis(rng.standard_normal((3, 5, 8)), 0, -1)
     value, derivative = frozen.jet(pts)
     base_value, base_derivative = base.jet(pts)
     assert np.array_equal(frozen(pts), base(pts))
@@ -355,6 +358,60 @@ def test_frozen_field_matches_the_field_on_its_rows_only():
             frozen(off_rows)
         with pytest.raises(ContractViolation):
             frozen.jet(off_rows)
+
+
+def test_frozen_field_keeps_its_own_copy_of_the_rows():
+    # writing to the caller's array after freezing changes nothing frozen:
+    # the moved rows are off the batch and raise, the old rows still match
+    pts = chart_safe_points(S2XS4, 4, seed=3)
+    rows = pts.copy()
+    X = projected_constant_field(S2XS4, np.arange(8.0), "X")
+    frozen = frozen_field(X, rows)
+    rows[0] = rows[1]
+    with pytest.raises(ContractViolation):
+        frozen.jet(rows)
+    assert np.array_equal(frozen(pts), X(pts))
+
+
+def _one_column_at_a_time(derivative, *stacks):
+    k = stacks[0].shape[-1]
+    return np.concatenate([derivative(*(s[..., j:j + 1] for s in stacks)) for j in range(k)], axis=-1)
+
+
+def test_stacked_jets_equal_one_column_calls():
+    # a k-column stack gives the k one-column derivatives, for every kind
+    # of jet: the complex-step default (tangent and structure fields),
+    # frozen fields (structure and frame fields) and the gauged family,
+    # fresh and frozen
+    man = S2XS4
+    pts = chart_safe_points(man, 6, seed=7)
+    rng = np.random.default_rng(7)
+    du = tangent_projectors(man, pts) @ rng.standard_normal((6, 8, 4))
+    w = rng.standard_normal((6, 8, 4))
+    base = default_acs_field(man)
+    X = row_constant_field(man, rng.standard_normal((6, 8)), "X")
+    par = GaugeParametrization(man, degree=2, generators=4, seed=7)
+    theta = 0.3 * rng.standard_normal(par.n_params)
+    structures = {
+        "default": base,
+        "frozen": frozen_field(base, pts),
+        "gauged": par.field(theta, base),
+        "gauged-frozen": par.frozen(pts).field(theta, frozen_field(base, pts)),
+    }
+    for name, Jf in structures.items():
+        _, derivative = Jf.jet(pts)
+        stacked = derivative(du, w)
+        assert stacked.shape == w.shape, name
+        np.testing.assert_allclose(
+            stacked, _one_column_at_a_time(derivative, du, w), rtol=1e-13, atol=1e-13, err_msg=name
+        )
+    for name, field in {"default": X, "frozen": frozen_field(X, pts)}.items():
+        _, derivative = field.jet(pts)
+        stacked = derivative(du)
+        assert stacked.shape == du.shape, name
+        np.testing.assert_allclose(
+            stacked, _one_column_at_a_time(derivative, du), rtol=1e-13, atol=1e-13, err_msg=name
+        )
 
 
 def test_octonionic_s6_is_far_from_integrable():

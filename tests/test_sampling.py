@@ -10,8 +10,14 @@ from sphereacs.sampling import (
     load_points,
     low_discrepancy_directions,
     manifold_points,
-    save_points,
 )
+
+
+def save_points(path, pts: np.ndarray) -> None:
+    """Write one point per line, 17 significant digits: the points_file format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in pts:
+            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
 
 
 def test_fibonacci_unit_and_deterministic():

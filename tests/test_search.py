@@ -8,7 +8,13 @@ from dataclasses import fields
 
 from sphereacs.acs import random_block_diagonal_acs, random_orthogonal_acs
 from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
-from sphereacs.fields import acs_field_validity_check, default_acs_field, tangent_project
+from sphereacs.fields import (
+    acs_field_validity_check,
+    default_acs_field,
+    frame_pair_fields,
+    nijenhuis_sq_norms,
+    tangent_project,
+)
 from sphereacs.identities import SplittingDefect, splitting_defect
 from sphereacs.manifold import SAMPLE_BLOCK, CurvatureOracle, spheres
 from sphereacs.sampling import chart_safe_points, manifold_points
@@ -109,18 +115,22 @@ def test_cayley_derivative_matches_central_differences(degree):
     pts = chart_safe_points(S2XS4, 6, seed=3)
     rng = np.random.default_rng(3)
     theta = 0.4 * rng.standard_normal(par.n_params)
-    du = tangent_project(S2XS4, pts, rng.standard_normal((2, 6, S2XS4.ambient_dim)))
+    # two tangent velocities drawn as rows, laid out as a column stack (6, 8, 2)
+    du = np.moveaxis(tangent_project(S2XS4, pts, rng.standard_normal((2, 6, S2XS4.ambient_dim))), 0, -1)
     q, dq = par.rotation_jet(theta, pts)
     assert np.array_equal(q, par.gauge_rotations(theta, pts))
-    # the derivative comes applied to vectors: columns dQ e_j
-    eye = np.eye(S2XS4.ambient_dim)[:, np.newaxis, np.newaxis, :]
-    exact = np.moveaxis(dq(du, np.broadcast_to(eye, (8,) + du.shape)), 0, -1)
+    # the derivative comes applied to vectors: dQ e_j for each basis vector
+    # e_j, one stack of two columns per j side by side, then laid out as
+    # (velocity, row, i, j) like central
+    eye = np.eye(S2XS4.ambient_dim)[np.newaxis, :, :, np.newaxis]
+    z = np.broadcast_to(eye, (6, 8, 8, 2)).reshape(6, 8, 16)
+    exact = np.transpose(dq(du, z).reshape(6, 8, 8, 2), (3, 0, 1, 2))
 
     def central(h):
         return np.stack([
             (par.gauge_rotations(theta, pts + h * d) - par.gauge_rotations(theta, pts - h * d))
             / (2 * h)
-            for d in du
+            for d in np.moveaxis(du, -1, 0)
         ])
 
     errs = {h: np.linalg.norm(central(h) - exact, axis=(2, 3)) for h in (4e-3, 2e-3, 1e-3)}
@@ -128,6 +138,46 @@ def test_cayley_derivative_matches_central_differences(degree):
         ratio = float(np.median(errs[big] / errs[small]))
         assert 3.5 <= ratio <= 4.5, f"convergence ratio {ratio}"
     assert np.max(np.abs(central(1e-5) - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_frozen_objective_matches_the_unfrozen_energy(degree):
+    # freezing the theta-independent pieces moves round-off only: the
+    # objective is the mean |N|^2 of the unfrozen family on the same rows
+    par = GaugeParametrization(S2XS4, degree=degree, generators=4, seed=degree)
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 8, seed=degree)
+    objective = make_energy_objective(par, base, pts, 2, pair_seed=5)
+    rows, X, Y = frame_pair_fields(S2XS4, pts, 2, 5)
+    rng = np.random.default_rng(degree)
+    thetas = [np.zeros(par.n_params)] + [0.3 * rng.standard_normal(par.n_params) for _ in range(3)]
+    for theta in thetas:
+        expected = float(np.mean(nijenhuis_sq_norms(par.field(theta, base), X, Y, rows)))
+        assert abs(objective(theta) - expected) <= 1e-13 * expected
+
+
+def test_frozen_gauge_holds_only_on_its_rows():
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=2)
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 5, seed=2)
+    theta = 0.3 * np.random.default_rng(2).standard_normal(par.n_params)
+    rows = pts.copy()
+    frozen = par.frozen(rows)
+    assert np.array_equal(frozen.gauge_rotations(theta, pts), par.gauge_rotations(theta, pts))
+    moved = pts.copy()
+    moved[0] = pts[1]
+    for off_rows in (moved, pts[:3], pts + 1e-15):
+        with pytest.raises(ContractViolation):
+            frozen.gauge_rotations(theta, off_rows)
+        with pytest.raises(ContractViolation):
+            frozen.rotation_jet(theta, off_rows)
+        with pytest.raises(ContractViolation):
+            frozen.field(theta, base).jet(off_rows)
+    # the frozen pieces are a copy: rows written after freezing are off
+    # the batch and raise instead of meeting stale pieces
+    rows[0] = rows[1]
+    with pytest.raises(ContractViolation):
+        frozen.gauge_rotations(theta, rows)
 
 
 @pytest.mark.parametrize("scale", [1e30, 1e300])
