@@ -68,7 +68,8 @@ File formats referenced by config keys:
   numbers at 17 significant digits round-trip doubles exactly.
 * ``points_file`` (nijenhuis commands): one sample point per line as
   whitespace-separated ambient coordinates (sum of dim+1 per factor); each
-  factor block must lie on its unit sphere to 1e-6.
+  factor block must lie on its unit sphere to 1e-6, and 4-sphere blocks must
+  keep ``chart_margin`` from the chart's bad set, as generated points do.
 
 Non-finite numbers (nan, inf) in a factor curvature, an ``acs_file`` or a
 ``points_file`` are usage errors (exit code 2).
@@ -103,7 +104,7 @@ from .identities import (
 )
 from .manifold import CurvatureOracle, ProductManifold, SphereFactor
 from .report import AuditReport, Check
-from .sampling import chart_safe_points, load_points
+from .sampling import chart_safe_mask, chart_safe_points, load_points
 from .search import (
     ExperimentConfig,
     GaugeParametrization,
@@ -369,6 +370,9 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
     jf = _field_for(target, man, cfg)
     if cfg.points_file:
         pts = load_points(cfg.points_file, man)
+        unsafe = np.flatnonzero(~chart_safe_mask(man, pts, cfg.chart_margin))
+        if unsafe.size:
+            raise ConfigError(f"{cfg.points_file}: point {unsafe[0]} is within chart_margin of the chart's bad set")
     else:
         pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
     norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed)

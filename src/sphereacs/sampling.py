@@ -84,18 +84,23 @@ def manifold_points(man: ProductManifold, n: int, seed: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def chart_safe_mask(man: ProductManifold, pts: np.ndarray, margin: float) -> np.ndarray:
+    """Which rows keep every 4-sphere block more than ``margin`` (in the last
+    coordinate) from the antipodal bad set of the chart structure."""
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for f, sl in zip(man.factors, man.ambient_slices):
+        if f.dim == 4:
+            keep &= pts[:, sl][:, -1] > -1.0 + margin
+    return keep
+
+
 def chart_safe_points(
     man: ProductManifold, n: int, seed: int, margin: float = 0.05
 ) -> np.ndarray:
-    """Like manifold_points, but drops points whose 4-sphere blocks come
-    within ``margin`` of the antipodal bad set of the chart structure, taking
-    the first n survivors of a double-size batch (deterministic)."""
+    """Like manifold_points, but drops points that fail ``chart_safe_mask``,
+    taking the first n survivors of a double-size batch (deterministic)."""
     raw = manifold_points(man, 2 * n + 8, seed)
-    keep = np.ones(raw.shape[0], dtype=bool)
-    for f, sl in zip(man.factors, man.ambient_slices):
-        if f.dim == 4:
-            keep &= raw[:, sl][:, -1] > -1.0 + margin
-    kept = raw[keep]
+    kept = raw[chart_safe_mask(man, raw, margin)]
     if kept.shape[0] < n:
         raise DegenerateInput("too many sample points fell in the excluded chart set")
     return kept[:n]

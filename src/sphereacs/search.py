@@ -16,7 +16,11 @@ for every theta, and theta = 0 reproduces J0 exactly.
 
 Every search here is heuristic evidence only: a positive energy floor over a
 parametrized family at desk scale demonstrates nothing beyond the family and
-sample points used, and is reported as data.
+sample points used, and is reported as data.  On S^2 x S^4 the base is the
+twisted chart structure, one gauge rotation from a structure integrable on
+the whole sampled chart (``fields.s4_integrable_chart_blocks``), so there the
+energy's infimum over all gauge rotations is 0: the floor measures how far
+the family's few seeded generators are from expressing that rotation.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .fields import (
     ACSField,
     complex_step,
     default_acs_field,
-    frame_pair_fields,
     frozen_field,
     nijenhuis_sq_norms,
+    sample_tangent_pairs,
     tangent_projectors,
 )
 from .identities import SplittingDefect, splitting_defect
@@ -451,21 +455,21 @@ def make_energy_objective(
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
     once, so energies are comparable across restarts and evaluations.  What
     does not depend on theta is frozen with them: the base field's values
-    and frame derivatives, the frame fields' values and frame derivatives,
-    and the gauge family's features, feature gradient and tangent
-    projectors (``GaugeParametrization.frozen``).  The frozen derivatives
-    are complex steps of the fields' evaluators, which must therefore be
-    analytic in their input (see ``fields.Field``).  A failed Cayley
-    transform or a non-finite energy (theta far too large) gives inf, which
-    the simplex rejects."""
-    rows, X, Y = frame_pair_fields(parametrization.manifold, pts, frame_pairs, pair_seed)
-    base, X, Y = (frozen_field(f, rows) for f in (base, X, Y))
+    and frame derivatives (``fields.frozen_field``) and the gauge family's
+    features, feature gradient and tangent projectors
+    (``GaugeParametrization.frozen``).  The frozen derivatives are complex
+    steps of the base field's evaluator, which must therefore be analytic in
+    its input (see ``fields.ACSField``).  A failed Cayley transform or a
+    non-finite energy (theta far too large) gives inf, which the simplex
+    rejects."""
+    rows, xs, ys = sample_tangent_pairs(parametrization.manifold, pts, frame_pairs, pair_seed)
+    base = frozen_field(base, rows)
     gauge = parametrization.frozen(rows)
 
     def objective(theta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), X, Y, rows)))
+                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), xs, ys, rows)))
             except DegenerateInput:
                 return np.inf
         return energy if np.isfinite(energy) else np.inf

@@ -181,11 +181,11 @@ def test_criterion_6_nijenhuis_engine():
         Y = projected_constant_field(man, amb_y)
         u6 = low_discrepancy_directions(5, 7, seed=5)
         pts = np.concatenate([fibonacci_sphere(5, seed=5), u6], axis=1)
-        full = nijenhuis_batch(jf, X, Y, pts)
+        full = nijenhuis_batch(jf, X(pts), Y(pts), pts)
         alone = nijenhuis_batch(
             j6,
-            projected_constant_field(s6, amb_x[3:]),
-            projected_constant_field(s6, amb_y[3:]),
+            projected_constant_field(s6, amb_x[3:])(u6),
+            projected_constant_field(s6, amb_y[3:])(u6),
             u6,
         )
         assert np.max(np.abs(full[:, 3:] - alone)) <= TOL.exact_nijenhuis

@@ -32,7 +32,7 @@ from sphereacs.identities import (
 )
 from sphereacs.manifold import CurvatureOracle, spheres
 from sphereacs.report import AuditReport
-from sphereacs.sampling import manifold_points
+from sphereacs.sampling import chart_safe_points, manifold_points
 from sphereacs import search
 from sphereacs.search import splitting_audit
 
@@ -171,6 +171,19 @@ def test_nonfinite_points_file_is_usage_error(tmp_path, capsys):
     pts.write_text("0 0 1\nnan 0 1\n")
     cfg = write_config(tmp_path, f"factor = dim=2 curvature=1.0\npoints_file = {pts}\n")
     assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+def test_points_file_inside_the_chart_margin_is_usage_error(tmp_path, capsys):
+    # file points keep chart_margin from the 4-sphere chart's bad set, as
+    # generated points do; a point near the antipode would otherwise pass
+    # the validity check, which sees only the first 25 points
+    pts = chart_safe_points(spheres((2, 1.0), (4, 1.0)), 30, seed=1)
+    u4 = -1.0 + 1e-7
+    pts[29, 3:] = [math.sqrt(1.0 - u4 * u4), 0.0, 0.0, 0.0, u4]
+    path = tmp_path / "pts.txt"
+    np.savetxt(path, pts, fmt="%.17g")
+    cfg = write_config(tmp_path, f"{S2XS4}points_file = {path}\n")
+    assert_usage_error(["nijenhuis", "gauged", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
 
 
 def test_nonfinite_curvature_is_usage_error(tmp_path, capsys):

@@ -11,8 +11,8 @@ from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import (
     acs_field_validity_check,
     default_acs_field,
-    frame_pair_fields,
     nijenhuis_sq_norms,
+    sample_tangent_pairs,
     tangent_project,
 )
 from sphereacs.identities import SplittingDefect, splitting_defect
@@ -148,11 +148,11 @@ def test_frozen_objective_matches_the_unfrozen_energy(degree):
     base = default_acs_field(S2XS4)
     pts = chart_safe_points(S2XS4, 8, seed=degree)
     objective = make_energy_objective(par, base, pts, 2, pair_seed=5)
-    rows, X, Y = frame_pair_fields(S2XS4, pts, 2, 5)
+    rows, xs, ys = sample_tangent_pairs(S2XS4, pts, 2, 5)
     rng = np.random.default_rng(degree)
     thetas = [np.zeros(par.n_params)] + [0.3 * rng.standard_normal(par.n_params) for _ in range(3)]
     for theta in thetas:
-        expected = float(np.mean(nijenhuis_sq_norms(par.field(theta, base), X, Y, rows)))
+        expected = float(np.mean(nijenhuis_sq_norms(par.field(theta, base), xs, ys, rows)))
         assert abs(objective(theta) - expected) <= 1e-13 * expected
 
 
