@@ -532,20 +532,41 @@ def nijenhuis_sq_norms(Jf: ACSField, x: Array, y: Array, pts: Array) -> Array:
     return np.sum(values * values, axis=1)
 
 
+# Rows per nijenhuis_sq_norms call of the one-shot evaluations below.  The
+# gauged S^2 x S^4 field holds about 16 kB of per-row temporaries, so a block
+# peaks near 16 MB however many points there are; smaller blocks save little
+# more memory and pay the per-call overhead more often.
+NIJENHUIS_BLOCK_ROWS = 1024
+
+
+def _blocked_sq_norms(Jf: ACSField, pts: Array, frame_pairs: int, seed: int) -> Array:
+    """|N|^2 at the seeded frame pairs of ``sample_tangent_pairs``, in its
+    row order, evaluated NIJENHUIS_BLOCK_ROWS rows at a time.  N is computed
+    row by row, so each value is the one a single whole-batch call gives,
+    except in round-off where a field's evaluator takes one 2-D matrix
+    product over all its rows (BLAS rounds those with the row count, as in
+    the gauge family's features).  Not for frozen fields, which are bound to
+    exactly one row batch."""
+    rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, frame_pairs, seed)
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], NIJENHUIS_BLOCK_ROWS):
+        block = slice(start, start + NIJENHUIS_BLOCK_ROWS)
+        out[block] = nijenhuis_sq_norms(Jf, xs[block], ys[block], rows[block])
+    return out
+
+
 def nijenhuis_energy(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> float:
     """Mean of |N(X_i, Y_i)|^2 over seeded orthonormal tangent frame pairs at
     each sample point; zero exactly for integrable fields, deterministic in
     the seed."""
     if pts.shape[0] == 0:
         raise ContractViolation("energy needs at least one sample point")
-    rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, frame_pairs, seed)
-    return float(np.mean(nijenhuis_sq_norms(Jf, xs, ys, rows)))
+    return float(np.mean(_blocked_sq_norms(Jf, pts, frame_pairs, seed)))
 
 
 def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> Array:
     """Per-point root-mean-square Nijenhuis norm over the seeded frame pairs."""
-    rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, frame_pairs, seed)
-    sq_norms = nijenhuis_sq_norms(Jf, xs, ys, rows)
+    sq_norms = _blocked_sq_norms(Jf, pts, frame_pairs, seed)
     return np.sqrt(np.mean(sq_norms.reshape(pts.shape[0], frame_pairs), axis=1))
 
 
@@ -562,7 +583,7 @@ def acs_field_validity_check(Jf: ACSField, pts: Array) -> AuditReport:
         np.max(acs_defects(man, restricted), initial=0.0),
         0.0,
         TOL.acs_validity,
-        "tangent restriction passes the ACS validator at every sample point",
+        f"tangent restriction passes the ACS validator at the first {pts.shape[0]} sample points",
     )
     return report
 

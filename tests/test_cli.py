@@ -577,6 +577,9 @@ def test_nijenhuis_s6_energy_positive(tmp_path):
     rows = read_rows(out / "nijenhuis_s6_octonion.csv")
     energy = [r for r in rows if r["name"] == "energy"]
     assert float(energy[0]["computed"]) > 0.1
+    # the validity row claims the points it checks, the first 25 of 30
+    (validity,) = [r for r in rows if r["name"] == "pointwise-validity"]
+    assert validity["claim"] == "tangent restriction passes the ACS validator at the first 25 sample points"
 
 
 def test_nijenhuis_product_restriction_rows(tmp_path):

@@ -17,6 +17,7 @@ from sphereacs.fields import (
     nijenhuis_batch,
     nijenhuis_energy,
     nijenhuis_norms,
+    nijenhuis_sq_norms,
     normalize_blocks,
     product_acs_field,
     projected_constant_field,
@@ -654,6 +655,59 @@ def test_nijenhuis_norms_match_energy():
     energy = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=9)
     assert norms.shape == (30,)
     assert float(np.mean(norms**2)) == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture, rel", [
+    ("s2", 0.0), ("s6-octonion", 0.0), ("s2xs6", 0.0), ("gauged-deg2", 1e-13),
+])
+def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
+    # 23 points x 2 frame pairs = 46 rows in 7-row blocks: the last block is
+    # short, and the pairs of points 3, 10 and 17 straddle two blocks.  N is
+    # computed row by row; only the gauged field's features, one 2-D matrix
+    # product over the rows, round differently with the row count
+    Jf = EXACT_FIXTURES[fixture]()
+    pts = chart_safe_points(Jf.manifold, 23, seed=6)
+    rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, 2, seed=7)
+    whole = nijenhuis_sq_norms(Jf, xs, ys, rows)
+    block_rows = []
+
+    def counted(Jf, x, y, pts):
+        block_rows.append(pts.shape[0])
+        return nijenhuis_sq_norms(Jf, x, y, pts)
+
+    monkeypatch.setattr(fields, "NIJENHUIS_BLOCK_ROWS", 7)
+    monkeypatch.setattr(fields, "nijenhuis_sq_norms", counted)
+    norms = nijenhuis_norms(Jf, pts, frame_pairs=2, seed=7)
+    energy = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=7)
+    assert block_rows == 2 * ([7] * 6 + [4])
+    expected_norms = np.sqrt(np.mean(whole.reshape(23, 2), axis=1))
+    expected_energy = float(np.mean(whole))
+    if rel == 0.0:
+        assert np.array_equal(norms, expected_norms)
+        assert energy == expected_energy
+    else:
+        assert np.max(np.abs(norms - expected_norms) / expected_norms) <= rel
+        assert abs(energy - expected_energy) <= rel * expected_energy
+
+
+def test_one_shot_memory_is_flat_in_the_batch_size():
+    # the per-row temporaries of a block dominate the peak; only the tangent
+    # pair draw and the output grow with the points
+    import tracemalloc
+
+    Jf = EXACT_FIXTURES["gauged-deg2"]()
+
+    def peak(n: int) -> int:
+        pts = chart_safe_points(S2XS4, n, seed=8)
+        tracemalloc.start()
+        try:
+            nijenhuis_norms(Jf, pts, frame_pairs=1, seed=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = fields.NIJENHUIS_BLOCK_ROWS
+    assert peak(4 * block) <= 1.5 * peak(block)
 
 
 def test_sample_tangent_pairs_orthonormal():

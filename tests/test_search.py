@@ -180,6 +180,18 @@ def test_frozen_gauge_holds_only_on_its_rows():
         frozen.gauge_rotations(theta, rows)
 
 
+def test_energy_objective_is_one_batch_at_any_block_size(monkeypatch):
+    # the frozen field and gauge pieces hold only on the objective's whole
+    # row batch, so the one-shot row blocks of ``fields`` must not reach it
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=4)
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 12, seed=4)
+    theta = 0.3 * np.random.default_rng(4).standard_normal(par.n_params)
+    expected = make_energy_objective(par, base, pts, 2, pair_seed=4)(theta)
+    monkeypatch.setattr("sphereacs.fields.NIJENHUIS_BLOCK_ROWS", 5)
+    assert make_energy_objective(par, base, pts, 2, pair_seed=4)(theta) == expected
+
+
 @pytest.mark.parametrize("scale", [1e30, 1e300])
 def test_failed_cayley_transform_gives_infinite_energy(scale):
     # far too large a theta: I + A is singular in floating point or Q is
