@@ -90,54 +90,55 @@ def canonical_product_acs(manifold: ProductManifold) -> np.ndarray:
     return standard_rotation_structure(manifold.total_dim)
 
 
-def _sign_fixed_q(g: np.ndarray) -> np.ndarray:
-    """Q factors of the (..., n, n) Gaussian samples, each column's sign fixed
-    so that diag(R) >= 0 and the distribution is Haar on the orthogonal
-    group."""
-    q, r = np.linalg.qr(g)
+def haar_orthogonal(n: int, rng: np.random.Generator, stack: tuple[int, ...] = ()) -> np.ndarray:
+    """The (*stack, n, n) Q factors of rng's next Gaussian samples, each
+    column's sign fixed so that diag(R) >= 0 and the distribution is Haar on
+    the full orthogonal group."""
+    q, r = np.linalg.qr(rng.standard_normal((*stack, n, n)))
     signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
     return q * signs[..., np.newaxis, :]
 
 
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal matrix from QR of a Gaussian sample, diagonal sign-fixed so
-    the distribution is well defined (Haar on the full orthogonal group)."""
-    return _sign_fixed_q(rng.standard_normal((n, n)))
+def orthogonal_stream(seed) -> np.random.Generator:
+    """The stream of an audit's orthogonal structures, seeded [seed, 1]."""
+    return np.random.default_rng([seed, 1])
 
 
-def _rotated_structures(dim: int, seeds) -> np.ndarray:
-    """Q J0 Q^T per seed, stacked: one generator per seed draws the Gaussian
-    sample, then one stacked QR, sign fix and conjugation handle them all."""
-    g = np.stack([np.random.default_rng(seed).standard_normal((dim, dim)) for seed in seeds])
-    q = _sign_fixed_q(g)
-    return q @ standard_rotation_structure(dim) @ np.swapaxes(q, -1, -2)
+def block_diagonal_streams(manifold: ProductManifold, seed) -> list[np.random.Generator]:
+    """The streams of an audit's block-diagonal structures, factor a's seeded
+    [seed, 2, a].  The tags are distinct and nonzero: SeedSequence pads with
+    zeros, so [seed, 0] would be the audit's vector stream default_rng(seed)."""
+    return [np.random.default_rng([seed, 2, a]) for a in range(manifold.n_factors)]
 
 
-def random_orthogonal_matrices(manifold: ProductManifold, seeds) -> np.ndarray:
-    """The (len(seeds), n, n) stack of random_orthogonal_acs matrices, one
-    per seed, drawn in one batched pass."""
-    return _rotated_structures(manifold.total_dim, seeds)
-
-
-def random_block_diagonal_matrices(manifold: ProductManifold, seeds) -> np.ndarray:
-    """The (len(seeds), n, n) stack of random_block_diagonal_acs matrices,
-    one per seed; factor block a of seed s is drawn from the seed [s, a]."""
+def random_orthogonal_matrices(manifold: ProductManifold, count: int, rng) -> np.ndarray:
+    """Q J0 Q^T for the generator rng's next count Haar-orthogonal Q, stacked
+    (count, n, n); a stream drawn block after block gives one draw's stack."""
     n = manifold.total_dim
-    m = np.zeros((len(seeds), n, n))
-    for a, (f, sl) in enumerate(zip(manifold.factors, manifold.block_slices)):
-        m[:, sl, sl] = _rotated_structures(f.dim, [[seed, a] for seed in seeds])
+    q = haar_orthogonal(n, rng, (count,))
+    return q @ standard_rotation_structure(n) @ np.swapaxes(q, -1, -2)
+
+
+def random_block_diagonal_matrices(manifold: ProductManifold, count: int, rngs) -> np.ndarray:
+    """The (count, n, n) stack of the next count block-diagonal structures:
+    block a holds random_orthogonal_matrices of factor a from rngs[a]."""
+    n = manifold.total_dim
+    m = np.zeros((count, n, n))
+    for f, sl, rng in zip(manifold.factors, manifold.block_slices, rngs, strict=True):
+        m[:, sl, sl] = random_orthogonal_matrices(ProductManifold((f,)), count, rng)
     return m
 
 
 def random_orthogonal_acs(manifold: ProductManifold, seed) -> np.ndarray:
-    """J = Q J0 Q^T for a seeded Haar-orthogonal Q and the standard block
-    rotation J0; deterministic in the seed."""
-    return random_orthogonal_matrices(manifold, [seed])[0]
+    """J = Q J0 Q^T for a Haar-orthogonal Q drawn from default_rng(seed) and
+    the standard block rotation J0; deterministic in the seed."""
+    return random_orthogonal_matrices(manifold, 1, np.random.default_rng(seed))[0]
 
 
 def random_block_diagonal_acs(manifold: ProductManifold, seed) -> np.ndarray:
-    """Independent seeded OACS on each factor block, assembled block-diagonally."""
-    return random_block_diagonal_matrices(manifold, [seed])[0]
+    """Independent OACS on each factor block, factor a's from default_rng([seed, a])."""
+    rngs = [np.random.default_rng([seed, a]) for a in range(manifold.n_factors)]
+    return random_block_diagonal_matrices(manifold, 1, rngs)[0]
 
 
 def swap_acs(manifold: ProductManifold) -> np.ndarray:

@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acs import (
+    block_diagonal_streams,
+    orthogonal_stream,
     random_block_diagonal_acs,
     random_block_diagonal_matrices,
     random_orthogonal_matrices,
@@ -71,17 +73,17 @@ def gray_combination(oracle: CurvatureOracle, J, w, x, y, z):
 
 
 def gray_cancellation_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
-    """Check that the eight-term combination vanishes for seeded random
-    per-factor structures on random vector quadruples: every factor has
-    constant curvature, so block-diagonal J satisfy Gray's identity.  The
-    round-off grows with the curvature, so the tolerance scales with the
-    largest factor curvature."""
+    """Check that the eight-term combination vanishes for random per-factor
+    structures and vector quadruples, one stream each drawn block after
+    block: every factor has constant curvature, so block-diagonal J satisfy
+    Gray's identity.  The tolerance scales with the largest factor
+    curvature, as the round-off does."""
     oracle = CurvatureOracle(manifold)
     rng = np.random.default_rng(seed)
+    streams = block_diagonal_streams(manifold, seed)
     vals = np.empty(samples)
     for block in sample_blocks(samples):
-        seeds = [[seed, s] for s in range(block.start, block.stop)]
-        J = random_block_diagonal_matrices(manifold, seeds)
+        J = random_block_diagonal_matrices(manifold, block.stop - block.start, streams)
         w, x, y, z = np.moveaxis(rng.standard_normal((len(J), 4, manifold.total_dim)), 1, 0)
         vals[block] = np.abs(gray_combination(oracle, J, w, x, y, z))
     report = AuditReport()
@@ -195,15 +197,15 @@ def ricci_star(oracle: CurvatureOracle, J: np.ndarray) -> np.ndarray:
 
 
 def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int) -> AuditReport:
-    """Check rho*(X, Y) = rho*(JY, JX) by direct contraction, with a fresh
-    seeded random structure J and random vector pair per sample; the
-    tolerance scales with the largest factor curvature."""
+    """Check rho*(X, Y) = rho*(JY, JX) by direct contraction on random
+    structures J and vector pairs, one stream each drawn block after block;
+    the tolerance scales with the largest factor curvature."""
     oracle = CurvatureOracle(manifold)
     rng = np.random.default_rng(seed)
+    stream = orthogonal_stream(seed)
     errs = np.empty(samples)
     for block in sample_blocks(samples):
-        seeds = [[seed, s] for s in range(block.start, block.stop)]
-        J = random_orthogonal_matrices(manifold, seeds)
+        J = random_orthogonal_matrices(manifold, block.stop - block.start, stream)
         x, y = np.moveaxis(rng.standard_normal((len(J), 2, manifold.total_dim)), 1, 0)
         lhs = ricci_star_bilinear(oracle, J, x, y)
         rhs = ricci_star_bilinear(oracle, J, _apply(J, y), _apply(J, x))

@@ -32,7 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .acs import random_block_diagonal_matrices, random_orthogonal_matrices
+from .acs import (
+    block_diagonal_streams,
+    orthogonal_stream,
+    random_block_diagonal_matrices,
+    random_orthogonal_matrices,
+)
 from .config import TOL
 from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
@@ -629,29 +634,21 @@ def energy_floor_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # Pointwise splitting-pressure probe
 # ---------------------------------------------------------------------------
 
-def _first_factor_pair(manifold: ProductManifold) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal pair e_0, e_1 spanning the first factor's tangent plane."""
-    x = np.zeros(manifold.total_dim)
-    y = np.zeros(manifold.total_dim)
-    x[0], y[1] = 1.0, 1.0
-    return x, y
-
-
 def splitting_pressure_probe(
     manifold: ProductManifold, samples: int, seed: int
 ) -> SplittingDefect:
-    """The splitting defect of seeded random valid pointwise structures on
-    the first factor's tangent plane, stacked: every field is an array over
-    the samples, which ``splitting_audit`` reads against the mixing amount
-    1 - c^2."""
+    """The splitting defect of random valid pointwise structures, drawn block
+    after block from ``orthogonal_stream(seed)``, on the first factor's
+    tangent plane, stacked: every field is an array over the samples, which
+    ``splitting_audit`` reads against the mixing amount 1 - c^2."""
     if manifold.factors[0].dim != 2:
         raise ContractViolation("the probe needs a 2-sphere first factor")
     oracle = CurvatureOracle(manifold)
-    x, y = _first_factor_pair(manifold)
+    x, y = np.eye(manifold.total_dim)[:2]  # e_0, e_1 span the first factor
+    stream = orthogonal_stream(seed)
     values = np.empty((len(fields(SplittingDefect)), samples))
     for block in sample_blocks(samples):
-        seeds = [[seed, s] for s in range(block.start, block.stop)]
-        J = random_orthogonal_matrices(manifold, seeds)
+        J = random_orthogonal_matrices(manifold, block.stop - block.start, stream)
         values[:, block] = astuple(splitting_defect(oracle, J, x, y))
     return SplittingDefect(*values)
 
@@ -664,17 +661,17 @@ def splitting_audit(manifold: ProductManifold, samples: int, seed: int) -> Audit
     defect (defect minus the complementary-factor term) equals
     alpha (1 - c^2)^2, so over the mixed subsample 1 - c^2 > t, t = 0.1, it
     stays above alpha t^2; the subsample's size and max |defect| are
-    recorded as values.  Seeded block-diagonal structures (c^2 = 1) must
-    have zero defect.  Every tolerance scales with the largest factor
-    curvature, as the round-off of the curvature sums does.
+    recorded as values.  Block-diagonal structures (c^2 = 1), drawn from
+    ``block_diagonal_streams``, must have zero defect.  Every tolerance
+    scales with the largest factor curvature, as the curvature sums' round-off does.
     """
     probe = splitting_pressure_probe(manifold, samples, seed)
     oracle = CurvatureOracle(manifold)
-    x, y = _first_factor_pair(manifold)
+    x, y = np.eye(manifold.total_dim)[:2]
+    streams = block_diagonal_streams(manifold, seed)
     split = np.empty(samples)
     for block in sample_blocks(samples):
-        seeds = [[seed, s] for s in range(block.start, block.stop)]
-        J = random_block_diagonal_matrices(manifold, seeds)
+        J = random_block_diagonal_matrices(manifold, block.stop - block.start, streams)
         split[block] = np.abs(splitting_defect(oracle, J, x, y).direct)
     threshold = 0.1
     mixed = 1.0 - probe.c * probe.c > threshold

@@ -7,6 +7,7 @@ from sphereacs.acs import (
     acs_defects,
     acs_from_text,
     acs_to_text,
+    block_diagonal_streams,
     canonical_product_acs,
     haar_orthogonal,
     random_block_diagonal_acs,
@@ -197,8 +198,8 @@ def test_acs_defects_of_a_stack_match_the_validator_rows():
     # with leading axes keeps them
     man = spheres((2, 1.0), (4, 1.0), (6, 2.0))
     stack = np.stack([
-        random_orthogonal_matrices(man, range(4)),
-        random_block_diagonal_matrices(man, range(4)),
+        random_orthogonal_matrices(man, 4, np.random.default_rng(0)),
+        random_block_diagonal_matrices(man, 4, block_diagonal_streams(man, 0)),
     ])
     stack[1, 2] = np.eye(man.total_dim)
     defects = acs_defects(man, stack)
@@ -214,21 +215,32 @@ def test_acs_defects_of_a_stack_match_the_validator_rows():
 
 @pytest.mark.parametrize("dims", [((6, 1.0), (6, 2.0)), ((2, 1.0), (4, 1.0), (6, 2.0))])
 def test_batched_draws_equal_single_draws(dims):
-    # the stacked QR and conjugation reproduce the one-matrix draws bit for bit
+    # a stack of k drawn from a generator is k consecutive single Haar draws
+    # from a generator with the same seed, bit for bit, and the single-draw
+    # functions keep their seeding: default_rng(seed), and [seed, a] for
+    # factor a of a block-diagonal structure
     man = spheres(*dims)
     n = man.total_dim
-    seeds = [[3, s] for s in range(40)] + [5]
-    stack = random_orthogonal_matrices(man, seeds)
-    blocks = random_block_diagonal_matrices(man, seeds)
-    assert stack.shape == blocks.shape == (len(seeds), n, n)
+    k = 40
+    stack = random_orthogonal_matrices(man, k, np.random.default_rng(3))
+    blocks = random_block_diagonal_matrices(man, k, block_diagonal_streams(man, 3))
+    assert stack.shape == blocks.shape == (k, n, n)
     j0 = standard_rotation_structure(n)
-    for k, seed in enumerate(seeds):
+    rng = np.random.default_rng(3)
+    factor_rngs = block_diagonal_streams(man, 3)
+    for s in range(k):
+        q = haar_orthogonal(n, rng)
+        assert np.array_equal(stack[s], q @ j0 @ q.T)
+        expected = np.zeros((n, n))
+        for f, sl, factor_rng in zip(man.factors, man.block_slices, factor_rngs):
+            qa = haar_orthogonal(f.dim, factor_rng)
+            expected[sl, sl] = qa @ standard_rotation_structure(f.dim) @ qa.T
+        assert np.array_equal(blocks[s], expected)
+    for seed in [[3, s] for s in range(k)] + [5]:
         q = haar_orthogonal(n, np.random.default_rng(seed))
-        assert np.array_equal(stack[k], q @ j0 @ q.T)
-        assert np.array_equal(stack[k], random_orthogonal_acs(man, seed))
+        assert np.array_equal(random_orthogonal_acs(man, seed), q @ j0 @ q.T)
         expected = np.zeros((n, n))
         for a, (f, sl) in enumerate(zip(man.factors, man.block_slices)):
             qa = haar_orthogonal(f.dim, np.random.default_rng([seed, a]))
             expected[sl, sl] = qa @ standard_rotation_structure(f.dim) @ qa.T
-        assert np.array_equal(blocks[k], expected)
-        assert np.array_equal(blocks[k], random_block_diagonal_acs(man, seed))
+        assert np.array_equal(random_block_diagonal_acs(man, seed), expected)

@@ -1,13 +1,18 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from sphereacs import identities, manifold, search
 from sphereacs.acs import (
     canonical_product_acs,
     random_block_diagonal_acs,
     random_orthogonal_acs,
+    random_orthogonal_matrices,
     swap_acs,
     validate_acs,
 )
+from sphereacs.cli import rows_to_csv
 from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, InvalidManifold
 from sphereacs.identities import (
@@ -21,7 +26,7 @@ from sphereacs.identities import (
     splitting_defect,
 )
 from sphereacs.manifold import CurvatureOracle, spheres
-from sphereacs.search import splitting_audit
+from sphereacs.search import splitting_audit, splitting_pressure_probe
 
 
 def first_block_pair(man):
@@ -491,3 +496,80 @@ def test_identity_audits_scale_their_tolerances_with_curvature(kappa):
         assert max(c.tolerance for c in report.checks if c.kind == "check") <= 1e-9 * kappa
     J = random_orthogonal_acs(man6, 7)
     assert exchange_defect(CurvatureOracle(man6), J, 200, seed=7) <= TOL.contraction * kappa
+
+
+# ---------------------------------------------------------------------------
+# Structure streams of the sampled audits
+# ---------------------------------------------------------------------------
+
+
+def test_probe_sample_depends_only_on_seed_and_index(monkeypatch):
+    # the probe's arrays at k samples are the first k at n samples, and do
+    # not move with the block size; a stream rebuilt for each block would
+    # repeat the first block's structures in the second
+    man = spheres((2, 1.0), (4, 1.0))
+    n, k = 40, 17
+    full = astuple(splitting_pressure_probe(man, n, 3))
+    for a, b in zip(full, astuple(splitting_pressure_probe(man, k, 3))):
+        assert np.array_equal(a[:k], b)
+    monkeypatch.setattr(manifold, "SAMPLE_BLOCK", 7)
+    blocked = splitting_pressure_probe(man, n, 3)
+    for a, b in zip(full, astuple(blocked)):
+        assert np.array_equal(a, b)
+    assert np.unique(blocked.c).size == np.unique(blocked.direct).size == n
+
+
+def test_sampled_audit_reports_do_not_depend_on_the_block_size(monkeypatch):
+    man6, man66 = spheres((6, 1.0)), spheres((6, 1.0), (6, 2.0))
+    runs = []
+    for block in (7, 256):
+        monkeypatch.setattr(manifold, "SAMPLE_BLOCK", block)
+        runs.append([
+            rows_to_csv(gray_cancellation_audit(man6, 40, 5).checks),
+            rows_to_csv(ricci_star_exchange_audit(man66, 40, 5).checks),
+        ])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("audit, dims", [
+    (gray_cancellation_audit, ((6, 1.0),)),
+    (ricci_star_exchange_audit, ((6, 1.0), (6, 2.0))),
+    (splitting_audit, ((2, 1.0), (4, 1.0))),
+])
+def test_sampled_audits_build_one_stream_per_kind(monkeypatch, audit, dims):
+    # a count, not a timing: one structure stream per factor (or one) and
+    # one vector stream, however many samples; 600 samples are three blocks,
+    # where seeding each sample would build at least 600 generators.  No two
+    # streams share a seed (SeedSequence pads with zeros, so [s, 0] is s).
+    samples = 600
+    assert samples > 2 * manifold.SAMPLE_BLOCK
+    man = spheres(*dims)
+    default_rng = np.random.default_rng
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert audit(man, samples, 11).passed
+    assert 1 <= len(built) <= man.n_factors + 2
+    firsts = {int(default_rng(*args).integers(2**62)) for args in built}
+    assert len(firsts) == len(built)
+
+
+def test_sampled_audits_fail_closed_on_factor_mixing_draws(monkeypatch):
+    # the block-diagonal draws feed the asserted rows: mixing structures in
+    # their place fail gray-cancellation and split-zero
+    def mixing(manifold, count, rngs):
+        return random_orthogonal_matrices(manifold, count, rngs[0])
+
+    monkeypatch.setattr(identities, "random_block_diagonal_matrices", mixing)
+    monkeypatch.setattr(search, "random_block_diagonal_matrices", mixing)
+    man = spheres((2, 1.0), (4, 1.0))
+    for report, row in (
+        (gray_cancellation_audit(man, 50, 3), "gray-cancellation"),
+        (splitting_audit(man, 50, 3), "split-zero"),
+    ):
+        assert not report.passed
+        assert not report.select(row)[0].passed

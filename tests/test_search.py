@@ -6,7 +6,12 @@ import pytest
 import warnings
 from dataclasses import fields
 
-from sphereacs.acs import random_block_diagonal_acs, random_orthogonal_acs
+from sphereacs.acs import (
+    orthogonal_stream,
+    random_block_diagonal_acs,
+    random_orthogonal_acs,
+    random_orthogonal_matrices,
+)
 from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import (
     acs_field_validity_check,
@@ -487,14 +492,16 @@ def test_probe_alpha_scaling():
 
 
 def test_probe_equals_per_structure_defects():
-    # more samples than one SAMPLE_BLOCK, so the stack spans two blocks
+    # more samples than one SAMPLE_BLOCK, so the stack spans two blocks;
+    # sample s is structure s of the probe's stream
     man = spheres((2, 1.3), (4, 0.8))
     samples = SAMPLE_BLOCK + 3
     probe = splitting_pressure_probe(man, samples=samples, seed=5)
+    structures = random_orthogonal_matrices(man, samples, orthogonal_stream(5))
     oracle = CurvatureOracle(man)
     x, y = np.eye(man.total_dim)[:2]
     for s in (0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, samples - 1):
-        one = splitting_defect(oracle, random_orthogonal_acs(man, [5, s]), x, y)
+        one = splitting_defect(oracle, structures[s], x, y)
         for f in fields(SplittingDefect):
             assert getattr(probe, f.name)[s] == pytest.approx(
                 getattr(one, f.name), rel=1e-12, abs=1e-12
