@@ -78,11 +78,13 @@ Non-finite numbers (nan, inf) in a factor curvature, an ``acs_file`` or a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 from typing import get_type_hints
 from pathlib import Path
 
@@ -249,55 +251,56 @@ def load_config(path: str | None) -> RunConfig:
 # Report writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 CSV_COLUMNS = ("kind", "name", "computed", "expected", "tolerance", "verdict", "asserted", "claim")
+
+# The writers build one string per row.  Names are mostly distinct, but a
+# claim is often shared by many rows, so claims go through a cache made per
+# call and each distinct claim is quoted or encoded once.
+
+
+def _csv_text(text: str) -> str:
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _number(value: float | None, missing: str) -> str:
+    return missing if value is None else format(value, ".17g")
 
 
 def rows_to_csv(rows: list[Check]) -> str:
+    claim = functools.cache(_csv_text)
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            cell = _fmt(getattr(row, col))
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
+    lines.extend(
+        f"{r.kind},{_csv_text(r.name)},{r.computed:.17g},{_number(r.expected, '')},"
+        f"{_number(r.tolerance, '')},{r.verdict},{'true' if r.asserted else 'false'},"
+        f"{claim(r.claim)}"
+        for r in rows
+    )
     return "\n".join(lines) + "\n"
 
 
 def rows_to_records(rows: list[Check]) -> str:
-    lines = []
-    for row in rows:
-        parts = []
-        for col in CSV_COLUMNS:
-            v = getattr(row, col)
-            if v is None:
-                encoded = "null"
-            elif isinstance(v, str):
-                encoded = json.dumps(v)
-            else:
-                encoded = _fmt(v)
-            parts.append(f"{json.dumps(col)}: {encoded}")
-        lines.append("{" + ", ".join(parts) + "}")
-    return "\n".join(lines) + "\n"
+    """One JSON object per row, keys in CSV_COLUMNS order."""
+    claim = functools.cache(encode_basestring_ascii)
+    return "\n".join(
+        f'{{"kind": "{r.kind}", "name": {encode_basestring_ascii(r.name)}, '
+        f'"computed": {r.computed:.17g}, '
+        f'"expected": {_number(r.expected, "null")}, '
+        f'"tolerance": {_number(r.tolerance, "null")}, '
+        f'"verdict": "{r.verdict}", "asserted": {"true" if r.asserted else "false"}, '
+        f'"claim": {claim(r.claim)}}}'
+        for r in rows
+    ) + "\n"
 
 
 def rows_to_table(title: str, rows: list[Check], max_rows: int = 40) -> str:
     header = f"{'name':<46} {'computed':>24} {'expected':>24} verdict"
     lines = [title, "-" * len(header), header, "-" * len(header)]
     for row in rows[:max_rows]:
-        expected = _fmt(row.expected) if row.expected is not None else "-"
-        lines.append(f"{row.name:<46} {_fmt(row.computed):>24} {expected:>24} {row.verdict}")
+        lines.append(
+            f"{row.name:<46} {row.computed:>24.17g} {_number(row.expected, '-'):>24} {row.verdict}"
+        )
     if len(rows) > max_rows:
         lines.append(f"... ({len(rows) - max_rows} more rows)")
     return "\n".join(lines)
@@ -377,11 +380,10 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
         pts = chart_safe_points(man, cfg.points, cfg.seed, cfg.chart_margin)
     norms = nijenhuis_norms(jf, pts, cfg.frame_pairs, cfg.seed)
     report = acs_field_validity_check(jf, pts[:25])
-    for k, norm in enumerate(norms):
-        report.record(
-            f"point[{k}].rms-norm", norm,
-            "root mean square |N| over the seeded frame pairs at this point",
-        )
+    report.record_series(
+        "point[{}].rms-norm", norms,
+        "root mean square |N| over the seeded frame pairs at this point",
+    )
     report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
     if target == "product" and cfg.restriction_check:
         report.extend(second_factor_restriction_check(jf, pts[:10]))
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(
     report: AuditReport, cfg: RunConfig, man: ProductManifold, command: str, target: str,
-    elapsed: float,
+    elapsed: float, counts: dict[str, int],
 ) -> None:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -458,7 +460,7 @@ def _emit(
         "command": command,
         "target": target,
         "config": config,
-        "counts": report.counts(),
+        "counts": counts,
         "wall_clock_s": round(elapsed, 6),
     }
     _write_json(out_dir / f"{stem}_manifest.json", manifest)
@@ -493,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = run_search(man, cfg, args.baseline)
         elapsed = time.perf_counter() - start
-        _emit(report, cfg, man, command, target, elapsed)
+        counts = report.counts()
+        _emit(report, cfg, man, command, target, elapsed, counts)
     except (
         ConfigError, InvalidManifold, ContractViolation, DegenerateInput, SearchError, OSError,
         MemoryError,
@@ -501,7 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(rows_to_table(f"{command} {target} on {man.describe()}", report.checks))
-    counts = report.counts()
     print(
         f"{counts['pass']} pass / {counts['mismatch']} recorded mismatch / "
         f"{counts['fail']} fail / {counts['recorded']} value rows"

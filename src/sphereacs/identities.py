@@ -21,7 +21,7 @@ bilinear contraction against an orthonormal frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,12 +327,12 @@ def component_audit_suite(
     for s in range(min(samples, 10)):
         sub = ricci_star_component_audit(oracle, random_block_diagonal_acs(manifold, [seed, s]))
         report.checks.extend(
-            replace(c, name=f"blockdiag[{s}].{c.name}") for c in sub.checks if c.name.endswith("-max")
+            c._replace(name=f"blockdiag[{s}].{c.name}") for c in sub.checks if c.name.endswith("-max")
         )
     if swap_probe:
         sub = ricci_star_component_audit(oracle, swap_acs(manifold))
         report.checks.extend(
-            replace(c, name=f"swap.{c.name}")
+            c._replace(name=f"swap.{c.name}")
             for c in sub.checks
             if c.name.endswith("-max") or not c.passed
         )

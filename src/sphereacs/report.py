@@ -14,14 +14,16 @@ false for NaN, so non-finite numbers fail closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One report row; ``expected`` and ``tolerance`` are None for a
-    recorded value."""
+    recorded value.  ``computed``, ``expected`` and ``tolerance`` hold
+    Python floats (``AuditReport.add`` and ``record`` convert them).  A
+    named tuple, because a field run builds one row per sample point."""
 
     name: str
     computed: float
@@ -71,6 +73,15 @@ class AuditReport:
         row = Check(name, float(value), None, None, claim, asserted=False)
         self.checks.append(row)
         return row
+
+    def record_series(self, name_format: str, values, claim: str) -> None:
+        """Append one recorded value per entry of the 1-D ``values``, all under one
+        claim; row k is named ``name_format.format(k)``."""
+        values = np.asarray(values, dtype=float).tolist()
+        self.checks.extend(
+            Check(name_format.format(k), value, None, None, claim, False)
+            for k, value in enumerate(values)
+        )
 
     def extend(self, other: "AuditReport") -> None:
         self.checks.extend(other.checks)

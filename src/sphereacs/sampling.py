@@ -106,29 +106,49 @@ def chart_safe_points(
     return kept[:n]
 
 
-def load_points(path, man: ProductManifold) -> np.ndarray:
-    """Load a plain-text list of ambient coordinates; each factor block must
-    already be a unit vector to 1e-6 and is re-normalised exactly."""
+def _parse_point_lines(path, lines: list[str], dim: int) -> np.ndarray:
+    """Parse the points_file lines one by one with ``float``; raises the
+    ConfigError of the first bad line, numbered from 1."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = np.array([float(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: unparseable coordinate: {exc}") from exc
-            if row.shape != (man.ambient_dim,):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {man.ambient_dim} coordinates, got {row.size}"
-                )
-            if not np.all(np.isfinite(row)):
-                raise ConfigError(f"{path}:{lineno}: non-finite coordinate")
-            rows.append(row)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = np.array([float(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: unparseable coordinate: {exc}") from exc
+        if row.shape != (dim,):
+            raise ConfigError(f"{path}:{lineno}: expected {dim} coordinates, got {row.size}")
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(f"{path}:{lineno}: non-finite coordinate")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no sample points found")
-    pts = np.vstack(rows)
+    return np.vstack(rows)
+
+
+def load_points(path, man: ProductManifold) -> np.ndarray:
+    """Load a plain-text list of ambient coordinates; each factor block must
+    already be a unit vector to 1e-6 and is re-normalised exactly.
+
+    The point lines are parsed in one ``np.loadtxt`` pass, which reads each
+    number as ``float`` does; a file it rejects (``float`` also takes forms
+    such as ``1_0``), or one with a wrong column count or a non-finite
+    number, goes through the line-by-line parser, which accepts it or names
+    its first bad line."""
+    # text mode turns \r and \r\n into \n, so these are the lines (and line
+    # numbers) that iterating the file gives; str.splitlines would also
+    # break at \f, \v, \x85 and others
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    point_lines = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    try:
+        pts = np.loadtxt(point_lines, comments=None, ndmin=2) if point_lines else None
+    except ValueError:
+        pts = None
+    if pts is None or pts.shape[1] != man.ambient_dim or not np.all(np.isfinite(pts)):
+        pts = _parse_point_lines(path, lines, man.ambient_dim)
     for sl in man.ambient_slices:
         # a norm that overflows is inf, which fails the unit-sphere test
         with np.errstate(over="ignore"):

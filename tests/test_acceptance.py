@@ -93,24 +93,25 @@ def test_criterion_3_splitting_defect_oracle_equivalence():
             x = np.zeros(6)
             y = np.zeros(6)
             x[0], y[1] = 1.0, 1.0
-            mixed_abs = []
-            for s in range(5000):
-                J = random_orthogonal_acs(man, [s, int(alpha * 10)])
-                d = splitting_defect(oracle, J, x, y)
-                assert abs(d.direct - d.closed_form) <= 1e-10
-                assert d.direct <= 1e-12
-                if 1.0 - d.c * d.c > 0.1:
-                    # defect minus the complement term is alpha (1 - c^2)^2 exactly
-                    core = d.second_factor_term - d.direct
-                    assert core >= alpha * 0.01 * (1.0 - 1e-9)
-                    mixed_abs.append(abs(d.direct))
-            assert max(mixed_abs) >= alpha * 0.81 * (1.0 - 1e-3)
-            for s in range(200):
-                split = splitting_defect(
-                    oracle, random_block_diagonal_acs(man, [s, int(alpha * 10)]), x, y
-                )
-                assert abs(split.c) == pytest.approx(1.0, abs=1e-12)
-                assert abs(split.direct) <= 1e-10
+            # one stacked call per family: structure s is drawn from the seed
+            # [s, int(alpha * 10)] as a single draw would be
+            family = np.stack(
+                [random_orthogonal_acs(man, [s, int(alpha * 10)]) for s in range(5000)]
+            )
+            d = splitting_defect(oracle, family, x, y)
+            assert np.all(np.abs(d.direct - d.closed_form) <= 1e-10)
+            assert np.all(d.direct <= 1e-12)
+            mixed = 1.0 - d.c * d.c > 0.1
+            # defect minus the complement term is alpha (1 - c^2)^2 exactly
+            core = d.second_factor_term[mixed] - d.direct[mixed]
+            assert np.all(core >= alpha * 0.01 * (1.0 - 1e-9))
+            assert np.max(np.abs(d.direct[mixed])) >= alpha * 0.81 * (1.0 - 1e-3)
+            split_family = np.stack(
+                [random_block_diagonal_acs(man, [s, int(alpha * 10)]) for s in range(200)]
+            )
+            split = splitting_defect(oracle, split_family, x, y)
+            assert np.all(np.abs(np.abs(split.c) - 1.0) <= 1e-12)
+            assert np.all(np.abs(split.direct) <= 1e-10)
         assert time.perf_counter() - start < 30.0
 
 
