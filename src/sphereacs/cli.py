@@ -72,7 +72,8 @@ File formats referenced by config keys:
   keep ``chart_margin`` from the chart's bad set, as generated points do.
 
 Non-finite numbers (nan, inf) in a factor curvature, an ``acs_file`` or a
-``points_file`` are usage errors (exit code 2).
+``points_file`` are usage errors (exit code 2), and so is a config file,
+``acs_file`` or ``points_file`` that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ from .identities import (
 )
 from .manifold import CurvatureOracle, ProductManifold, SphereFactor
 from .report import AuditReport, Check
-from .sampling import chart_safe_mask, chart_safe_points, load_points
+from .sampling import chart_safe_mask, chart_safe_points, load_points, read_text
 from .search import (
     ExperimentConfig,
     GaugeParametrization,
@@ -241,7 +242,7 @@ def load_config(path: str | None) -> RunConfig:
                 p = candidate
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config_text(p.read_text(encoding="utf-8"))
+    cfg = parse_config_text(read_text(p))
     if not cfg.factors:
         raise ConfigError("config file does not specify any 'factor = dim=.. curvature=..' line")
     return cfg
@@ -340,7 +341,7 @@ def _acs_input(man: ProductManifold, cfg: RunConfig) -> np.ndarray | None:
     if not cfg.acs_file:
         return None
     try:
-        text = Path(cfg.acs_file).read_text(encoding="utf-8")
+        text = read_text(cfg.acs_file)
     except OSError as exc:
         raise ConfigError(f"cannot read acs_file: {exc}") from exc
     return acs_from_text(man, text)

@@ -22,6 +22,7 @@ bilinear contraction against an orthonormal frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -107,10 +108,6 @@ class SplittingDefect:
     direct            -- the eight-term sum evaluated term by term (ground truth)
     closed_form       -- -alpha (1 - c^2)^2 + second_factor_term, which the
                          term-by-term expansion reduces to
-    product_norm_form -- -alpha (1 - |(Jx)_1|^2 |(Jy)_1|^2) + second_factor_term,
-                         an alternative grouping that agrees with closed_form at
-                         c^2 in {0, 1} and shares its sign and zero set, but
-                         differs as a polynomial in c between the endpoints
     c                 -- <Jx, y>, the cosine measuring how much of the 2-sphere
                          tangent plane J preserves
     second_factor_term-- curvature of the complementary factors evaluated on
@@ -120,7 +117,6 @@ class SplittingDefect:
 
     direct: float
     closed_form: float
-    product_norm_form: float
     c: float
     second_factor_term: float
 
@@ -136,9 +132,8 @@ def splitting_defect(oracle: CurvatureOracle, J, x, y) -> SplittingDefect:
         raise InvalidManifold("splitting defect needs a 2-dimensional first factor")
     x = as_coords(man, x)
     y = as_coords(man, y)
-    first = man.block_slices[0]
     rest = np.ones(man.total_dim, dtype=bool)
-    rest[first] = False
+    rest[man.block_slices[0]] = False
     tol = 1e-9
     for v, label in ((x, "x"), (y, "y")):
         if not np.all(np.abs(v[..., rest]) <= tol):
@@ -156,12 +151,7 @@ def splitting_defect(oracle: CurvatureOracle, J, x, y) -> SplittingDefect:
     second_factor_term = oracle.product_curvature(jx_rest, jy_rest, jx_rest, jy_rest)
     alpha = man.factors[0].curvature
     closed_form = -alpha * (1.0 - c * c) ** 2 + second_factor_term
-    jx1_sq = inner(jx[..., first], jx[..., first])
-    jy1_sq = inner(jy[..., first], jy[..., first])
-    product_norm_form = -alpha * (1.0 - jx1_sq * jy1_sq) + second_factor_term
-    return SplittingDefect(
-        *(_scalar(v) for v in (direct, closed_form, product_norm_form, c, second_factor_term))
-    )
+    return SplittingDefect(*(_scalar(v) for v in (direct, closed_form, c, second_factor_term)))
 
 
 def _half_trace(oracle: CurvatureOracle, J, u, v):
@@ -219,17 +209,13 @@ def ricci_star_exchange_audit(manifold: ProductManifold, samples: int, seed: int
     return report
 
 
-def ricci_star_component_audit(oracle: CurvatureOracle, J: np.ndarray) -> AuditReport:
-    """Audit the six claimed component formulas for rho* on a product of
-    6-spheres.
-
-    For every factor pair and index pair the left-hand side is computed by
-    direct curvature contraction and compared against the claimed closed form
-    in the mapping coefficients c(a,b)[i,j] = <J e(a)_i, e(b)_j>.  The claimed
-    forms hold when J is block-diagonal; for factor-mixing J the contraction
-    can disagree, so every check is recorded, never asserted: a mismatch is a
-    legitimate measured outcome.
-    """
+def _component_families(oracle: CurvatureOracle, J: np.ndarray) -> dict:
+    """The six claimed component formulas for rho* on a product of 6-spheres,
+    as family -> (claim, computed, claimed, mask): computed (by direct
+    curvature contraction) and claimed (from the mapping coefficients
+    c(a,b)[i,j] = <J e(a)_i, e(b)_j>) are (n, n) arrays over the frame pairs
+    [p, q], and mask selects the pairs inside one factor block for the three
+    same-factor families, across blocks for the three cross families."""
     man = oracle.manifold
     if any(f.dim != 6 for f in man.factors):
         raise InvalidManifold("the component audit needs every factor to be a 6-sphere")
@@ -249,70 +235,78 @@ def ricci_star_component_audit(oracle: CurvatureOracle, J: np.ndarray) -> AuditR
     within = np.tile(np.arange(dim), t)
     coeff = J[start[:, None] + within[None, :], start[None, :] + within[:, None]]
     beta = np.repeat(man.curvatures, dim)  # curvature of each frame index
+    same = start[:, None] == start[None, :]  # p and q in one factor block
     zero = np.zeros((n, n))
-    # family -> (claim, computed, claimed), both indexed [p, q]
-    families = {
+    return {
         "star-same-factor": (
-            "rho*(e(a)i, e(a)j) == beta_a delta_ij", h_right, beta[:, None] * frame,
+            "rho*(e(a)i, e(a)j) == beta_a delta_ij", h_right, beta[:, None] * frame, same,
         ),
         "star-right-rotated": (
-            "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]", -h_plain, beta[:, None] * J,
+            "rho*(e(a)i, J e(a)j) == beta_a c(a,a)[j,i]", -h_plain, beta[:, None] * J, same,
         ),
         "star-left-rotated": (
-            "rho*(J e(a)i, e(a)j) == beta_a c(a,a)[i,j]", h_left, beta[:, None] * coeff,
+            "rho*(J e(a)i, e(a)j) == beta_a c(a,a)[i,j]", h_left, beta[:, None] * coeff, same,
         ),
-        "star-cross-factor": ("rho*(e(a)i, e(b)j) == 0 for a != b", h_right, zero),
-        "star-right-rotated-cross": ("rho*(e(a)i, J e(b)j) == 0 for a != b", -h_plain, zero),
+        "star-cross-factor": ("rho*(e(a)i, e(b)j) == 0 for a != b", h_right, zero, ~same),
+        "star-right-rotated-cross": ("rho*(e(a)i, J e(b)j) == 0 for a != b", -h_plain, zero, ~same),
         "star-left-rotated-cross": (
-            "rho*(J e(b)i, e(a)j) == -beta_a c(a,b)[i,j]", h_left, -beta[None, :] * coeff,
+            "rho*(J e(b)i, e(a)j) == -beta_a c(a,b)[i,j]", h_left, -beta[None, :] * coeff, ~same,
         ),
     }
+
+
+def _component_pairs(man: ProductManifold) -> list[tuple[str, str, int, int]]:
+    """(family, label, p, q) for every per-pair row of the component audit,
+    in report order: the same-factor families for each factor a, then the
+    cross families for each ordered factor pair a != b."""
+    off, t, r = man.block_offsets, man.n_factors, range(6)
+    pairs = [
+        (family, f"a={a},i={i},j={j}", off[a] + i, off[a] + j)
+        for a, i, j in product(range(t), r, r)
+        for family in ("star-same-factor", "star-right-rotated", "star-left-rotated")
+    ]
+    for a, b, i, j in product(range(t), range(t), r, r):
+        if a != b:
+            label = f"a={a},b={b},i={i},j={j}"
+            pairs += [
+                ("star-cross-factor", label, off[a] + i, off[b] + j),
+                ("star-right-rotated-cross", label, off[a] + i, off[b] + j),
+                ("star-left-rotated-cross", label, off[b] + i, off[a] + j),
+            ]
+    return pairs
+
+
+def _add_family_maxima(report: AuditReport, families: dict, prefix: str = "") -> None:
+    """A recorded ``<prefix><family>-max`` row, in name order, for each family
+    that covers any pair: the largest |computed - claimed| under its mask."""
+    for family in sorted(families):
+        _, computed, claimed, mask = families[family]
+        if mask.any():
+            error = np.max(np.abs(computed - claimed)[mask])
+            claim = f"max |computed - claimed| over the {family} family"
+            report.add(f"{prefix}{family}-max", error, 0.0, TOL.contraction, claim, asserted=False)
+
+
+def ricci_star_component_audit(oracle: CurvatureOracle, J: np.ndarray) -> AuditReport:
+    """Audit the six claimed component formulas for rho* on a product of
+    6-spheres: one row per factor pair and index pair, then the family maxima.
+
+    The claimed forms hold when J is block-diagonal; for factor-mixing J the
+    contraction can disagree, so every check is recorded, never asserted: a
+    mismatch is a legitimate measured outcome."""
+    families = _component_families(oracle, J)
     report = AuditReport()
-    tol = TOL.contraction
-    errors: dict[str, list[float]] = {family: [] for family in families}
-
-    def record(family: str, label: str, p: int, q: int) -> None:
-        claim, computed, claimed = families[family]
-        check = report.add(
-            f"{family}[{label}]", computed[p, q], claimed[p, q], tol, claim, asserted=False
-        )
-        errors[family].append(check.error)
-
-    off = man.block_offsets
-    for a in range(t):
-        for i in range(dim):
-            for j in range(dim):
-                label = f"a={a},i={i},j={j}"
-                for family in ("star-same-factor", "star-right-rotated", "star-left-rotated"):
-                    record(family, label, off[a] + i, off[a] + j)
-    for a in range(t):
-        for b in range(t):
-            if a == b:
-                continue
-            for i in range(dim):
-                for j in range(dim):
-                    label = f"a={a},b={b},i={i},j={j}"
-                    record("star-cross-factor", label, off[a] + i, off[b] + j)
-                    record("star-right-rotated-cross", label, off[a] + i, off[b] + j)
-                    record("star-left-rotated-cross", label, off[b] + i, off[a] + j)
-    for family in sorted(f for f, errs in errors.items() if errs):
-        report.add(
-            f"{family}-max",
-            np.max(errors[family]),
-            0.0,
-            tol,
-            f"max |computed - claimed| over the {family} family",
-            asserted=False,
-        )
+    for family, label, p, q in _component_pairs(oracle.manifold):
+        claim, computed, claimed, _ = families[family]
+        name = f"{family}[{label}]"
+        report.add(name, computed[p, q], claimed[p, q], TOL.contraction, claim, asserted=False)
+    _add_family_maxima(report, families)
     return report
 
 
 def component_audit_suite(
-    manifold: ProductManifold,
-    samples: int,
-    seed: int,
-    structure: np.ndarray | None = None,
-    swap_probe: bool = False,
+    manifold: ProductManifold, samples: int, seed: int,
+    structure: np.ndarray | None = None, swap_probe: bool = False,
 ) -> AuditReport:
     """The component audit in three parts: a given structure in full detail
     (validation plus every component row), the family maxima for up to ten
@@ -325,16 +319,11 @@ def component_audit_suite(
         report.extend(validate_acs(manifold, structure))
         report.extend(ricci_star_component_audit(oracle, structure))
     for s in range(min(samples, 10)):
-        sub = ricci_star_component_audit(oracle, random_block_diagonal_acs(manifold, [seed, s]))
-        report.checks.extend(
-            c._replace(name=f"blockdiag[{s}].{c.name}") for c in sub.checks if c.name.endswith("-max")
-        )
+        J = random_block_diagonal_acs(manifold, [seed, s])
+        _add_family_maxima(report, _component_families(oracle, J), f"blockdiag[{s}].")
     if swap_probe:
-        sub = ricci_star_component_audit(oracle, swap_acs(manifold))
-        report.checks.extend(
-            c._replace(name=f"swap.{c.name}")
-            for c in sub.checks
-            if c.name.endswith("-max") or not c.passed
-        )
+        checks = ricci_star_component_audit(oracle, swap_acs(manifold)).checks
+        pairs = len(_component_pairs(manifold))  # the family maxima follow the pair rows
+        kept = [c for c in checks[:pairs] if not c.passed] + checks[pairs:]
+        report.checks.extend(c._replace(name=f"swap.{c.name}") for c in kept)
     return report
-

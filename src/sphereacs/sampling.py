@@ -16,6 +16,8 @@ Two generators cover the sphere factors:
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .acs import haar_orthogonal
@@ -106,6 +108,15 @@ def chart_safe_points(
     return kept[:n]
 
 
+def read_text(path) -> str:
+    """A config, points or structure file read as UTF-8 in text mode (CR and
+    CRLF line ends read as LF); a file that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _parse_point_lines(path, lines: list[str], dim: int) -> np.ndarray:
     """Parse the points_file lines one by one with ``float``; raises the
     ConfigError of the first bad line, numbered from 1."""
@@ -137,11 +148,9 @@ def load_points(path, man: ProductManifold) -> np.ndarray:
     such as ``1_0``), or one with a wrong column count or a non-finite
     number, goes through the line-by-line parser, which accepts it or names
     its first bad line."""
-    # text mode turns \r and \r\n into \n, so these are the lines (and line
-    # numbers) that iterating the file gives; str.splitlines would also
-    # break at \f, \v, \x85 and others
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    # these are the lines (and line numbers) that iterating the file gives;
+    # str.splitlines would also break at \f, \v, \x85 and others
+    lines = read_text(path).split("\n")
     point_lines = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
     try:
         pts = np.loadtxt(point_lines, comments=None, ndmin=2) if point_lines else None

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereacs import search
+from sphereacs import cli, identities, search
+from sphereacs.acs import acs_to_text, random_block_diagonal_acs, swap_acs
 from sphereacs.fields import default_acs_field
 from sphereacs.manifold import spheres
 from sphereacs.sampling import chart_safe_points
@@ -64,3 +65,39 @@ def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, 
         inside = np.flatnonzero(spans.name == ids[name])
         assert sorted(evaluation_of(s) for s in inside) == list(evaluations), name
         assert np.all(spans.n[inside] == pts.shape[0]), name
+
+
+def test_audit_components_traces_one_component_audit_per_full_audit(tracer, monkeypatch, tmp_path):
+    # identities.component_audit counts full component audits: one for the
+    # given structure and one for the swap probe.  The block-diagonal
+    # samples' family maxima come from the family table and add no span.
+    man = spheres((6, 1.0), (6, 2.0))
+    structure = random_block_diagonal_acs(man, 4)
+    acs_path = tmp_path / "structure.acs"
+    acs_path.write_text(acs_to_text(structure))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "factor = dim=6 curvature=1.0\nfactor = dim=6 curvature=2.0\n"
+        f"samples = 12\nswap_probe = true\nacs_file = {acs_path}\n"
+    )
+    audited = []
+    original = identities.ricci_star_component_audit
+
+    def spy(oracle, J):
+        audited.append(J)
+        return original(oracle, J)
+
+    monkeypatch.setattr(identities, "ricci_star_component_audit", spy)
+    try:
+        tracer.install()
+        root = tracer.begin_command(0, "cli.audit.components")
+        args = ["audit", "components", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 0
+        tracer.end_command(root)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    assert np.count_nonzero(spans.name == spans.names.index("identities.component_audit")) == 2
+    assert len(audited) == 2
+    np.testing.assert_array_equal(audited[0], structure)
+    np.testing.assert_array_equal(audited[1], swap_acs(man))

@@ -157,13 +157,15 @@ def test_exit_code_contract(tmp_path):
 
 
 def assert_usage_error(main_args, capsys):
-    """Exit code 2 with exactly one ``error:`` line and no traceback."""
+    """Exit code 2 with exactly one ``error:`` line and no traceback; returns
+    that line."""
     capsys.readouterr()
     assert main(main_args) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
+    return captured.err
 
 
 def test_nonfinite_points_file_is_usage_error(tmp_path, capsys):
@@ -171,6 +173,29 @@ def test_nonfinite_points_file_is_usage_error(tmp_path, capsys):
     pts.write_text("0 0 1\nnan 0 1\n")
     cfg = write_config(tmp_path, f"factor = dim=2 curvature=1.0\npoints_file = {pts}\n")
     assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+def test_non_utf8_points_file_is_usage_error(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(b"0 0 1\n\xff\xfe 0 1\n")
+    cfg = write_config(tmp_path, f"factor = dim=2 curvature=1.0\npoints_file = {pts}\n")
+    err = assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert str(pts) in err
+
+
+def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"factor = dim=2 curvature=1.0\n# caf\xff\npoints = 4\n")
+    args = ["nijenhuis", "s2", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert str(cfg) in assert_usage_error(args, capsys)
+
+
+def test_non_utf8_acs_file_is_usage_error(tmp_path, capsys):
+    acs_path = tmp_path / "structure.acs"
+    acs_path.write_bytes(b"12\n\xff\n")
+    cfg = write_config(tmp_path, f"{S6XS6}acs_file = {acs_path}\n")
+    args = ["audit", "components", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert str(acs_path) in assert_usage_error(args, capsys)
 
 
 def test_points_file_inside_the_chart_margin_is_usage_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, InvalidManifold
 from sphereacs.identities import (
     _half_trace,
+    component_audit_suite,
     gray_cancellation_audit,
     gray_combination,
     ricci_star,
@@ -26,6 +27,7 @@ from sphereacs.identities import (
     splitting_defect,
 )
 from sphereacs.manifold import CurvatureOracle, spheres
+from sphereacs.report import AuditReport
 from sphereacs.search import splitting_audit, splitting_pressure_probe
 
 
@@ -86,6 +88,16 @@ def test_gray_on_pair_inputs_equals_splitting_defect():
 # Splitting defect
 # ---------------------------------------------------------------------------
 
+def product_norm_form(man, J, x, y, d):
+    """-alpha (1 - |(Jx)_1|^2 |(Jy)_1|^2) + second_factor_term: a grouping of
+    the splitting defect that agrees with closed_form at c^2 in {0, 1} and
+    shares its sign and zero set, but differs as a polynomial in c between
+    the endpoints; (Jx)_1 is the first factor's block of Jx."""
+    first = man.block_slices[0]
+    jx1, jy1 = (J @ x)[first], (J @ y)[first]
+    return -man.factors[0].curvature * (1.0 - (jx1 @ jx1) * (jy1 @ jy1)) + d.second_factor_term
+
+
 def c_zero_structure(man):
     """Explicit structure on S2 x S4 sending the 2-sphere frame pair fully
     into the 4-sphere block: c = <Jx, y> = 0."""
@@ -108,7 +120,7 @@ def test_splitting_defect_split_structure_is_zero():
     assert abs(d.c) == pytest.approx(1.0, abs=1e-12)
     assert d.direct == pytest.approx(0.0, abs=1e-12)
     assert d.closed_form == pytest.approx(0.0, abs=1e-12)
-    assert d.product_norm_form == pytest.approx(0.0, abs=1e-12)
+    assert product_norm_form(man, J, x, y, d) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_splitting_defect_c_zero_structure():
@@ -158,13 +170,14 @@ def test_splitting_defect_variant_forms_share_sign_and_zeros():
     for s in range(200):
         J = random_orthogonal_acs(man, s)
         d = splitting_defect(oracle, J, x, y)
-        assert d.product_norm_form <= 1e-12
+        product_form = product_norm_form(man, J, x, y, d)
+        assert product_form <= 1e-12
         # same zero set
         if abs(d.direct) < 1e-12:
-            assert abs(d.product_norm_form) < 1e-10
-        if abs(d.product_norm_form) < 1e-12:
+            assert abs(product_form) < 1e-10
+        if abs(product_form) < 1e-12:
             assert abs(d.direct) < 1e-10
-        max_gap = max(max_gap, abs(d.product_norm_form - d.closed_form))
+        max_gap = max(max_gap, abs(product_form - d.closed_form))
     # the two closed forms are genuinely different polynomials in c
     assert max_gap > 1e-3
 
@@ -322,7 +335,7 @@ def test_stacked_structures_match_single_evaluations():
             ricci_star_bilinear(oracle, J, x[s], y[s]), rel=1e-12, abs=1e-12
         )
         one = splitting_defect(oracle, J, p, q)
-        for field in ("direct", "closed_form", "product_norm_form", "c", "second_factor_term"):
+        for field in ("direct", "closed_form", "c", "second_factor_term"):
             assert getattr(split, field)[s] == pytest.approx(
                 getattr(one, field), rel=1e-12, abs=1e-12
             )
@@ -435,10 +448,86 @@ def test_component_audit_rows_follow_their_formulas():
         assert row.expected == pytest.approx(claimed, abs=1e-15)
 
 
+def test_component_audit_maxima_are_the_largest_row_errors():
+    # each family's -max row is the largest |computed - claimed| of its own
+    # per-pair rows, bit for bit, on mixing and block-diagonal structures;
+    # both curvature orders, since a cross family's largest error sits in
+    # the block pairs of the larger curvature
+    for factors in (
+        ((6, 1.0), (6, 2.0)), ((6, 2.0), (6, 1.0)), ((6, 0.7),), ((6, 0.5), (6, 1.0), (6, 1.5)),
+    ):
+        man = spheres(*factors)
+        oracle = CurvatureOracle(man)
+        for J in (random_orthogonal_acs(man, 5), random_block_diagonal_acs(man, 5)):
+            checks = ricci_star_component_audit(oracle, J).checks
+            errors = {}
+            for c in checks:
+                if not c.name.endswith("-max"):
+                    errors.setdefault(c.name.split("[")[0], []).append(c.error)
+            maxima = [c for c in checks if c.name.endswith("-max")]
+            assert [c.name for c in maxima] == [f"{f}-max" for f in sorted(errors)]
+            for c in maxima:
+                assert c.computed == max(errors[c.name[: -len("-max")]])
+
+
+def reference_component_suite(manifold, samples, seed, structure=None, swap_probe=False):
+    """The components suite with a full ricci_star_component_audit for every
+    block-diagonal sample, keeping the rows whose names end in -max: the
+    suite's family maxima must equal these rows exactly."""
+    oracle = CurvatureOracle(manifold)
+    report = AuditReport()
+    if structure is not None:
+        report.extend(validate_acs(manifold, structure))
+        report.extend(ricci_star_component_audit(oracle, structure))
+    for s in range(min(samples, 10)):
+        sub = ricci_star_component_audit(oracle, random_block_diagonal_acs(manifold, [seed, s]))
+        report.checks.extend(
+            c._replace(name=f"blockdiag[{s}].{c.name}")
+            for c in sub.checks
+            if c.name.endswith("-max")
+        )
+    if swap_probe:
+        sub = ricci_star_component_audit(oracle, swap_acs(manifold))
+        report.checks.extend(
+            c._replace(name=f"swap.{c.name}")
+            for c in sub.checks
+            if c.name.endswith("-max") or not c.passed
+        )
+    return report
+
+
+@pytest.mark.parametrize("swap_probe", [False, True])
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("samples", [1, 3, 10, 500])
+@pytest.mark.parametrize(
+    "factors", [((6, 1.0), (6, 2.0)), ((6, 0.7),), ((6, 1.0), (6, 1.0), (6, 0.5))]
+)
+def test_component_suite_equals_full_audit_maxima(factors, samples, given, swap_probe):
+    man = spheres(*factors)
+    structure = random_orthogonal_acs(man, [samples, 9]) if given else None
+    args = (man, samples, 9, structure, swap_probe)
+    if swap_probe and man.n_factors != 2:
+        with pytest.raises(InvalidManifold) as ref:
+            reference_component_suite(*args)
+        with pytest.raises(InvalidManifold) as got:
+            component_audit_suite(*args)
+        assert str(got.value) == str(ref.value)
+        return
+    expected = reference_component_suite(*args).checks
+    got = component_audit_suite(*args).checks
+    # names, claims, verdict fields and bit-equal values, in the same order
+    assert got == expected
+    assert len(got) > 0
+
+
 def test_component_audit_rejects_non_6_sphere():
     man = spheres((2, 1.0), (6, 1.0))
-    with pytest.raises(InvalidManifold):
+    message = "^the component audit needs every factor to be a 6-sphere$"
+    with pytest.raises(InvalidManifold, match=message):
         ricci_star_component_audit(CurvatureOracle(man), random_orthogonal_acs(man, 0))
+    for structure in (None, random_orthogonal_acs(man, 0)):
+        with pytest.raises(InvalidManifold, match=message):
+            component_audit_suite(man, 3, 0, structure)
 
 
 # ---------------------------------------------------------------------------
