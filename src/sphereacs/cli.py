@@ -295,15 +295,19 @@ def rows_to_records(rows: list[Check]) -> str:
     ) + "\n"
 
 
-def rows_to_table(title: str, rows: list[Check], max_rows: int = 40) -> str:
+# rows of a report printed to stdout; the rest are counted
+TABLE_ROWS = 40
+
+
+def rows_to_table(title: str, rows: list[Check]) -> str:
     header = f"{'name':<46} {'computed':>24} {'expected':>24} verdict"
     lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows[:max_rows]:
+    for row in rows[:TABLE_ROWS]:
         lines.append(
             f"{row.name:<46} {row.computed:>24.17g} {_number(row.expected, '-'):>24} {row.verdict}"
         )
-    if len(rows) > max_rows:
-        lines.append(f"... ({len(rows) - max_rows} more rows)")
+    if len(rows) > TABLE_ROWS:
+        lines.append(f"... ({len(rows) - TABLE_ROWS} more rows)")
     return "\n".join(lines)
 
 

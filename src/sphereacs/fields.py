@@ -6,7 +6,9 @@ A point of S^d1(k1) x ... x S^dt(kt) is stored as the concatenation of one
 *unit* direction u_a in R^(d_a + 1) per factor; the geometric point is
 x_a = r_a u_a with r_a = 1 / sqrt(k_a).  The API is batched throughout: every
 field evaluator maps an (n, ambient_dim) array of unit points to values row
-by row, and a single point is a batch of one row.  The validity check
+by row, and a single point is a batch of one row.  ``ACSField`` is the one
+field type; a tangent field is a plain evaluator pts -> (n, ambient_dim),
+such as ``projected_constant_field``'s.  The validity check
 validates its points with ``unit_rows`` (each factor block a unit vector)
 and evaluates the whole batch at once.
 
@@ -50,11 +52,11 @@ Two kinds of structure field pass their own ``jet_fn``: ``frozen_field``
 energy objective does for its base field) and the Cayley-gauged family of
 ``search``, whose rotation is differentiated in closed form.
 
-The FD oracle ``lie_bracket_fd_batch`` extends fields radially,
-X(q) = X(q / |q| per factor), and evaluates the bracket by central
-differences (step h, error O(h^2)).  Built from the four brackets of the
-definition, derivatives of X and Y included, it is the independent check
-that dropping the (I + J^2) [X, Y] term is exact.
+The FD oracle ``lie_bracket_fd_batch(man, X, Y, pts)`` extends the tangent
+fields X and Y radially, X(q) = X(q / |q| per factor), and evaluates the
+bracket by central differences (step h, error O(h^2)).  Built from the four
+brackets of the definition, derivatives of X and Y included, it is the
+independent check that dropping the (I + J^2) [X, Y] term is exact.
 
 Batch row contract: every field evaluator is called on arrays whose row i is
 a point infinitesimally close to row i of the input batch (a complex step in
@@ -155,7 +157,7 @@ def unit_rows(man: ProductManifold, pts: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Field wrappers
+# Structure fields and tangent fields
 # ---------------------------------------------------------------------------
 
 COMPLEX_STEP = 1e-30
@@ -180,23 +182,7 @@ Jet = tuple[Array, Callable[[Array, Array], Array]]
 
 
 @dataclass(frozen=True)
-class Field:
-    """A batched evaluator on the embedded product."""
-
-    manifold: ProductManifold
-    fn: Callable[[Array], Array]
-    name: str = ""
-
-    def __call__(self, pts: Array) -> Array:
-        return self.fn(pts)
-
-
-class TangentField(Field):
-    """A smooth tangent vector field given by a batched evaluator."""
-
-
-@dataclass(frozen=True)
-class ACSField(Field):
+class ACSField:
     """An almost complex structure field: batched evaluator returning one
     ambient operator per point that acts as J on the tangent space and
     annihilates the per-factor normal directions.  ``jet_fn``, when given,
@@ -204,7 +190,13 @@ class ACSField(Field):
     analytic in its input: it must keep complex rows complex and take no
     abs, norm or conjugate of them."""
 
+    manifold: ProductManifold
+    fn: Callable[[Array], Array]
+    name: str = ""
     jet_fn: Callable[[Array], Jet] | None = None
+
+    def __call__(self, pts: Array) -> Array:
+        return self.fn(pts)
 
     def jet(self, pts: Array) -> Jet:
         """Values at the rows pts and the derivative map (du, w) -> (D_du J) w
@@ -222,14 +214,6 @@ class ACSField(Field):
             ], axis=-1)
 
         return self.fn(pts), derivative
-
-    def image(self, X: TangentField) -> TangentField:
-        """The field J X: q -> J(q) X(q)."""
-        return TangentField(
-            self.manifold,
-            lambda pts: np.einsum("nij,nj->ni", self.fn(pts), X(pts)),
-            f"{self.name}.{X.name}",
-        )
 
 
 def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
@@ -268,8 +252,9 @@ def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
     return ACSField(man, fn, Jf.name, jet)
 
 
-def projected_constant_field(man: ProductManifold, ambient: Array, name: str = "const") -> TangentField:
-    """Tangent projection of a constant ambient vector: smooth and global."""
+def projected_constant_field(man: ProductManifold, ambient: Array) -> Callable[[Array], Array]:
+    """Tangent field: the tangent projection of a constant ambient vector,
+    smooth and global."""
     v = np.asarray(ambient, dtype=float)
     if v.shape != (man.ambient_dim,):
         raise ContractViolation(f"ambient vector must have length {man.ambient_dim}")
@@ -277,40 +262,7 @@ def projected_constant_field(man: ProductManifold, ambient: Array, name: str = "
     def fn(pts: Array) -> Array:
         return tangent_project(man, pts, np.broadcast_to(v, pts.shape))
 
-    return TangentField(man, fn, name)
-
-
-def linear_field(man: ProductManifold, factor: int, skew: Array, name: str = "linear") -> TangentField:
-    """Killing field of one factor: X(x) = S x on the geometric sphere for a
-    skew ambient matrix S, zero on the other factors."""
-    f = man.factors[factor]
-    s = np.asarray(skew, dtype=float)
-    if s.shape != (f.ambient_dim, f.ambient_dim):
-        raise ContractViolation(f"skew matrix must be {f.ambient_dim}x{f.ambient_dim}")
-    if np.max(np.abs(s + s.T)) > 1e-12:
-        raise ContractViolation("rotation generator must be skew-symmetric")
-    sl = man.ambient_slices[factor]
-    radius = f.radius
-
-    def fn(pts: Array) -> Array:
-        out = np.zeros_like(pts)
-        out[:, sl] = radius * (pts[:, sl] @ s.T)
-        return out
-
-    return TangentField(man, fn, name)
-
-
-def cross_matrix(axis: Array) -> np.ndarray:
-    """3x3 matrix of v -> axis x v."""
-    a = np.asarray(axis, dtype=float)
-    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-
-
-def rotation_field(man: ProductManifold, factor: int, axis: Array, name: str = "rot") -> TangentField:
-    """Rotation field v -> axis x x on a 2-sphere factor."""
-    if man.factors[factor].dim != 2:
-        raise InvalidManifold("rotation fields about an axis need a 2-sphere factor")
-    return linear_field(man, factor, cross_matrix(axis), name)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +404,16 @@ def check_step(h: float) -> None:
 
 
 def lie_bracket_fd_batch(
-    X: TangentField,
-    Y: TangentField,
+    man: ProductManifold,
+    X: Callable[[Array], Array],
+    Y: Callable[[Array], Array],
     pts: Array,
     h: float = TOL.fd_step,
     project: bool = True,
 ) -> Array:
-    """[X, Y] = (DY) X - (DX) Y on the radial extensions, batched."""
+    """[X, Y] = (DY) X - (DX) Y on the radial extensions of the tangent
+    fields X and Y, batched evaluators pts -> (n, ambient_dim)."""
     check_step(h)
-    man = X.manifold
     g = to_geometric(man, pts)
     vx = X(pts)
     vy = Y(pts)

@@ -110,9 +110,11 @@ def chart_safe_points(
 
 def read_text(path) -> str:
     """A config, points or structure file read as UTF-8 in text mode (CR and
-    CRLF line ends read as LF); a file that is not UTF-8 is a ConfigError naming it."""
+    CRLF line ends read as LF, a leading byte-order mark dropped); a file that
+    is not UTF-8 is a ConfigError naming it and the offset of the bad byte."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not "utf-8-sig", whose error offsets skip the mark
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 

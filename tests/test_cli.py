@@ -198,6 +198,45 @@ def test_non_utf8_acs_file_is_usage_error(tmp_path, capsys):
     assert str(acs_path) in assert_usage_error(args, capsys)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("kind", ["config", "points_file", "acs_file"])
+def test_byte_order_mark_is_ignored(tmp_path, kind):
+    # some editors start UTF-8 files with a byte-order mark: a copy of the
+    # input with one gives the exit code and report bytes of the copy without
+    def run(bom):
+        root = tmp_path / ("bom" if bom else "plain")
+        root.mkdir()
+        if kind == "acs_file":
+            command, target = "audit", "components"
+            data = acs_to_text(random_block_diagonal_acs(spheres((6, 1.0), (6, 2.0)), seed=3)).encode()
+            text = f"{S6XS6}samples = 1\nacs_file = {root / 'input.txt'}\n"
+        else:
+            command, target = "nijenhuis", "s2"
+            rows = manifold_points(spheres((2, 1.0)), 5, seed=3)
+            data = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in rows).encode()
+            text = f"{S2}points = 4\n" + (f"points_file = {root / 'input.txt'}\n" if kind == "points_file" else "")
+        (root / "input.txt").write_bytes(BOM + data if bom and kind != "config" else data)
+        cfg = root / "run.cfg"
+        cfg.write_bytes((BOM if bom and kind == "config" else b"") + f"{text}format = csv\n".encode())
+        code = main([command, target, "--config", str(cfg), "--out", str(root / "out")])
+        return code, (root / "out" / f"{command}_{target}.csv").read_bytes()
+
+    plain, bom = run(False), run(True)
+    assert plain[0] in (0, 1)
+    assert bom == plain
+
+
+def test_byte_order_mark_keeps_the_bad_byte_offset(tmp_path, capsys):
+    # the offset in the error counts the mark's three bytes, as in the file
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(BOM + b"0 0 1\n\xff\xfe 0 1\n")
+    cfg = write_config(tmp_path, f"{S2}points_file = {pts}\n")
+    err = assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert err == f"error: {pts}: not UTF-8 text (invalid start byte at byte 9)\n"
+
+
 def test_points_file_inside_the_chart_margin_is_usage_error(tmp_path, capsys):
     # file points keep chart_margin from the 4-sphere chart's bad set, as
     # generated points do; a point near the antipode would otherwise pass

@@ -6,14 +6,11 @@ from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from sphereacs.fields import (
     ACSField,
-    TangentField,
     acs_field_validity_check,
     complex_step,
-    cross_matrix,
     default_acs_field,
     frozen_field,
     lie_bracket_fd_batch,
-    linear_field,
     nijenhuis_batch,
     nijenhuis_energy,
     nijenhuis_norms,
@@ -21,7 +18,6 @@ from sphereacs.fields import (
     normalize_blocks,
     product_acs_field,
     projected_constant_field,
-    rotation_field,
     s2_rotation_blocks,
     s4_chart_blocks,
     s4_integrable_chart_blocks,
@@ -42,6 +38,7 @@ from sphereacs.sampling import (
     low_discrepancy_directions,
     manifold_points,
 )
+from tangent_fields import cross_matrix, image, linear_field, rotation_field
 
 S2 = spheres((2, 1.0))
 S6 = spheres((6, 1.0))
@@ -119,7 +116,7 @@ def test_bracket_matches_rotation_oracle():
     X = rotation_field(S2, 0, AXIS_1)
     Y = rotation_field(S2, 0, AXIS_2)
     pts = fibonacci_sphere(12, seed=3)
-    got = lie_bracket_fd_batch(X, Y, pts)
+    got = lie_bracket_fd_batch(S2, X, Y, pts)
     assert np.max(np.linalg.norm(got - closed_form_rotation_bracket(pts), axis=1)) < TOL.fd_bracket
 
 
@@ -131,7 +128,7 @@ def test_bracket_second_order_convergence():
     expected = closed_form_rotation_bracket(pts)
     errs = {}
     for h in (4e-3, 2e-3, 1e-3):
-        got = lie_bracket_fd_batch(X, Y, pts, h=h)
+        got = lie_bracket_fd_batch(S2, X, Y, pts, h=h)
         errs[h] = np.linalg.norm(got - expected, axis=1)
     for big, small in ((4e-3, 2e-3), (2e-3, 1e-3)):
         ratio = float(np.median(errs[big] / errs[small]))
@@ -141,7 +138,7 @@ def test_bracket_second_order_convergence():
 def test_bracket_of_field_with_itself_vanishes():
     X = rotation_field(S2, 0, AXIS_1)
     pts = fibonacci_sphere(15, seed=1)
-    assert np.max(np.abs(lie_bracket_fd_batch(X, X, pts))) < 1e-8
+    assert np.max(np.abs(lie_bracket_fd_batch(S2, X, X, pts))) < 1e-8
 
 
 def test_bracket_bilinearity():
@@ -149,9 +146,9 @@ def test_bracket_bilinearity():
     Y = rotation_field(S2, 0, AXIS_2)
     Z = rotation_field(S2, 0, np.array([0.3, -0.7, 0.9]))
     pts = fibonacci_sphere(8, seed=5)
-    y_plus_z = TangentField(S2, lambda q: Y(q) + Z(q), "Y+Z")
-    lhs = lie_bracket_fd_batch(X, y_plus_z, pts)
-    rhs = lie_bracket_fd_batch(X, Y, pts) + lie_bracket_fd_batch(X, Z, pts)
+    y_plus_z = lambda q: Y(q) + Z(q)
+    lhs = lie_bracket_fd_batch(S2, X, y_plus_z, pts)
+    rhs = lie_bracket_fd_batch(S2, X, Y, pts) + lie_bracket_fd_batch(S2, X, Z, pts)
     assert np.max(np.abs(lhs - rhs)) < TOL.fd_linear
 
 
@@ -161,8 +158,8 @@ def test_bracket_radius_scaling():
     X1, Y1 = rotation_field(S2, 0, AXIS_1), rotation_field(S2, 0, AXIS_2)
     Xr, Yr = rotation_field(man_r, 0, AXIS_1), rotation_field(man_r, 0, AXIS_2)
     pts = fibonacci_sphere(6, seed=2)
-    b1 = lie_bracket_fd_batch(X1, Y1, pts)
-    br = lie_bracket_fd_batch(Xr, Yr, pts)
+    b1 = lie_bracket_fd_batch(S2, X1, Y1, pts)
+    br = lie_bracket_fd_batch(man_r, Xr, Yr, pts)
     # linear fields scale with radius, so the bracket does too
     assert np.allclose(br, 0.5 * b1, atol=1e-8)
 
@@ -171,16 +168,16 @@ def test_bracket_step_size_contract():
     X = rotation_field(S2, 0, AXIS_1)
     pts = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(StepSizeError):
-        lie_bracket_fd_batch(X, X, pts, h=1e-10)
+        lie_bracket_fd_batch(S2, X, X, pts, h=1e-10)
     with pytest.raises(StepSizeError):
-        lie_bracket_fd_batch(X, X, pts, h=0.5)
+        lie_bracket_fd_batch(S2, X, X, pts, h=0.5)
 
 
 def test_bracket_tangency_before_projection():
     X = rotation_field(S2, 0, AXIS_1)
     Y = rotation_field(S2, 0, AXIS_2)
     pts = fibonacci_sphere(10, seed=7)
-    raw = lie_bracket_fd_batch(X, Y, pts, project=False)
+    raw = lie_bracket_fd_batch(S2, X, Y, pts, project=False)
     normal = np.sum(raw * pts, axis=1)
     assert np.max(np.abs(normal)) < TOL.fd_bracket
 
@@ -236,17 +233,18 @@ def exact_s6_nijenhuis(u, a, b):
 def fd_nijenhuis(Jf, X, Y, pts):
     """The FD oracle: the four brackets of the definition, each by central
     differences, with J applied at the centre rows."""
-    JX, JY = Jf.image(X), Jf.image(Y)
+    man = Jf.manifold
+    JX, JY = image(Jf, X), image(Jf, Y)
     j = Jf(pts)
 
     def apply(v):
         return np.einsum("nij,nj->ni", j, v)
 
     return (
-        lie_bracket_fd_batch(JX, JY, pts)
-        - lie_bracket_fd_batch(X, Y, pts)
-        - apply(lie_bracket_fd_batch(JX, Y, pts))
-        - apply(lie_bracket_fd_batch(X, JY, pts))
+        lie_bracket_fd_batch(man, JX, JY, pts)
+        - lie_bracket_fd_batch(man, X, Y, pts)
+        - apply(lie_bracket_fd_batch(man, JX, Y, pts))
+        - apply(lie_bracket_fd_batch(man, X, JY, pts))
     )
 
 
@@ -296,15 +294,15 @@ def test_exact_nijenhuis_matches_fd_oracle(fixture):
     man = Jf.manifold
     pts = chart_safe_points(man, 12, seed=4)
     rng = np.random.default_rng(5)
-    X = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "X")
-    Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")
+    X = projected_constant_field(man, rng.standard_normal(man.ambient_dim))
+    Y = projected_constant_field(man, rng.standard_normal(man.ambient_dim))
     exact = nijenhuis_batch(Jf, X(pts), Y(pts), pts)
     fd = fd_nijenhuis(Jf, X, Y, pts)
     assert np.max(np.abs(exact - fd)) < TOL.fd_bracket
     # the oracle differentiates the frame fields, which do not commute, and
     # the term of the definition that the engine omits, P (I + J^2) [X, Y],
     # is zero to round-off
-    bracket = lie_bracket_fd_batch(X, Y, pts, project=False)
+    bracket = lie_bracket_fd_batch(man, X, Y, pts, project=False)
     assert np.min(np.linalg.norm(bracket, axis=1)) >= 0.1
     j = Jf(pts)
     omitted = tangent_project(man, pts, bracket + np.einsum("nij,nj->ni", j @ j, bracket))
@@ -345,7 +343,7 @@ def test_complex_step_is_the_directional_derivative():
     X = linear_field(S2, 0, skew)
     pts = fibonacci_sphere(6, seed=2)
     du = tangent_project(S2, pts, np.random.default_rng(1).standard_normal((6, 3)))
-    assert np.max(np.abs(complex_step(X.fn, pts, du) - du @ skew.T)) < 1e-15
+    assert np.max(np.abs(complex_step(X, pts, du) - du @ skew.T)) < 1e-15
 
 
 def test_frozen_field_matches_the_field_on_its_rows_only():
@@ -466,7 +464,7 @@ def test_nijenhuis_antisymmetry_and_j_invariance():
     n_xy = nijenhuis_batch(Jf, X(pts), Y(pts), pts)
     n_yx = nijenhuis_batch(Jf, Y(pts), X(pts), pts)
     assert np.max(np.abs(n_xy + n_yx)) < TOL.exact_nijenhuis
-    JX, JY = Jf.image(X), Jf.image(Y)
+    JX, JY = image(Jf, X), image(Jf, Y)
     n_jj = nijenhuis_batch(Jf, JX(pts), JY(pts), pts)
     assert np.max(np.abs(n_jj + n_xy)) < TOL.exact_nijenhuis
 
@@ -499,8 +497,8 @@ def nijenhuis_tensoriality_check(Jf, pts, seed, scalar_field=None) -> AuditRepor
         def scalar_field(pts):
             return const + pts @ coeffs
 
-    x = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "X")(pts)
-    y = projected_constant_field(man, rng.standard_normal(man.ambient_dim), "Y")(pts)
+    x = projected_constant_field(man, rng.standard_normal(man.ambient_dim))(pts)
+    y = projected_constant_field(man, rng.standard_normal(man.ambient_dim))(pts)
     f = scalar_field(pts)[:, np.newaxis]
     lhs = fields.nijenhuis_batch(Jf, f * x, y, pts)
     rhs = f * fields.nijenhuis_batch(Jf, x, y, pts)
