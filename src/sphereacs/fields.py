@@ -452,12 +452,19 @@ def nijenhuis_batch(Jf: ACSField, x: Array, y: Array, pts: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def sample_tangent_pairs(
-    man: ProductManifold, pts: Array, frame_pairs: int, seed: int
+    man: ProductManifold, pts: Array, frame_pairs: int, seed: int | np.random.Generator
 ) -> tuple[Array, Array, Array]:
     """Seeded orthonormal tangent pairs at each point.
 
     Returns (points_repeated, xs, ys) with rows ordered point-major, so the
     reduction over rows is point-index ordered and deterministic.
+
+    The seed may also be a ``Generator``, which the draw uses as it is and
+    advances.  Row by row the pairs come from consecutive normals of one C
+    order fill, and the tangent bases are computed per row, so drawing the
+    rows of ``np.repeat(pts, frame_pairs, axis=0)`` block after block with
+    ``frame_pairs=1`` from one ``default_rng(seed)`` gives, bit for bit, the
+    pairs of one whole-batch call with ``seed``.
     """
     if frame_pairs < 1:
         raise ContractViolation("frame_pairs must be >= 1")
@@ -485,26 +492,35 @@ def nijenhuis_sq_norms(Jf: ACSField, x: Array, y: Array, pts: Array) -> Array:
     return np.sum(values * values, axis=1)
 
 
-# Rows per nijenhuis_sq_norms call of the one-shot evaluations below.  The
-# gauged S^2 x S^4 field holds about 16 kB of per-row temporaries, so a block
-# peaks near 16 MB however many points there are; smaller blocks save little
-# more memory and pay the per-call overhead more often.
-NIJENHUIS_BLOCK_ROWS = 1024
+# Rows per block of the one-shot evaluations below: the block's repeated
+# points, its tangent pair draw and its nijenhuis_sq_norms call.  A block of
+# the gauged S^2 x S^4 field holds about 16 kB of temporaries per row.  The
+# field-batch benchmark peaks at 56.7-56.9 MB with 128 to 512 rows and at
+# 62.7 MB with 1024 (BENCH_streamed_pairs.json), so 512 is the largest size
+# at the floor and keeps the call count lowest.
+NIJENHUIS_BLOCK_ROWS = 512
 
 
 def _blocked_sq_norms(Jf: ACSField, pts: Array, frame_pairs: int, seed: int) -> Array:
     """|N|^2 at the seeded frame pairs of ``sample_tangent_pairs``, in its
-    row order, evaluated NIJENHUIS_BLOCK_ROWS rows at a time.  N is computed
-    row by row, so each value is the one a single whole-batch call gives,
-    except in round-off where a field's evaluator takes one 2-D matrix
-    product over all its rows (BLAS rounds those with the row count, as in
-    the gauge family's features).  Not for frozen fields, which are bound to
-    exactly one row batch."""
-    rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, frame_pairs, seed)
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], NIJENHUIS_BLOCK_ROWS):
-        block = slice(start, start + NIJENHUIS_BLOCK_ROWS)
-        out[block] = nijenhuis_sq_norms(Jf, xs[block], ys[block], rows[block])
+    row order, NIJENHUIS_BLOCK_ROWS rows at a time: each block repeats its
+    points, draws its pairs from one generator stream (equal, bit for bit, to
+    the whole-batch draw) and evaluates them, so only the points and the
+    output grow with the batch.  A block may split a point's frame pairs.
+    N is computed row by row, so each value is the one a single whole-batch
+    call gives, except in round-off where a field's evaluator takes one 2-D
+    matrix product over all its rows (BLAS rounds those with the row count,
+    as in the gauge family's features).  Not for frozen fields, which are
+    bound to exactly one row batch."""
+    if frame_pairs < 1:
+        raise ContractViolation("frame_pairs must be >= 1")
+    rng = np.random.default_rng(seed)
+    out = np.empty(pts.shape[0] * frame_pairs)
+    for start in range(0, out.size, NIJENHUIS_BLOCK_ROWS):
+        stop = min(start + NIJENHUIS_BLOCK_ROWS, out.size)
+        rows = pts[np.arange(start, stop) // frame_pairs]
+        _, xs, ys = sample_tangent_pairs(Jf.manifold, rows, 1, rng)
+        out[start:stop] = nijenhuis_sq_norms(Jf, xs, ys, rows)
     return out
 
 

@@ -688,24 +688,70 @@ def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
         assert abs(energy - expected_energy) <= rel * expected_energy
 
 
-def test_one_shot_memory_is_flat_in_the_batch_size():
-    # the per-row temporaries of a block dominate the peak; only the tangent
-    # pair draw and the output grow with the points
+def one_shot_peak(Jf, n: int, frame_pairs: int) -> int:
+    """tracemalloc peak of ``nijenhuis_norms`` at n chart-safe points, the
+    points themselves not counted."""
     import tracemalloc
 
+    pts = chart_safe_points(Jf.manifold, n, seed=8)
+    tracemalloc.start()
+    try:
+        nijenhuis_norms(Jf, pts, frame_pairs=frame_pairs, seed=8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_shot_memory_is_flat_in_the_batch_size():
+    # the per-row temporaries of a block dominate the peak; only the output
+    # grows with the points
     Jf = EXACT_FIXTURES["gauged-deg2"]()
-
-    def peak(n: int) -> int:
-        pts = chart_safe_points(S2XS4, n, seed=8)
-        tracemalloc.start()
-        try:
-            nijenhuis_norms(Jf, pts, frame_pairs=1, seed=8)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     block = fields.NIJENHUIS_BLOCK_ROWS
-    assert peak(4 * block) <= 1.5 * peak(block)
+    assert one_shot_peak(Jf, 4 * block, 1) <= 1.5 * one_shot_peak(Jf, block, 1)
+
+
+@pytest.mark.parametrize("fixture", ["s2", "s6-octonion", "s2xs6", "gauged-deg2"])
+def test_one_shot_memory_is_flat_for_every_field(fixture):
+    # each block draws its own tangent pairs, so a batch 16 times as large
+    # peaks where one block does, whatever the field's per-row cost
+    Jf = EXACT_FIXTURES[fixture]()
+    block = fields.NIJENHUIS_BLOCK_ROWS
+    assert one_shot_peak(Jf, 16 * block, 2) <= 1.5 * one_shot_peak(Jf, block, 2)
+
+
+@pytest.mark.parametrize("man", [spheres((2, 1.0), (6, 1.0)), S2XS4, S6], ids=["s2xs6", "s2xs4", "s6"])
+def test_streamed_pair_draw_equals_the_whole_batch_draw(man):
+    # 20 points x 3 frame pairs in 7-row blocks, which split the pairs of
+    # several points, from one generator stream
+    pts = chart_safe_points(man, 20, seed=3)
+    whole = sample_tangent_pairs(man, pts, 3, 11)
+    rng = np.random.default_rng(11)
+    blocks = [
+        sample_tangent_pairs(man, pts[np.arange(start, min(start + 7, 60)) // 3], 1, rng)
+        for start in range(0, 60, 7)
+    ]
+    for whole_part, streamed in zip(whole, zip(*blocks)):
+        assert np.array_equal(np.concatenate(streamed), whole_part)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("frame_pairs", [0, -1])
+def test_one_shot_evaluations_reject_frame_pairs_below_one(monkeypatch, n, frame_pairs):
+    # fails closed before the first block, so an empty batch, which has no
+    # blocks, does not come back as an empty result
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_tangent_pairs(*args)
+
+    monkeypatch.setattr(fields, "sample_tangent_pairs", counted)
+    Jf = default_acs_field(S6)
+    pts = low_discrepancy_directions(5, 7, seed=2)[:n]
+    for evaluation in (nijenhuis_norms, nijenhuis_energy):
+        with pytest.raises(ContractViolation):
+            evaluation(Jf, pts, frame_pairs=frame_pairs, seed=1)
+    assert drawn == []
 
 
 def test_sample_tangent_pairs_orthonormal():
