@@ -508,9 +508,10 @@ def _blocked_sq_norms(Jf: ACSField, pts: Array, frame_pairs: int, seed: int) -> 
     the whole-batch draw) and evaluates them, so only the points and the
     output grow with the batch.  A block may split a point's frame pairs.
     N is computed row by row, so each value is the one a single whole-batch
-    call gives, except in round-off where a field's evaluator takes one 2-D
+    call gives, except in round-off where a field's evaluator takes a 2-D
     matrix product over all its rows (BLAS rounds those with the row count,
-    as in the gauge family's features).  Not for frozen fields, which are
+    as in the gauge family's two products of theta, with the features and
+    with their gradient).  Not for frozen fields, which are
     bound to exactly one row batch."""
     if frame_pairs < 1:
         raise ContractViolation("frame_pairs must be >= 1")

@@ -42,7 +42,6 @@ from .config import TOL
 from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
     ACSField,
-    complex_step,
     default_acs_field,
     frozen_field,
     nijenhuis_sq_norms,
@@ -134,24 +133,42 @@ class GaugeParametrization:
             column = {mono: k for k, mono in enumerate(monos)}
         return tuple(out)
 
+    def _feature_blocks(self, pts: np.ndarray, gradient: bool = False) -> tuple[list, list]:
+        """The degree blocks of ``features`` and, if gradient is set, of
+        ``feature_gradient``: by the product rule, the gradient of
+        prefix * x_last is the prefix's gradient times x_last plus the
+        prefix on x_last's axis."""
+        n, amb = pts.shape
+        values = [np.ones((n, 1)), pts][: self.degree + 1]
+        grads = [np.zeros((n, amb, 1)), np.broadcast_to(np.eye(amb), (n, amb, amb))][: self.degree + 1]
+        for prefix, last in self._degree_index:
+            if gradient:
+                grads.append(grads[-1][:, :, prefix] * pts[:, np.newaxis, last])
+                grads[-1][:, last, np.arange(last.size)] += values[-1][:, prefix]
+            values.append(values[-1][:, prefix] * pts[:, last])
+        return values, grads
+
     def features(self, pts: np.ndarray) -> np.ndarray:
         """Monomial features of the ambient unit coordinates, shape (n, F),
         C-contiguous; each degree block is the previous block's columns times
         one coordinate."""
-        blocks = [np.ones((pts.shape[0], 1)), pts][: self.degree + 1]
-        for prefix, last in self._degree_index:
-            blocks.append(blocks[-1][:, prefix] * pts[:, last])
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate(self._feature_blocks(pts)[0], axis=1)
+
+    def feature_gradient(self, pts: np.ndarray) -> np.ndarray:
+        """Ambient gradient of ``features``, shape (n, ambient_dim, F),
+        C-contiguous: entry (i, a, f) is the derivative of feature f along
+        ambient axis a at row i, in closed form."""
+        return np.concatenate(self._feature_blocks(pts, gradient=True)[1], axis=2)
 
     def frozen(self, rows: np.ndarray) -> "GaugeParametrization":
         """This family with its theta-independent pieces at the row batch
         rows (features and their ambient gradient, tangent projectors)
-        computed once.  Valid only on exactly these rows: any other batch
-        raises ``ContractViolation``."""
-        rows = np.array(rows, dtype=float)
-        return _FrozenGauge(
-            self.manifold, self.degree, self.generators, self.seed, _GaugePieces(self, rows, frozen=True)
-        )
+        computed once, from a copy of rows, and read-only.  Valid only on
+        exactly these rows: any other batch raises ``ContractViolation``."""
+        pieces = _GaugePieces(self, np.array(rows, dtype=float))
+        for a in vars(pieces).values():
+            a.flags.writeable = False
+        return _FrozenGauge(self.manifold, self.degree, self.generators, self.seed, pieces)
 
     def _pieces(self, pts: np.ndarray) -> "_GaugePieces":
         return _GaugePieces(self, pts)
@@ -217,16 +234,20 @@ class GaugeParametrization:
         if not cayley:
             return q, lambda du, z: np.zeros(z.shape)
         pieces, c, h = cayley
-        amb = self.manifold.ambient_dim
-        pi = pieces.projectors
-        coefficient_derivatives = pieces.coefficient_derivatives(
-            np.asarray(theta, dtype=float).reshape(self.feature_count, self.generators)
-        )
+        n, amb, f = pieces.gradient.shape
+        # the derivative holds only these, not the pieces, so an unfrozen
+        # batch's feature gradient is freed once grad_t is formed
+        pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
+        # the coefficients' gradient (gradient @ theta)^T, (n, generators, amb),
+        # from one 2-D product on a view: dc along du is grad_t @ du
+        theta_m = np.asarray(theta, dtype=float).reshape(f, self.generators)
+        coefficient_gradient = (pieces.gradient.reshape(n * amb, f) @ theta_m).reshape(n, amb, -1)
+        grad_t = np.ascontiguousarray(np.swapaxes(coefficient_gradient, 1, 2))
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
             k, m = du.shape[-1], z.shape[-1]
             # dc_k repeated over the rows of S_k v, to meet the stacked S_k v
-            dc = np.concatenate([coefficient_derivatives(du)] * (m // k), axis=-1)
+            dc = np.concatenate([grad_t @ du] * (m // k), axis=-1)
             dc_rows = np.repeat(dc, amb, axis=1)
             # y and C Pi y side by side, for dU to take both in one pass
             both = np.empty(z.shape[:-1] + (2 * m,))
@@ -234,7 +255,7 @@ class GaugeParametrization:
             pi_y = pi @ y
             np.matmul(c, pi_y, out=both[..., m:])
             du_both = np.concatenate([du] * (2 * m // k), axis=-1)
-            d_u = du_both * (pieces.block_rows @ both) + pieces.block_cols @ (du_both * both)
+            d_u = du_both * (block_rows @ both) + block_cols @ (du_both * both)
             dc_pi_y = self.skew_columns @ (dc_rows * np.concatenate([pi_y] * self.generators, axis=-2))
             da_y = pi @ (dc_pi_y - c @ d_u[..., :m]) - d_u[..., m:]
             return -2.0 * (h @ da_y)
@@ -273,50 +294,21 @@ class GaugeParametrization:
 
 class _GaugePieces:
     """The theta-independent pieces of a gauge family at a row batch: the
-    monomial features, the tangent projectors (with a stack of identities
-    of their shape, so I +- A are plain sums) and the block rows mask * u^T
-    of the unit points u.  Frozen pieces also hold the ambient
-    gradient of the features, so coefficient derivatives along any
-    velocities are one product; otherwise they are complex steps of
-    ``features`` along just the columns asked for."""
+    monomial features and their ambient gradient, the tangent projectors
+    (with a stack of identities of their shape, so I +- A are plain sums)
+    and the block rows mask * u^T of the unit points u."""
 
-    def __init__(self, par: GaugeParametrization, rows: np.ndarray, frozen: bool = False):
+    def __init__(self, par: GaugeParametrization, rows: np.ndarray):
         man = par.manifold
-        self.par = par
         self.rows = rows
         self.features = par.features(rows)
+        self.gradient = par.feature_gradient(rows)
         self.projectors = tangent_projectors(man, rows)
         self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
         # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T per
         # factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
         self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
         self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
-        self.gradient = None
-        if frozen:
-            n, amb = rows.shape
-            # (n * amb, F): row i * amb + a is the derivative along axis a at row i
-            self.gradient = complex_step(
-                par.features, np.repeat(rows, amb, axis=0), np.tile(np.eye(amb), (n, 1))
-            )
-            for a in (rows, self.features, self.projectors, self.identity, self.block_rows,
-                      self.block_cols, self.gradient):
-                a.flags.writeable = False
-
-    def coefficient_derivatives(self, theta_m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """du -> the derivatives of the coefficients features @ theta_m along
-        the columns of du (n, ambient_dim, k), shape (n, generators, k)."""
-        n, amb = self.rows.shape
-        if self.gradient is not None:
-            grad_t = np.ascontiguousarray(np.swapaxes((self.gradient @ theta_m).reshape(n, amb, -1), 1, 2))
-            return lambda du: grad_t @ du
-
-        def along(du: np.ndarray) -> np.ndarray:
-            k = du.shape[-1]
-            cols = np.swapaxes(du, 1, 2).reshape(n * k, amb)
-            dfeat = complex_step(self.par.features, np.repeat(self.rows, k, axis=0), cols)
-            return np.swapaxes((dfeat @ theta_m).reshape(n, k, -1), 1, 2)
-
-        return along
 
 
 @dataclass(frozen=True)
@@ -462,11 +454,11 @@ def make_energy_objective(
     does not depend on theta is frozen with them: the base field's values
     and frame derivatives (``fields.frozen_field``) and the gauge family's
     features, feature gradient and tangent projectors
-    (``GaugeParametrization.frozen``).  The frozen derivatives are complex
-    steps of the base field's evaluator, which must therefore be analytic in
-    its input (see ``fields.ACSField``).  A failed Cayley transform or a
-    non-finite energy (theta far too large) gives inf, which the simplex
-    rejects."""
+    (``GaugeParametrization.frozen``).  The base field's frozen derivatives
+    are complex steps of its evaluator, which must therefore be analytic in
+    its input (see ``fields.ACSField``); the gauge family's are closed forms.
+    A failed Cayley transform or a non-finite energy (theta far too large)
+    gives inf, which the simplex rejects."""
     rows, xs, ys = sample_tangent_pairs(parametrization.manifold, pts, frame_pairs, pair_seed)
     base = frozen_field(base, rows)
     gauge = parametrization.frozen(rows)

@@ -266,15 +266,18 @@ def test_octonionic_s6_matches_exact_bracket_oracle():
         assert np.max(np.abs(fd - oracle)) < TOL.fd_bracket
 
 
-def gauged_field(degree):
-    par = GaugeParametrization(S2XS4, degree, generators=4, seed=3)
+def gauged_field(degree, man=S2XS4):
+    par = GaugeParametrization(man, degree, generators=4, seed=3)
     theta = 0.3 * np.random.default_rng([3, degree]).standard_normal(par.n_params)
-    return par.field(theta, default_acs_field(S2XS4))
+    return par.field(theta, default_acs_field(man))
 
 
 EXACT_FIXTURES = {
     "s2": lambda: default_acs_field(S2),
     "s6-octonion": lambda: default_acs_field(S6),
+    # non-integrable fields at non-unit curvature: the engine's velocities
+    # carry the factor radii, which curvature 1 cannot see
+    "s6-octonion-k4": lambda: default_acs_field(spheres((6, 4.0))),
     "s2xs6": lambda: product_acs_field(
         spheres((2, 1.0), (6, 1.0)), [s2_rotation_blocks, s6_octonion_blocks], "s2xs6"
     ),
@@ -285,6 +288,7 @@ EXACT_FIXTURES = {
     "gauged-deg0": lambda: gauged_field(0),
     "gauged-deg1": lambda: gauged_field(1),
     "gauged-deg2": lambda: gauged_field(2),
+    "gauged-deg2-k4": lambda: gauged_field(2, spheres((2, 4.0), (4, 0.25))),
 }
 
 
@@ -661,8 +665,9 @@ def test_nijenhuis_norms_match_energy():
 def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
     # 23 points x 2 frame pairs = 46 rows in 7-row blocks: the last block is
     # short, and the pairs of points 3, 10 and 17 straddle two blocks.  N is
-    # computed row by row; only the gauged field's features, one 2-D matrix
-    # product over the rows, round differently with the row count
+    # computed row by row; only the gauged field's two 2-D matrix products
+    # over the rows, of theta with the features and with their gradient,
+    # round differently with the row count
     Jf = EXACT_FIXTURES[fixture]()
     pts = chart_safe_points(Jf.manifold, 23, seed=6)
     rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, 2, seed=7)

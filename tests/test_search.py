@@ -15,6 +15,7 @@ from sphereacs.acs import (
 from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import (
     acs_field_validity_check,
+    complex_step,
     default_acs_field,
     nijenhuis_sq_norms,
     sample_tangent_pairs,
@@ -61,26 +62,39 @@ def test_parametrization_validation():
 
 def test_features_match_monomials():
     # each column is its monomial's coordinate product, bit for bit, on real
-    # rows and on complex-step rows, at every degree up to 3
-    pts = chart_safe_points(S2XS4, 7, seed=1)
+    # rows and on complex-step rows, at every degree up to 4; the closed-form
+    # gradient is the complex step of the features along each ambient axis,
+    # bit for bit at degrees 0-1 and to round-off above
+    pts = chart_safe_points(S2XS4, 100, seed=1)
+    n, amb = pts.shape
     du = np.random.default_rng(1).standard_normal(pts.shape)
-    for degree in range(4):
+    for degree in range(5):
         par = GaugeParametrization(S2XS4, degree=degree, generators=1, seed=0)
         for rows in (pts, pts + 1j * du):
             feats = par.features(rows)
             cols = []
             for mono in par.monomials:
-                col = np.ones(7)
+                col = np.ones(n)
                 for var in mono:
                     col = col * rows[:, var]
                 cols.append(col)
             expected = np.stack(cols, axis=1)
-            assert feats.shape == expected.shape == (7, par.feature_count)
+            assert feats.shape == expected.shape == (n, par.feature_count)
             assert np.array_equal(feats.real, expected.real)
             assert np.array_equal(feats.imag, expected.imag)
             # equal values in column-major layout still move the objective in
             # the last digit: the BLAS products downstream round differently
             assert feats.flags.c_contiguous
+        grad = par.feature_gradient(pts)
+        reference = complex_step(
+            par.features, np.repeat(pts, amb, axis=0), np.tile(np.eye(amb), (n, 1))
+        ).reshape(n, amb, -1)
+        assert grad.shape == (n, amb, par.feature_count)
+        assert grad.flags.c_contiguous
+        if degree <= 1:
+            assert np.array_equal(grad, reference)
+        else:
+            assert np.max(np.abs(grad - reference)) <= 1e-14
 
 
 def test_zero_parameters_reproduce_base_field():
@@ -183,6 +197,14 @@ def test_frozen_gauge_holds_only_on_its_rows():
     rows[0] = rows[1]
     with pytest.raises(ContractViolation):
         frozen.gauge_rotations(theta, rows)
+    # every frozen piece is read-only; unfrozen pieces hold the caller's
+    # rows, which stay writeable
+    pieces = vars(frozen.pieces)
+    assert {"rows", "features", "gradient", "projectors"} <= pieces.keys()
+    assert not any(a.flags.writeable for a in pieces.values())
+    par.rotation_jet(theta, pts)
+    par.field(theta, base).jet(pts)
+    assert pts.flags.writeable
 
 
 def test_energy_objective_is_one_batch_at_any_block_size(monkeypatch):
