@@ -216,16 +216,55 @@ class ACSField:
         return self.fn(pts), derivative
 
 
+class Scratch:
+    """Float buffers reused from call to call, one per name and shape, each
+    made on first use.  Frozen pieces keep their largest per-evaluation
+    temporaries here: at criterion 7's 100 rows each is above glibc's
+    initial 128 KiB mmap threshold, so a fresh array would be mapped,
+    faulted in and unmapped again on every evaluation.  Its owner evaluates
+    one call at a time."""
+
+    def __init__(self):
+        self._buffers: dict[tuple, Array] = {}
+
+    def __call__(self, name: str, *shape: int) -> Array:
+        buffer = self._buffers.get((name, shape))
+        if buffer is None:
+            buffer = self._buffers[name, shape] = np.empty(shape)
+        return buffer
+
+
+def take_rows(a: Array, index: Array, out: Array) -> Array:
+    """out[:, r] = a[:, index[r]], written straight into out: mode 'clip'
+    does not buffer out as the default 'raise' does, and every index is in
+    range.  It fills a stack of repeated rows as np.repeat or np.concatenate
+    would, but into a reused buffer."""
+    return np.take(a, index, axis=1, out=out, mode="clip")
+
+
+def frozen_rows(rows: Array) -> Array:
+    """rows as a read-only float array that the frozen pieces of one row
+    batch share: rows itself if it already is one that owns its data, else
+    a read-only copy."""
+    if isinstance(rows, np.ndarray) and rows.dtype == float and rows.flags.owndata and not rows.flags.writeable:
+        return rows
+    out = np.array(rows, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
     """Jf with its values and its complex-step derivatives along the tangent
     frame of each row computed once, so (D_du J) w is one batched product
-    with du's frame coordinates and w.  Valid only on exactly this row batch
-    (checked with np.array_equal).  Jf.fn must be analytic in its input (see
+    with du's frame coordinates and w, formed in ``Scratch`` buffers per
+    column count.  Valid only on exactly this row batch, kept as
+    ``frozen_rows``: the very same array passes at once, any other is
+    compared with np.array_equal.  Jf.fn must be analytic in its input (see
     ``ACSField``): an evaluator that takes abs or norms of its rows gives a
     wrong derivative without an error."""
     man = Jf.manifold
-    rows = np.array(rows, dtype=float)
-    amb = rows.shape[1]
+    rows = frozen_rows(rows)
+    n, amb = rows.shape
     frame = tangent_bases(man, rows)
     # (n, total_dim, ambient_dim): the frame coordinates of du are coords @ du
     coords = np.ascontiguousarray(np.swapaxes(frame, 1, 2))
@@ -233,17 +272,23 @@ def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
     # (n, amb, total_dim * amb): the frame derivatives D_i J side by side,
     # so (D_du J) w is one product with the outer (frame coords of du) x w
     along = np.concatenate([complex_step(Jf.fn, rows, frame[..., i]) for i in range(man.total_dim)], axis=-1)
-    for a in (rows, value, along, coords):
+    for a in (value, along, coords):
         a.flags.writeable = False
+    # row i * amb + a of the outer product holds frame coordinate i of du
+    # and entry a of w
+    coordinate_rows = np.repeat(np.arange(man.total_dim), amb)
+    w_rows = np.tile(np.arange(amb), man.total_dim)
+    scratch = Scratch()
 
     def fn(pts: Array) -> Array:
-        if not np.array_equal(pts, rows):
+        if pts is not rows and not np.array_equal(pts, rows):
             raise ContractViolation("frozen field evaluated off its row batch")
         return value
 
     def derivative(du: Array, w: Array) -> Array:
-        # column by column, the frame coordinates of du times w
-        outer = np.repeat(coords @ du, amb, axis=1) * np.concatenate([w] * man.total_dim, axis=-2)
+        shape = (n, coordinate_rows.size, du.shape[-1])
+        outer = take_rows(coords @ du, coordinate_rows, scratch("du", *shape))
+        outer *= take_rows(w, w_rows, scratch("w", *shape))
         return along @ outer
 
     def jet(pts: Array) -> Jet:
@@ -423,26 +468,50 @@ def lie_bracket_fd_batch(
     return tangent_project(man, pts, bracket) if project else bracket
 
 
-def nijenhuis_batch(Jf: ACSField, x: Array, y: Array, pts: Array) -> Array:
+class PairStacks:
+    """What ``nijenhuis_batch`` needs of the tangent vectors x, y at the rows
+    pts besides J: the tangent projectors, the displacements [Jx, Jy, x, y]
+    and their velocities P_a v_a / r_a (x, y filled in, the Jx, Jy halves
+    scratch), and the vectors [y, x, y, x] the derivatives of J meet.  None
+    of it depends on J; one evaluation at a time."""
+
+    def __init__(self, man: ProductManifold, x: Array, y: Array, pts: Array):
+        self.x, self.y, self.pts = x, y, pts
+        self.projectors = tangent_projectors(man, pts)
+        self.radii = man.ambient_radii[:, np.newaxis]
+        self.cols = np.empty(x.shape + (4,))
+        self.cols[..., 2] = x
+        self.cols[..., 3] = y
+        self.vel = np.empty(self.cols.shape)
+        np.divide(self.projectors @ self.cols[..., 2:], self.radii, out=self.vel[..., 2:])
+        self.pairs = self.cols[..., [3, 2, 3, 2]]
+        self.projectors.flags.writeable = False
+        self.pairs.flags.writeable = False
+
+
+def nijenhuis_batch(
+    Jf: ACSField, x: Array, y: Array, pts: Array, stacks: PairStacks | None = None
+) -> Array:
     """N(x, y) at each row of pts for the tangent vectors x, y there, both
     (n, ambient_dim).
 
     Exact: one jet of J at the rows gives its values and its derivatives
     along the displacements Jx, Jy, x and y, and that is the whole tensor
-    (module docstring).
+    (module docstring).  ``stacks``, the ``PairStacks`` of these very x, y
+    and pts, is built here if not given; the frozen energy objective passes
+    its own, so each of its evaluations does only the work that depends on J.
     """
-    man = Jf.manifold
+    if stacks is None:
+        stacks = PairStacks(Jf.manifold, x, y, pts)
+    elif not (stacks.x is x and stacks.y is y and stacks.pts is pts):
+        raise ContractViolation("pair stacks evaluated on other tangent pairs")
     j, dj = Jf.jet(pts)
-    pi = tangent_projectors(man, pts)
-    # the displacements Jx, Jy, x, y as columns, and their velocities
-    # P_a v_a / r_a of the unit directions
-    cols = np.empty(x.shape + (4,))
-    cols[..., 2] = x
-    cols[..., 3] = y
+    pi, cols, vel = stacks.projectors, stacks.cols, stacks.vel
+    # the displacements Jx, Jy and their velocities
     np.matmul(j, cols[..., 2:], out=cols[..., :2])
-    vel = pi @ cols / man.ambient_radii[:, np.newaxis]
+    np.divide(pi @ cols[..., :2], stacks.radii, out=vel[..., :2])
     # (D_Jx J) y, (D_Jy J) x, (D_x J) y, (D_y J) x
-    t = dj(vel, cols[..., [3, 2, 3, 2]])
+    t = dj(vel, stacks.pairs)
     value = t[..., :1] - t[..., 1:2] + j @ (t[..., 3:] - t[..., 2:3])
     return (pi @ value)[..., 0]
 
@@ -476,19 +545,25 @@ def sample_tangent_pairs(
     w = w.reshape(n * frame_pairs, 2, man.ambient_dim)
     xs = w[:, 0, :]
     ys = w[:, 1, :]
-    xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+    # written so that a NaN norm (a non-finite point) fails too
+    norms = np.linalg.norm(xs, axis=1, keepdims=True)
+    if not np.all(norms >= 1e-12):
+        raise DegenerateInput("degenerate tangent pair sample")
+    xs = xs / norms
     ys = ys - np.sum(ys * xs, axis=1, keepdims=True) * xs
     norms = np.linalg.norm(ys, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
+    if not np.all(norms >= 1e-12):
         raise DegenerateInput("degenerate tangent pair sample")
     ys = ys / norms
     pts_rep = np.repeat(pts, frame_pairs, axis=0)
     return pts_rep, xs, ys
 
 
-def nijenhuis_sq_norms(Jf: ACSField, x: Array, y: Array, pts: Array) -> Array:
-    """|N(x, y)|^2, one entry per row."""
-    values = nijenhuis_batch(Jf, x, y, pts)
+def nijenhuis_sq_norms(
+    Jf: ACSField, x: Array, y: Array, pts: Array, stacks: PairStacks | None = None
+) -> Array:
+    """|N(x, y)|^2, one entry per row (``stacks`` as in ``nijenhuis_batch``)."""
+    values = nijenhuis_batch(Jf, x, y, pts, stacks)
     return np.sum(values * values, axis=1)
 
 

@@ -42,10 +42,14 @@ from .config import TOL
 from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
     ACSField,
+    PairStacks,
+    Scratch,
     default_acs_field,
     frozen_field,
+    frozen_rows,
     nijenhuis_sq_norms,
     sample_tangent_pairs,
+    take_rows,
     tangent_projectors,
 )
 from .identities import SplittingDefect, splitting_defect
@@ -162,16 +166,21 @@ class GaugeParametrization:
 
     def frozen(self, rows: np.ndarray) -> "GaugeParametrization":
         """This family with its theta-independent pieces at the row batch
-        rows (features and their ambient gradient, tangent projectors)
-        computed once, from a copy of rows, and read-only.  Valid only on
-        exactly these rows: any other batch raises ``ContractViolation``."""
-        pieces = _GaugePieces(self, np.array(rows, dtype=float))
+        rows (features and their ambient gradient, tangent projectors, block
+        masks) computed once on ``fields.frozen_rows(rows)``, read-only, and
+        a ``fields.Scratch`` for ``rotation_jet``.  Valid only on exactly
+        these rows: the same array passes at once, any other batch must
+        equal it or raises ``ContractViolation``."""
+        pieces = _GaugePieces(self, frozen_rows(rows), jet=True)
         for a in vars(pieces).values():
             a.flags.writeable = False
-        return _FrozenGauge(self.manifold, self.degree, self.generators, self.seed, pieces)
+        return _FrozenGauge(self.manifold, self.degree, self.generators, self.seed, pieces, Scratch())
 
-    def _pieces(self, pts: np.ndarray) -> "_GaugePieces":
-        return _GaugePieces(self, pts)
+    def _pieces(self, pts: np.ndarray, jet: bool) -> "_GaugePieces":
+        return _GaugePieces(self, pts, jet)
+
+    def _scratch(self) -> Scratch:
+        return Scratch()
 
     def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray, _cayley: list | None = None) -> np.ndarray:
         """Batched orthogonal Q(theta, p), identity on normals.  ``_cayley``,
@@ -180,10 +189,10 @@ class GaugeParametrization:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ContractViolation(f"theta must have {self.n_params} entries")
-        if self.n_params == 0 or not np.any(theta):
+        if self.n_params == 0 or not theta.any():
             amb = self.manifold.ambient_dim
             return np.broadcast_to(np.eye(amb), (pts.shape[0], amb, amb)).copy()
-        pieces = self._pieces(pts)
+        pieces = self._pieces(pts, jet=_cayley is not None)
         pi, eye = pieces.projectors, pieces.identity
         c = self._skew_field(theta, pieces.features)
         a = pi @ c @ pi
@@ -197,7 +206,9 @@ class GaugeParametrization:
         except np.linalg.LinAlgError as exc:
             raise DegenerateInput("Cayley inverse failed: gauge parameters too large") from exc
         q = (eye - a) @ h
-        defect = np.max(np.abs(q.transpose(0, 2, 1) @ q - eye), initial=0.0)
+        gram = q.transpose(0, 2, 1) @ q
+        gram -= eye
+        defect = np.abs(gram, out=gram).max(initial=0.0)
         if not defect <= TOL.acs_validity:
             raise DegenerateInput(
                 f"Cayley transform not orthogonal (defect {defect:.3g}): gauge parameters too large"
@@ -205,6 +216,13 @@ class GaugeParametrization:
         if _cayley is not None:
             _cayley.extend((pieces, c, h))
         return q
+
+    @cached_property
+    def _stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator and the ambient axis of each row k * amb + a of the
+        (n, generators * amb, m) stacks that meet ``skew_columns``."""
+        amb = self.manifold.ambient_dim
+        return np.repeat(np.arange(self.generators), amb), np.tile(np.arange(amb), self.generators)
 
     def _skew_field(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         """C = sum_k c_k S_k with c = features @ theta, batched."""
@@ -228,37 +246,47 @@ class GaugeParametrization:
             dU y = du <u, y>_a + u <du, y>_a     (per factor block a),
 
         and dC = sum_k dc_k S_k with dc the derivative of the coefficients
-        features @ theta along du."""
+        features @ theta along du.  At degree 0 the only feature is the
+        constant 1, so dC = 0 and its term is skipped."""
         cayley: list = []
         q = self.gauge_rotations(theta, pts, _cayley=cayley)
         if not cayley:
             return q, lambda du, z: np.zeros(z.shape)
         pieces, c, h = cayley
-        n, amb, f = pieces.gradient.shape
         # the derivative holds only these, not the pieces, so an unfrozen
         # batch's feature gradient is freed once grad_t is formed
         pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
-        # the coefficients' gradient (gradient @ theta)^T, (n, generators, amb),
-        # from one 2-D product on a view: dc along du is grad_t @ du
-        theta_m = np.asarray(theta, dtype=float).reshape(f, self.generators)
-        coefficient_gradient = (pieces.gradient.reshape(n * amb, f) @ theta_m).reshape(n, amb, -1)
-        grad_t = np.ascontiguousarray(np.swapaxes(coefficient_gradient, 1, 2))
+        n, amb, _ = pi.shape
+        grad_t = None
+        if self.degree > 0:
+            # the coefficients' gradient (gradient @ theta)^T, (n, generators,
+            # amb), from one 2-D product on a view: dc along du is grad_t @ du
+            theta_m = np.asarray(theta, dtype=float).reshape(self.feature_count, self.generators)
+            coefficient_gradient = (pieces.gradient.reshape(n * amb, -1) @ theta_m).reshape(n, amb, -1)
+            grad_t = np.ascontiguousarray(np.swapaxes(coefficient_gradient, 1, 2))
+            generator_rows, ambient_rows = self._stack_rows
+            scratch = self._scratch()
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
             k, m = du.shape[-1], z.shape[-1]
-            # dc_k repeated over the rows of S_k v, to meet the stacked S_k v
-            dc = np.concatenate([grad_t @ du] * (m // k), axis=-1)
-            dc_rows = np.repeat(dc, amb, axis=1)
             # y and C Pi y side by side, for dU to take both in one pass
             both = np.empty(z.shape[:-1] + (2 * m,))
             y = np.matmul(h, z, out=both[..., :m])
             pi_y = pi @ y
             np.matmul(c, pi_y, out=both[..., m:])
-            du_both = np.concatenate([du] * (2 * m // k), axis=-1)
+            du_both = np.tile(du, 2 * m // k)
             d_u = du_both * (block_rows @ both) + block_cols @ (du_both * both)
-            dc_pi_y = self.skew_columns @ (dc_rows * np.concatenate([pi_y] * self.generators, axis=-2))
-            da_y = pi @ (dc_pi_y - c @ d_u[..., :m]) - d_u[..., m:]
-            return -2.0 * (h @ da_y)
+            # s = C dU y - dC Pi y, so that Pi s + dU C Pi y = -dA y
+            s = c @ d_u[..., :m]
+            if grad_t is not None:
+                # dc_k times Pi y, stacked over the generators to meet the
+                # generators side by side: skew_columns @ stacked = dC Pi y
+                dc = np.tile(grad_t @ du, m // k)
+                shape = (n, generator_rows.size, m)
+                stacked = take_rows(dc, generator_rows, scratch("dc", *shape))
+                stacked *= take_rows(pi_y, ambient_rows, scratch("pi_y", *shape))
+                s -= self.skew_columns @ stacked
+            return 2.0 * (h @ (pi @ s + d_u[..., m:]))
 
         return q, derivative
 
@@ -294,33 +322,40 @@ class GaugeParametrization:
 
 class _GaugePieces:
     """The theta-independent pieces of a gauge family at a row batch: the
-    monomial features and their ambient gradient, the tangent projectors
-    (with a stack of identities of their shape, so I +- A are plain sums)
-    and the block rows mask * u^T of the unit points u."""
+    monomial features, the tangent projectors (with a stack of identities of
+    their shape, so I +- A are plain sums) and, if jet is set, what only
+    ``rotation_jet`` reads: the features' ambient gradient and the block
+    rows mask * u^T of the unit points u."""
 
-    def __init__(self, par: GaugeParametrization, rows: np.ndarray):
+    def __init__(self, par: GaugeParametrization, rows: np.ndarray, jet: bool):
         man = par.manifold
         self.rows = rows
         self.features = par.features(rows)
-        self.gradient = par.feature_gradient(rows)
         self.projectors = tangent_projectors(man, rows)
         self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
-        # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T per
-        # factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
-        self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
-        self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
+        if jet:
+            self.gradient = par.feature_gradient(rows)
+            # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T
+            # per factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
+            self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
+            self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
 
 
 @dataclass(frozen=True)
 class _FrozenGauge(GaugeParametrization):
-    """A gauge family bound to the frozen pieces of one row batch."""
+    """A gauge family bound to the frozen pieces of one row batch and to
+    the scratch of its derivative."""
 
     pieces: _GaugePieces | None = field(default=None, repr=False, compare=False)
+    scratch: Scratch | None = field(default=None, repr=False, compare=False)
 
-    def _pieces(self, pts: np.ndarray) -> _GaugePieces:
-        if not np.array_equal(pts, self.pieces.rows):
+    def _pieces(self, pts: np.ndarray, jet: bool) -> _GaugePieces:
+        if pts is not self.pieces.rows and not np.array_equal(pts, self.pieces.rows):
             raise ContractViolation("frozen gauge pieces evaluated off their row batch")
         return self.pieces
+
+    def _scratch(self) -> Scratch:
+        return self.scratch
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +486,29 @@ def make_energy_objective(
 ) -> Callable[[np.ndarray], float]:
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
     once, so energies are comparable across restarts and evaluations.  What
-    does not depend on theta is frozen with them: the base field's values
-    and frame derivatives (``fields.frozen_field``) and the gauge family's
-    features, feature gradient and tangent projectors
-    (``GaugeParametrization.frozen``).  The base field's frozen derivatives
+    does not depend on theta is frozen with them on one read-only row array
+    (``fields.frozen_rows``): the base field (``fields.frozen_field``), the
+    gauge family's pieces (``GaugeParametrization.frozen``) and the pairs'
+    stacks (``fields.PairStacks``).  So an evaluation is one
+    ``gauge_rotations`` and one ``nijenhuis_batch`` call of theta-dependent
+    arithmetic, its largest temporaries in scratch buffers that the frozen
+    pieces own.  The base field's frozen derivatives
     are complex steps of its evaluator, which must therefore be analytic in
     its input (see ``fields.ACSField``); the gauge family's are closed forms.
     A failed Cayley transform or a non-finite energy (theta far too large)
-    gives inf, which the simplex rejects."""
-    rows, xs, ys = sample_tangent_pairs(parametrization.manifold, pts, frame_pairs, pair_seed)
+    gives inf, which the simplex rejects.  A non-finite point makes the pair
+    draw raise ``DegenerateInput``."""
+    man = parametrization.manifold
+    rows, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, pair_seed)
+    rows = frozen_rows(rows)
+    stacks = PairStacks(man, xs, ys, rows)
     base = frozen_field(base, rows)
     gauge = parametrization.frozen(rows)
 
     def objective(theta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), xs, ys, rows)))
+                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), xs, ys, rows, stacks)))
             except DegenerateInput:
                 return np.inf
         return energy if np.isfinite(energy) else np.inf

@@ -33,14 +33,17 @@ def test_benchmark_tracer_installs_and_uninstalls(tracer):
     assert search.nelder_mead is original
 
 
-def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, monkeypatch):
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, monkeypatch, degree):
     # the per-layer metrics read these spans: an objective that routes
     # around gauge_rotations or nijenhuis_batch would zero them silently,
-    # and one that split its rows into blocks would multiply them
+    # and one that split its rows into blocks would multiply them; every
+    # degree the benchmark's grid runs is checked, degree 0 (which skips
+    # the coefficient-derivative term) included
     monkeypatch.setattr("sphereacs.fields.NIJENHUIS_BLOCK_ROWS", 4)
     man = spheres((2, 1.0), (4, 1.0))
     pts = chart_safe_points(man, 6, seed=1)
-    par = search.GaugeParametrization(man, degree=1, generators=4, seed=1)
+    par = search.GaugeParametrization(man, degree=degree, generators=4, seed=1)
     thetas = 0.3 * np.random.default_rng(1).standard_normal((3, par.n_params))
     try:
         tracer.install()

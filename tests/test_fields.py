@@ -8,8 +8,10 @@ from sphereacs.fields import (
     ACSField,
     acs_field_validity_check,
     complex_step,
+    PairStacks,
     default_acs_field,
     frozen_field,
+    frozen_rows,
     lie_bracket_fd_batch,
     nijenhuis_batch,
     nijenhuis_energy,
@@ -370,6 +372,18 @@ def test_frozen_field_matches_the_field_on_its_rows_only():
             frozen(off_rows)
         with pytest.raises(ContractViolation):
             frozen.jet(off_rows)
+
+
+def test_frozen_rows_are_shared_only_when_already_read_only():
+    # the frozen pieces of one batch share one read-only array, so their row
+    # checks pass by identity; anything the caller can still write is copied
+    pts = chart_safe_points(S2XS4, 4, seed=3)
+    rows = frozen_rows(pts)
+    assert rows is not pts and np.array_equal(rows, pts)
+    assert not rows.flags.writeable and pts.flags.writeable
+    assert frozen_rows(rows) is rows
+    view = rows[:2]
+    assert frozen_rows(view) is not view
 
 
 def test_frozen_field_keeps_its_own_copy_of_the_rows():
@@ -789,3 +803,37 @@ def test_energy_gauge_sensitivity_is_smooth():
     forward = (e_p - objective(theta)) / delta
     assert abs(central) > 1e-4  # a genuinely responsive direction
     assert abs(forward - central) < 0.05 * abs(central) + 1e-8
+
+
+def test_one_shot_evaluations_reject_a_non_finite_point():
+    # the pair draw's norm guards fail closed on NaN: one non-finite point
+    # raises instead of coming back as a NaN norm and a NaN energy
+    Jf = EXACT_FIXTURES["s2xs6"]()
+    pts = chart_safe_points(Jf.manifold, 6, seed=4)
+    for bad in (np.nan, np.inf):
+        off = pts.copy()
+        off[3, 0] = bad
+        with np.errstate(invalid="ignore"):
+            for evaluation in (nijenhuis_norms, nijenhuis_energy):
+                with pytest.raises(DegenerateInput):
+                    evaluation(Jf, off, frame_pairs=2, seed=1)
+            with pytest.raises(DegenerateInput):
+                sample_tangent_pairs(Jf.manifold, off, 1, 1)
+
+
+def test_pair_stacks_serve_many_structures_on_their_own_pairs_only():
+    # one PairStacks gives every structure on its pairs the values of a
+    # fresh build, bit for bit, whatever ran on it before; other pairs raise
+    man = S2XS4
+    pts = chart_safe_points(man, 7, seed=5)
+    rows, xs, ys = sample_tangent_pairs(man, pts, 2, 5)
+    stacks = PairStacks(man, xs, ys, rows)
+    base = default_acs_field(man)
+    par = GaugeParametrization(man, degree=2, generators=4, seed=5)
+    rng = np.random.default_rng(5)
+    structures = [base] + [par.field(0.3 * rng.standard_normal(par.n_params), base) for _ in range(2)]
+    for Jf in structures + structures[::-1]:
+        assert np.array_equal(nijenhuis_batch(Jf, xs, ys, rows, stacks), nijenhuis_batch(Jf, xs, ys, rows))
+    for other in ((ys, xs, rows), (xs.copy(), ys, rows), (xs, ys, rows.copy())):
+        with pytest.raises(ContractViolation):
+            nijenhuis_batch(base, *other, stacks)

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +210,72 @@ def test_frozen_gauge_holds_only_on_its_rows():
     par.rotation_jet(theta, pts)
     par.field(theta, base).jet(pts)
     assert pts.flags.writeable
+
+
+def test_value_only_gauge_calls_build_no_jet_pieces(monkeypatch):
+    # Q alone needs neither the feature gradient nor the block masks, so
+    # field values, validity rows and the FD oracle's calls never build them
+    par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=6)
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 9, seed=6)
+    theta = 0.3 * np.random.default_rng(6).standard_normal(par.n_params)
+    q = par.gauge_rotations(theta, pts)
+    j = par.field(theta, base)(pts)
+
+    def no_gradient(self, rows):
+        raise AssertionError("feature gradient built for a value-only call")
+
+    monkeypatch.setattr(GaugeParametrization, "feature_gradient", no_gradient)
+    assert np.array_equal(par.gauge_rotations(theta, pts), q)
+    assert np.array_equal(par.field(theta, base)(pts), j)
+    assert acs_field_validity_check(par.field(theta, base), pts).passed
+    with pytest.raises(AssertionError):
+        par.rotation_jet(theta, pts)
+
+
+def test_energy_objective_rejects_a_non_finite_point():
+    # the frozen pair draw fails closed, as the one-shot evaluations do
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=3)
+    pts = chart_safe_points(S2XS4, 5, seed=3)
+    pts[2, 4] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateInput):
+        make_energy_objective(par, default_acs_field(S2XS4), pts, 1, pair_seed=3)
+
+
+# One frozen objective at criterion 7's scale (100 rows, degree 2) in a fresh
+# interpreter: the minor page faults of 20 evaluations after one warm-up.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from sphereacs.fields import default_acs_field
+from sphereacs.manifold import spheres
+from sphereacs.sampling import chart_safe_points
+from sphereacs.search import GaugeParametrization, make_energy_objective
+man = spheres((2, 1.0), (4, 1.0))
+par = GaugeParametrization(man, 2, 4, 7)
+pts = chart_safe_points(man, 100, 7, 0.05)
+objective = make_energy_objective(par, default_acs_field(man), pts, 1, pair_seed=7)
+thetas = 0.3 * np.random.default_rng(7).standard_normal((21, par.n_params))
+objective(thetas[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for theta in thetas[1:]:
+    objective(theta)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_frozen_objective_does_not_fault_at_criterion_7_scale():
+    # glibc maps every allocation above its initial 128 KiB mmap threshold
+    # afresh and faults its pages in; the frozen pieces keep such
+    # temporaries in scratch buffers, so a steady evaluation faults nothing
+    # (about 300 faults each without them).  It needs a fresh interpreter:
+    # freeing any large array earlier in the process raises the threshold
+    # and hides the faults.
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert int(probe.stdout) <= 20 * 5
 
 
 def test_energy_objective_is_one_batch_at_any_block_size(monkeypatch):
