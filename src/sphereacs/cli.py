@@ -93,6 +93,7 @@ import numpy as np
 
 from . import __version__
 from .acs import acs_from_text
+from .config import TOL
 from .errors import ConfigError, ContractViolation, DegenerateInput, InvalidManifold, SearchError
 from .fields import (
     acs_field_validity_check,
@@ -390,6 +391,14 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
         "root mean square |N| over the seeded frame pairs at this point",
     )
     report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
+    if target == "s2":
+        # the canonical structure is integrable; N carries the velocity
+        # scale 1 / r = sqrt(curvature), and so does its round-off
+        report.add(
+            "integrability", np.max(norms), 0.0,
+            TOL.exact_nijenhuis * np.sqrt(man.factors[0].curvature),
+            "the canonical S^2 structure is integrable: every per-point rms |N| is round-off",
+        )
     if target == "product" and cfg.restriction_check:
         report.extend(second_factor_restriction_check(jf, pts[:10]))
     return report

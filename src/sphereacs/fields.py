@@ -47,10 +47,13 @@ exact to round-off because no difference of nearby values is formed
 (Squire & Trapp 1998).  Evaluators must therefore keep complex input complex
 (no casts to float, no abs or norm of the input; chart tests look at the real
 part); a cast that would drop the imaginary part raises ``ContractViolation``.
-Two kinds of structure field pass their own ``jet_fn``: ``frozen_field``
-(values and frame derivatives computed once for a fixed row batch, as the
-energy objective does for its base field) and the Cayley-gauged family of
-``search``, whose rotation is differentiated in closed form.
+Hand-built fields and ``product_acs_field`` keep this default.  Three kinds
+of structure field pass their own ``jet_fn``: ``default_acs_field``, whose
+built-in blocks each come with a closed-form derivative (du x w on S^2 and
+S^6, the product rule of the chart frame on S^4), ``frozen_field`` (values
+and complex-step frame derivatives computed once for a fixed row batch, as
+the energy objective does for its base field) and the Cayley-gauged family
+of ``search``, whose rotation is differentiated in closed form.
 
 The FD oracle ``lie_bracket_fd_batch(man, X, Y, pts)`` extends the tangent
 fields X and Y radially, X(q) = X(q / |q| per factor), and evaluates the
@@ -77,7 +80,7 @@ from .acs import acs_defects
 from .config import TOL
 from .errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from .manifold import ProductManifold
-from .octonion import cross7_matrices
+from .octonion import cross7_columns, cross7_matrices
 from .report import AuditReport
 
 Array = np.ndarray
@@ -188,7 +191,8 @@ class ACSField:
     annihilates the per-factor normal directions.  ``jet_fn``, when given,
     replaces the complex-step default of ``jet``, which needs ``fn`` to be
     analytic in its input: it must keep complex rows complex and take no
-    abs, norm or conjugate of them."""
+    abs, norm or conjugate of them.  The built-in fields, frozen fields and
+    gauged families pass one (module docstring)."""
 
     manifold: ProductManifold
     fn: Callable[[Array], Array]
@@ -221,8 +225,10 @@ class Scratch:
     made on first use.  Frozen pieces keep their largest per-evaluation
     temporaries here: at criterion 7's 100 rows each is above glibc's
     initial 128 KiB mmap threshold, so a fresh array would be mapped,
-    faulted in and unmapped again on every evaluation.  Its owner evaluates
-    one call at a time."""
+    faulted in and unmapped again on every evaluation, or, like the
+    gauge's 100 KiB dU stacks, large enough that freeing a few together at
+    the top of the heap passes glibc's trim threshold and gives those pages
+    back, to be faulted in again.  Its owner evaluates one call at a time."""
 
     def __init__(self):
         self._buffers: dict[tuple, Array] = {}
@@ -327,11 +333,23 @@ def s2_rotation_blocks(u: Array) -> Array:
     return m
 
 
+def s2_rotation_derivative(u: Array, du: Array, w: Array) -> Array:
+    """(D_du J) w for ``s2_rotation_blocks`` on column stacks (n, 3, k):
+    J is linear in u, so it is du x w."""
+    return np.cross(du, w, axis=1)
+
+
 def s6_octonion_blocks(u: Array) -> Array:
     """The octonionic structure on a 6-sphere: J_u v = u x v in the purely
     imaginary octonions; defined on the unit sphere and transported to radius
     r by rescaling the argument, not the output, so it stays orthogonal."""
     return cross7_matrices(u)
+
+
+def s6_octonion_derivative(u: Array, du: Array, w: Array) -> Array:
+    """(D_du J) w for ``s6_octonion_blocks`` on column stacks (n, 7, k):
+    J is linear in u, so it is the cross product du x w."""
+    return cross7_columns(du, w)
 
 
 S4_CHART_MARGIN = 1e-8
@@ -376,6 +394,14 @@ def s4_integrable_chart_blocks(u: Array) -> Array:
     return rot @ _S4_JC @ rot.transpose(0, 2, 1)
 
 
+# The quarter turn of the plane of axes 0 and 2, zero on the other axes:
+# the twist turns that plane by the angle u_0, so its derivative along du
+# is du_0 tw K.
+_S4_TURN = np.zeros((5, 5))
+_S4_TURN[0, 2], _S4_TURN[2, 0] = -1.0, 1.0
+_S4_TURN.flags.writeable = False
+
+
 def _s4_twist(u: Array) -> Array:
     """Rotation by the angle u_0 in the plane of the coordinate axes 0 and 2,
     which mixes the two invariant planes of the constant pole structure."""
@@ -402,10 +428,55 @@ def s4_chart_blocks(u: Array) -> Array:
     return frame @ _S4_JC @ frame.transpose(0, 2, 1)
 
 
+def s4_chart_derivative(u: Array, du: Array, w: Array) -> Array:
+    """(D_du J) w for ``s4_chart_blocks`` on column stacks (n, 5, k).
+
+    With the frame F = rot tw, J = F Jc F^T gives D J = dF Jc F^T + F Jc dF^T
+    and dF = drot tw + rot dtw by the product rule.  For rot = I - v v^T / d
+    + 2 u N^T with v = u + N and d = 1 + u_N,
+
+        drot x = (v ((v.x) du_N / d - du.x) - du (v.x)) / d + 2 du x_N,
+
+    and drot^T x is the same with 2 N (du.x) as its last term.  tw turns
+    the plane of axes 0 and 2 by the angle u_0, so dtw = du_0 tw K with the
+    quarter turn K of that plane (``_S4_TURN``), which commutes with tw, and
+    rot dtw = du_0 F K.  Both F terms then share one product:
+
+        (D J) w = drot tw y + F (du_0 K y + Jc dF^T w),     y = Jc F^T w,
+        dF^T w = tw^T drot^T w - du_0 K F^T w.
+
+    No matrix per column is formed."""
+    rot, tw = _s4_pole_rotation(u), _s4_twist(u)
+    frame = rot @ tw
+    v = u[:, :, np.newaxis].copy()
+    v[:, -1] += 1.0
+    denom = v[:, -1:]
+    du_0, du_n = du[:, :1], du[:, -1:]
+
+    def d_rot(x: Array, transpose: bool) -> Array:
+        # column-wise inner products, (n, 1, k); np.sum over the short
+        # middle axis is slower than einsum
+        vx = np.einsum("nik,nik->nk", v, x)[:, np.newaxis]
+        dux = np.einsum("nik,nik->nk", du, x)[:, np.newaxis]
+        out = (v * (vx * du_n / denom - dux) - du * vx) / denom
+        if transpose:
+            out[:, -1:] += 2.0 * dux
+        else:
+            out += 2.0 * du * x[:, -1:]
+        return out
+
+    frame_t_w = frame.transpose(0, 2, 1) @ w
+    y = _S4_JC @ frame_t_w
+    d_frame_t_w = tw.transpose(0, 2, 1) @ d_rot(w, True) - du_0 * (_S4_TURN @ frame_t_w)
+    return d_rot(tw @ y, False) + frame @ (du_0 * (_S4_TURN @ y) + _S4_JC @ d_frame_t_w)
+
+
+# Each built-in factor structure: its block builder u -> J_u and the
+# builder's derivative (u, du, w) -> (D_du J) w on column stacks.
 FACTOR_BLOCK_BUILDERS = {
-    2: s2_rotation_blocks,
-    4: s4_chart_blocks,
-    6: s6_octonion_blocks,
+    2: (s2_rotation_blocks, s2_rotation_derivative),
+    4: (s4_chart_blocks, s4_chart_derivative),
+    6: (s6_octonion_blocks, s6_octonion_derivative),
 }
 
 
@@ -428,13 +499,26 @@ def product_acs_field(
 
 def default_acs_field(man: ProductManifold) -> ACSField:
     """Canonical rotation on 2-spheres, chart structure on 4-spheres and the
-    octonionic structure on 6-spheres, assembled blockwise."""
-    builders = []
+    octonionic structure on 6-spheres, assembled blockwise.  Its jet is in
+    closed form: the values are those of the ``product_acs_field`` it is
+    built on, and (D_du J) w is each block derivative of
+    ``FACTOR_BLOCK_BUILDERS`` on its factor's rows of du and w."""
     for f in man.factors:
         if f.dim not in FACTOR_BLOCK_BUILDERS:
             raise InvalidManifold(f"no built-in structure for a {f.dim}-sphere factor")
-        builders.append(FACTOR_BLOCK_BUILDERS[f.dim])
-    return product_acs_field(man, builders, name="default")
+    builders, derivatives = zip(*(FACTOR_BLOCK_BUILDERS[f.dim] for f in man.factors))
+    field = product_acs_field(man, list(builders), name="default")
+
+    def jet(pts: Array) -> Jet:
+        def derivative(du: Array, w: Array) -> Array:
+            out = np.empty(w.shape)
+            for sl, block_derivative in zip(man.ambient_slices, derivatives):
+                out[:, sl] = block_derivative(pts[:, sl], du[:, sl], w[:, sl])
+            return out
+
+        return field.fn(pts), derivative
+
+    return ACSField(man, field.fn, field.name, jet)
 
 
 # ---------------------------------------------------------------------------

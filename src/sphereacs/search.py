@@ -257,6 +257,7 @@ class GaugeParametrization:
         # batch's feature gradient is freed once grad_t is formed
         pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
         n, amb, _ = pi.shape
+        scratch = self._scratch()
         grad_t = None
         if self.degree > 0:
             # the coefficients' gradient (gradient @ theta)^T, (n, generators,
@@ -265,17 +266,22 @@ class GaugeParametrization:
             coefficient_gradient = (pieces.gradient.reshape(n * amb, -1) @ theta_m).reshape(n, amb, -1)
             grad_t = np.ascontiguousarray(np.swapaxes(coefficient_gradient, 1, 2))
             generator_rows, ambient_rows = self._stack_rows
-            scratch = self._scratch()
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
             k, m = du.shape[-1], z.shape[-1]
+            both_shape = z.shape[:-1] + (2 * m,)
             # y and C Pi y side by side, for dU to take both in one pass
-            both = np.empty(z.shape[:-1] + (2 * m,))
+            both = scratch("both", *both_shape)
             y = np.matmul(h, z, out=both[..., :m])
             pi_y = pi @ y
             np.matmul(c, pi_y, out=both[..., m:])
-            du_both = np.tile(du, 2 * m // k)
-            d_u = du_both * (block_rows @ both) + block_cols @ (du_both * both)
+            # dU of both: du_both * (block_rows @ both) + block_cols @ (du_both * both),
+            # with du repeated to the columns of both, all in scratch
+            du_both = np.take(du, np.arange(2 * m) % k, axis=2, out=scratch("du", *both_shape), mode="clip")
+            d_u = np.matmul(block_rows, both, out=scratch("d_u", *both_shape))
+            d_u *= du_both
+            du_both *= both
+            d_u += np.matmul(block_cols, du_both, out=scratch("d_u_cols", *both_shape))
             # s = C dU y - dC Pi y, so that Pi s + dU C Pi y = -dA y
             s = c @ d_u[..., :m]
             if grad_t is not None:
@@ -330,11 +336,13 @@ class _GaugePieces:
     def __init__(self, par: GaugeParametrization, rows: np.ndarray, jet: bool):
         man = par.manifold
         self.rows = rows
-        self.features = par.features(rows)
+        # one pass gives the features and, for a jet, their gradient
+        values, grads = par._feature_blocks(rows, gradient=jet)
+        self.features = np.concatenate(values, axis=1)
         self.projectors = tangent_projectors(man, rows)
         self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
         if jet:
-            self.gradient = par.feature_gradient(rows)
+            self.gradient = np.concatenate(grads, axis=2)
             # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T
             # per factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
             self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]

@@ -104,3 +104,40 @@ def test_audit_components_traces_one_component_audit_per_full_audit(tracer, monk
     assert len(audited) == 2
     np.testing.assert_array_equal(audited[0], structure)
     np.testing.assert_array_equal(audited[1], swap_acs(man))
+
+
+NIJENHUIS_CONFIGS = {
+    "s2": "factor = dim=2 curvature=1.0\n",
+    "s6-octonion": "factor = dim=6 curvature=1.0\n",
+    "product": "factor = dim=2 curvature=1.0\nfactor = dim=6 curvature=1.0\nrestriction_check = true\n",
+    "gauged": "factor = dim=2 curvature=1.0\nfactor = dim=4 curvature=1.0\ndegrees = 2\nframe_pairs = 1\n",
+}
+
+
+def test_traced_nijenhuis_reports_equal_the_untraced_ones(tracer, tmp_path):
+    # the tracer rebuilds product_acs_field's result without a jet, so the
+    # closed-form jet must sit on default_acs_field: the traced reports are
+    # byte-identical, and the traced base field is evaluated once per
+    # Nijenhuis row and once per validity row (25 per command), never along
+    # a complex step
+    for target, factors in NIJENHUIS_CONFIGS.items():
+        cfg = tmp_path / f"{target}.cfg"
+        cfg.write_text(factors + "points = 40\nseed = 3\nformat = csv\n")
+        report = f"nijenhuis_{target.replace('-', '_')}.csv"
+        args = ["nijenhuis", target, "--config", str(cfg), "--out"]
+        assert cli.main(args + [str(tmp_path / "plain")]) == 0
+        try:
+            tracer.install()
+            root = tracer.begin_command(0, f"cli.nijenhuis.{target}")
+            assert cli.main(args + [str(tmp_path / "traced")]) == 0
+            tracer.end_command(root)
+        finally:
+            tracer.uninstall()
+        plain = (tmp_path / "plain" / report).read_bytes()
+        assert (tmp_path / "traced" / report).read_bytes() == plain, target
+    spans = tracer.spans()
+
+    def rows(name):
+        return spans.n[spans.name == spans.names.index(name)].sum()
+
+    assert rows("fields.base_field") == rows("fields.nijenhuis_batch") + 4 * 25

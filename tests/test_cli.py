@@ -24,6 +24,8 @@ from sphereacs.cli import (
     rows_to_records,
     rows_to_table,
 )
+from sphereacs import fields
+from sphereacs.config import TOL
 from sphereacs.errors import ConfigError
 from sphereacs.identities import (
     component_audit_suite,
@@ -630,6 +632,31 @@ def test_nijenhuis_s2_energy_row(tmp_path):
     assert len(energy) == 1
     assert float(energy[0]["computed"]) <= 1e-10
     assert sum(1 for r in rows if r["name"].startswith("point[")) == 40
+
+
+def _sign_slip_in_one_component(u, du, w):
+    slipped = fields.s2_rotation_derivative(u, du, w)
+    slipped[:, 2] *= -1.0
+    return slipped
+
+
+@pytest.mark.parametrize("curvature", [1.0, 4.0])
+def test_nijenhuis_s2_asserts_its_integrability(tmp_path, monkeypatch, curvature):
+    # the integrable control is an asserted row, so a wrong closed-form
+    # derivative exits 1 instead of writing a plausible report.  N is
+    # linear in the derivative of J, so a sign on the whole of du x w keeps
+    # N = 0 here; a sign on one component does not
+    cfg = write_config(tmp_path, f"factor = dim=2 curvature={curvature}\npoints = 40\nformat = csv\n")
+    assert main(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    [row] = [r for r in read_rows(tmp_path / "ok" / "nijenhuis_s2.csv") if r["name"] == "integrability"]
+    assert (row["asserted"], row["verdict"]) == ("true", "pass")
+    assert float(row["tolerance"]) == TOL.exact_nijenhuis * math.sqrt(curvature)
+    monkeypatch.setitem(
+        fields.FACTOR_BLOCK_BUILDERS, 2, (fields.s2_rotation_blocks, _sign_slip_in_one_component)
+    )
+    assert main(["nijenhuis", "s2", "--config", cfg, "--out", str(tmp_path / "slip")]) == 1
+    [row] = [r for r in read_rows(tmp_path / "slip" / "nijenhuis_s2.csv") if r["name"] == "integrability"]
+    assert row["verdict"] == "mismatch"
 
 
 def test_nijenhuis_s6_energy_positive(tmp_path):

@@ -5,6 +5,7 @@ from sphereacs import fields
 from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, DegenerateInput, InvalidManifold, StepSizeError
 from sphereacs.fields import (
+    FACTOR_BLOCK_BUILDERS,
     ACSField,
     acs_field_validity_check,
     complex_step,
@@ -406,8 +407,8 @@ def _one_column_at_a_time(derivative, *stacks):
 
 def test_stacked_jets_equal_one_column_calls():
     # a k-column stack gives the k one-column derivatives, for every kind
-    # of jet: the complex-step default, the frozen field and the gauged
-    # family, fresh and frozen
+    # of jet: the complex-step default, the built-in closed forms, the
+    # frozen field and the gauged family, fresh and frozen
     man = S2XS4
     pts = chart_safe_points(man, 6, seed=7)
     rng = np.random.default_rng(7)
@@ -417,6 +418,7 @@ def test_stacked_jets_equal_one_column_calls():
     par = GaugeParametrization(man, degree=2, generators=4, seed=7)
     theta = 0.3 * rng.standard_normal(par.n_params)
     structures = {
+        "complex-step": product_acs_field(man, [s2_rotation_blocks, s4_chart_blocks]),
         "default": base,
         "frozen": frozen_field(base, pts),
         "gauged": par.field(theta, base),
@@ -429,6 +431,85 @@ def test_stacked_jets_equal_one_column_calls():
         np.testing.assert_allclose(
             stacked, _one_column_at_a_time(derivative, du, w), rtol=1e-13, atol=1e-13, err_msg=name
         )
+
+
+def _near_chart_margin(n: int, margin: float, seed: int) -> np.ndarray:
+    """Unit points of S^4 whose last coordinate is just above -1 + margin,
+    the edge of ``chart_safe_mask``."""
+    rng = np.random.default_rng(seed)
+    last = -1.0 + margin * (1.0 + 1e-3 * rng.random(n))
+    head = rng.standard_normal((n, 4))
+    head *= np.sqrt(1.0 - last**2)[:, np.newaxis] / np.linalg.norm(head, axis=1, keepdims=True)
+    return np.column_stack([head, last])
+
+
+@pytest.mark.parametrize("dim", sorted(FACTOR_BLOCK_BUILDERS))
+def test_block_derivatives_match_the_complex_step_of_their_builders(dim):
+    # each closed form against the complex step of its own builder, on
+    # stacked and on single-column calls; the 4-sphere chart also at points
+    # on the edge of the default and of a tight chart margin, where its
+    # derivatives grow like 1 / (1 + u_N)^2
+    builder, derivative = FACTOR_BLOCK_BUILDERS[dim]
+    u = chart_safe_points(spheres((dim, 1.0)), 12, seed=dim)
+    if dim == 4:
+        u = np.concatenate([u, _near_chart_margin(4, 0.05, 1), _near_chart_margin(4, 1e-4, 2)])
+    rng = np.random.default_rng(dim)
+    du, w = rng.standard_normal((2,) + u.shape + (3,))
+    reference = np.concatenate(
+        [complex_step(builder, u, du[..., j]) @ w[..., j, np.newaxis] for j in range(3)], axis=-1
+    )
+    scale = np.max(np.abs(reference), axis=(1, 2), keepdims=True)
+    stacked = derivative(u, du, w)
+    assert stacked.shape == w.shape
+    assert np.max(np.abs(stacked - reference) / scale) <= 1e-14
+    for j in range(3):
+        single = derivative(u, du[..., j : j + 1], w[..., j : j + 1])
+        assert np.max(np.abs(single - reference[..., j : j + 1]) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("curvatures", [(4.0,), (0.25,), (1.0, 2.0), (4.0, 0.25)])
+def test_default_jet_matches_the_complex_step_jet(curvatures):
+    # the closed-form jet of default_acs_field against the complex step of
+    # the same blocks through product_acs_field, away from curvature 1: the
+    # values are the same evaluator's, the derivatives and N agree to round-off
+    dims = {1: [(2,), (6,), (4,)], 2: [(2, 6), (2, 4)]}[len(curvatures)]
+    for dim in dims:
+        man = spheres(*zip(dim, curvatures))
+        Jf = default_acs_field(man)
+        reference = product_acs_field(man, [FACTOR_BLOCK_BUILDERS[d][0] for d in dim])
+        pts = chart_safe_points(man, 10, seed=4)
+        rng = np.random.default_rng(4)
+        du = tangent_projectors(man, pts) @ rng.standard_normal(pts.shape + (4,))
+        w = rng.standard_normal(pts.shape + (4,))
+        value, derivative = Jf.jet(pts)
+        reference_value, reference_derivative = reference.jet(pts)
+        assert np.array_equal(value, reference_value)
+        expected = reference_derivative(du, w)
+        assert np.max(np.abs(derivative(du, w) - expected)) <= 1e-13 * np.max(np.abs(expected))
+        _, xs, ys = sample_tangent_pairs(man, pts, 2, seed=5)
+        rows = np.repeat(pts, 2, axis=0)
+        expected_n = nijenhuis_batch(reference, xs, ys, rows)
+        assert np.max(np.abs(nijenhuis_batch(Jf, xs, ys, rows) - expected_n)) <= 1e-13 * max(
+            1.0, np.max(np.abs(expected_n))
+        )
+
+
+def test_default_jet_takes_no_complex_step(monkeypatch):
+    # the built-in fields behind the nijenhuis commands and the gauged base
+    # differentiate in closed form; only hand-built fields, product_acs_field
+    # and frozen_field take the complex step
+    def no_complex_step(*args):
+        raise AssertionError("complex step taken")
+
+    monkeypatch.setattr(fields, "complex_step", no_complex_step)
+    for man in (S2, S6, spheres((2, 1.0), (6, 1.0)), S2XS4):
+        Jf = default_acs_field(man)
+        pts = chart_safe_points(man, 6, seed=1)
+        stack = np.ones(pts.shape + (2,))
+        Jf.jet(pts)[1](stack, stack)
+        assert np.all(np.isfinite(nijenhuis_norms(Jf, pts, 2, seed=1)))
+    with pytest.raises(AssertionError):
+        nijenhuis_norms(product_acs_field(S2, [s2_rotation_blocks]), fibonacci_sphere(6, seed=1), 2, seed=1)
 
 
 def test_octonionic_s6_is_far_from_integrable():

@@ -7,6 +7,7 @@ from sphereacs.octonion import (
     CROSS7,
     MULTIPLICATION_TABLE,
     cross7,
+    cross7_columns,
     cross7_matrices,
     octonion_multiply,
 )
@@ -127,6 +128,22 @@ def test_cross7_matrices_consistency():
     for k in range(5):
         assert np.allclose(mats[k], -mats[k].T, atol=1e-13)
         assert np.allclose(mats[k] @ u[k], 0.0, atol=1e-12)
+
+
+def test_cross7_columns_is_the_cross_product_per_column():
+    # the Fano-plane index form, on column stacks, against the structure
+    # tensor; each entry is a sum of three 2 x 2 minors
+    rng = np.random.default_rng(14)
+    u, v = rng.standard_normal((2, 5, 7, 3))
+    columns = cross7_columns(u, v)
+    assert columns.shape == (5, 7, 3)
+    for j in range(3):
+        np.testing.assert_allclose(columns[..., j], cross7(u[..., j], v[..., j]), rtol=0, atol=1e-14)
+    eye = np.eye(7)[np.newaxis]  # one row, column j is e_j
+    for i in range(7):
+        e_i = np.repeat(eye[..., i : i + 1], 7, axis=2)
+        # column j is e_i x e_j, whose entry k is CROSS7[i, j, k]
+        assert np.array_equal(cross7_columns(e_i, eye)[0], CROSS7[i].T)
 
 
 def test_cross7_structure_tensor_antisymmetry():

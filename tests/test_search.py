@@ -222,10 +222,14 @@ def test_value_only_gauge_calls_build_no_jet_pieces(monkeypatch):
     q = par.gauge_rotations(theta, pts)
     j = par.field(theta, base)(pts)
 
-    def no_gradient(self, rows):
-        raise AssertionError("feature gradient built for a value-only call")
+    feature_blocks = GaugeParametrization._feature_blocks
 
-    monkeypatch.setattr(GaugeParametrization, "feature_gradient", no_gradient)
+    def no_gradient(self, rows, gradient=False):
+        if gradient:
+            raise AssertionError("feature gradient built for a value-only call")
+        return feature_blocks(self, rows)
+
+    monkeypatch.setattr(GaugeParametrization, "_feature_blocks", no_gradient)
     assert np.array_equal(par.gauge_rotations(theta, pts), q)
     assert np.array_equal(par.field(theta, base)(pts), j)
     assert acs_field_validity_check(par.field(theta, base), pts).passed
@@ -267,15 +271,49 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
 def test_frozen_objective_does_not_fault_at_criterion_7_scale():
     # glibc maps every allocation above its initial 128 KiB mmap threshold
-    # afresh and faults its pages in; the frozen pieces keep such
-    # temporaries in scratch buffers, so a steady evaluation faults nothing
-    # (about 300 faults each without them).  It needs a fresh interpreter:
-    # freeing any large array earlier in the process raises the threshold
-    # and hides the faults.
+    # afresh and faults its pages in, and it gives the top of the heap back
+    # once more than its trim threshold lies free there, to be faulted in
+    # again; the frozen pieces keep their large temporaries in scratch
+    # buffers, so a steady evaluation faults (almost) nothing.  It needs a
+    # fresh interpreter: freeing any large array earlier in the process
+    # raises both thresholds and hides the faults.  Where the temporaries
+    # fall relative to the heap top depends on everything allocated before,
+    # down to the number of environment variables (without the dU scratch
+    # one padding in 24 gave 1,614 faults, the rest 75), so the probe runs
+    # under 0-23 extra ones.
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
-    assert int(probe.stdout) <= 20 * 5
+    faults = []
+    for padding in range(24):
+        padded = dict(env, **{f"SPHEREACS_PROBE_PADDING_{i}": "x" for i in range(padding)})
+        probe = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], env=padded, capture_output=True, text=True, check=True
+        )
+        faults.append(int(probe.stdout))
+    assert max(faults) <= 20 * 5, faults
+
+
+def test_gauge_pieces_take_one_feature_pass(monkeypatch):
+    # the features and, for a jet, their gradient come from one pass over
+    # the degree blocks, bit for bit the values of the separate methods
+    par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=5)
+    pts = chart_safe_points(S2XS4, 7, seed=5)
+    theta = 0.3 * np.random.default_rng(5).standard_normal(par.n_params)
+    features, gradient = par.features(pts), par.feature_gradient(pts)
+    passes = []
+    feature_blocks = GaugeParametrization._feature_blocks
+
+    def counted(self, rows, gradient=False):
+        passes.append(gradient)
+        return feature_blocks(self, rows, gradient)
+
+    monkeypatch.setattr(GaugeParametrization, "_feature_blocks", counted)
+    par.rotation_jet(theta, pts)
+    frozen = par.frozen(pts)
+    par.gauge_rotations(theta, pts)
+    assert passes == [True, True, False]
+    assert np.array_equal(frozen.pieces.features, features)
+    assert np.array_equal(frozen.pieces.gradient, gradient)
 
 
 def test_energy_objective_is_one_batch_at_any_block_size(monkeypatch):
