@@ -53,7 +53,11 @@ built-in blocks each come with a closed-form derivative (du x w on S^2 and
 S^6, the product rule of the chart frame on S^4), ``frozen_field`` (values
 and complex-step frame derivatives computed once for a fixed row batch, as
 the energy objective does for its base field) and the Cayley-gauged family
-of ``search``, whose rotation is differentiated in closed form.
+of ``search``, whose rotation is differentiated in closed form: the
+coefficients' gradient is the features of one degree less times a
+theta-only table, and each gauged field keeps its derivative's temporaries
+in one ``Scratch`` across all its jets, so the row blocks of a one-shot
+evaluation reuse one set of buffers.
 
 The FD oracle ``lie_bracket_fd_batch(man, X, Y, pts)`` extends the tangent
 fields X and Y radially, X(q) = X(q / |q| per factor), and evaluates the
@@ -69,6 +73,7 @@ ignore this; the frozen base field relies on it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -221,23 +226,34 @@ class ACSField:
 
 
 class Scratch:
-    """Float buffers reused from call to call, one per name and shape, each
-    made on first use.  Frozen pieces keep their largest per-evaluation
+    """Float buffers reused from call to call, one per name, made on first
+    use.  A request no larger than the name's buffer gets the buffer itself
+    if the shape matches, else a view of its leading elements; a larger one
+    replaces it.  So the memory stays bounded however many batch shapes the
+    owner sees, and the short last row block of a one-shot evaluation
+    reuses the full blocks' buffers.
+
+    Frozen pieces and gauged fields keep their largest per-evaluation
     temporaries here: at criterion 7's 100 rows each is above glibc's
     initial 128 KiB mmap threshold, so a fresh array would be mapped,
     faulted in and unmapped again on every evaluation, or, like the
     gauge's 100 KiB dU stacks, large enough that freeing a few together at
     the top of the heap passes glibc's trim threshold and gives those pages
-    back, to be faulted in again.  Its owner evaluates one call at a time."""
+    back, to be faulted in again.  Its owner evaluates one call at a time
+    and hands no buffer to its callers."""
 
     def __init__(self):
-        self._buffers: dict[tuple, Array] = {}
+        self._buffers: dict[str, Array] = {}
 
     def __call__(self, name: str, *shape: int) -> Array:
-        buffer = self._buffers.get((name, shape))
-        if buffer is None:
-            buffer = self._buffers[name, shape] = np.empty(shape)
-        return buffer
+        buffer = self._buffers.get(name)
+        if buffer is not None and buffer.shape == shape:
+            return buffer
+        size = math.prod(shape)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(shape)
+            return buffer
+        return buffer.reshape(-1)[:size].reshape(shape)
 
 
 def take_rows(a: Array, index: Array, out: Array) -> Array:
@@ -618,6 +634,9 @@ def sample_tangent_pairs(
     rows of ``np.repeat(pts, frame_pairs, axis=0)`` block after block with
     ``frame_pairs=1`` from one ``default_rng(seed)`` gives, bit for bit, the
     pairs of one whole-batch call with ``seed``.
+
+    Raises ``DegenerateInput`` for a non-finite point, a degenerate draw, or
+    a pair that is not unit, orthogonal and tangent to round-off.
     """
     if frame_pairs < 1:
         raise ContractViolation("frame_pairs must be >= 1")
@@ -634,12 +653,26 @@ def sample_tangent_pairs(
     if not np.all(norms >= 1e-12):
         raise DegenerateInput("degenerate tangent pair sample")
     xs = xs / norms
-    ys = ys - np.sum(ys * xs, axis=1, keepdims=True) * xs
+    along = np.sum(ys * xs, axis=1, keepdims=True)
+    ys = ys - along * xs
     norms = np.linalg.norm(ys, axis=1, keepdims=True)
     if not np.all(norms >= 1e-12):
         raise DegenerateInput("degenerate tangent pair sample")
     ys = ys / norms
     pts_rep = np.repeat(pts, frame_pairs, axis=0)
+    # Fail closed: each pair unit, orthogonal and tangent factor by factor,
+    # to TOL.linalg times the factor |y| / |y - <y, x> x| =
+    # hypot(1, <y, x> / |y - <y, x> x|) by which removing x amplifies y's
+    # round-off.  A flat 1e-12 would reject most S^2 draws of 2 * 10^4 pairs
+    # (nearly parallel ones leave up to 4.5e-10); scaled, 10^6 pairs on four
+    # manifolds left at most 8e-16.  Each inner product is reduced as soon
+    # as it is formed, so the check adds no memory that grows with the rows
+    # beyond one (n,) array at a time.
+    bound = TOL.linalg * np.hypot(1.0, along / norms)[:, 0]
+    products = [(xs, xs, 1.0), (ys, ys, 1.0), (xs, ys, 0.0)]
+    products += [(v[:, sl], pts_rep[:, sl], 0.0) for v in (xs, ys) for sl in man.ambient_slices]
+    if not all(np.all(np.abs(np.einsum("ij,ij->i", a, b) - wanted) <= bound) for a, b, wanted in products):
+        raise DegenerateInput("tangent pair sample not orthonormal and tangent to round-off")
     return pts_rep, xs, ys
 
 
@@ -653,7 +686,9 @@ def nijenhuis_sq_norms(
 
 # Rows per block of the one-shot evaluations below: the block's repeated
 # points, its tangent pair draw and its nijenhuis_sq_norms call.  A block of
-# the gauged S^2 x S^4 field holds about 16 kB of temporaries per row.  The
+# the degree-2 gauged S^2 x S^4 field peaks at 17.7 KiB per row under
+# tracemalloc (8.84 MiB at 512 rows); 8.5 KiB per row of it are the
+# field's scratch buffers, which stay allocated between blocks and calls.  The
 # field-batch benchmark peaks at 56.7-56.9 MB with 128 to 512 rows and at
 # 62.7 MB with 1024 (BENCH_streamed_pairs.json), so 512 is the largest size
 # at the floor and keeps the call count lowest.
@@ -669,9 +704,11 @@ def _blocked_sq_norms(Jf: ACSField, pts: Array, frame_pairs: int, seed: int) -> 
     N is computed row by row, so each value is the one a single whole-batch
     call gives, except in round-off where a field's evaluator takes a 2-D
     matrix product over all its rows (BLAS rounds those with the row count,
-    as in the gauge family's two products of theta, with the features and
-    with their gradient).  Not for frozen fields, which are
-    bound to exactly one row batch."""
+    as in the gauge family's two products over the rows, of the features
+    with theta and of the lower features with its theta-only lowered
+    table).  A gauged field's blocks all work in the one ``Scratch`` the
+    field owns.  Not for frozen fields, which are bound to exactly one row
+    batch."""
     if frame_pairs < 1:
         raise ContractViolation("frame_pairs must be >= 1")
     rng = np.random.default_rng(seed)

@@ -137,38 +137,52 @@ class GaugeParametrization:
             column = {mono: k for k, mono in enumerate(monos)}
         return tuple(out)
 
-    def _feature_blocks(self, pts: np.ndarray, gradient: bool = False) -> tuple[list, list]:
-        """The degree blocks of ``features`` and, if gradient is set, of
-        ``feature_gradient``: by the product rule, the gradient of
-        prefix * x_last is the prefix's gradient times x_last plus the
-        prefix on x_last's axis."""
-        n, amb = pts.shape
-        values = [np.ones((n, 1)), pts][: self.degree + 1]
-        grads = [np.zeros((n, amb, 1)), np.broadcast_to(np.eye(amb), (n, amb, amb))][: self.degree + 1]
-        for prefix, last in self._degree_index:
-            if gradient:
-                grads.append(grads[-1][:, :, prefix] * pts[:, np.newaxis, last])
-                grads[-1][:, last, np.arange(last.size)] += values[-1][:, prefix]
-            values.append(values[-1][:, prefix] * pts[:, last])
-        return values, grads
-
     def features(self, pts: np.ndarray) -> np.ndarray:
         """Monomial features of the ambient unit coordinates, shape (n, F),
         C-contiguous; each degree block is the previous block's columns times
         one coordinate."""
-        return np.concatenate(self._feature_blocks(pts)[0], axis=1)
+        blocks = [np.ones((pts.shape[0], 1)), pts][: self.degree + 1]
+        for prefix, last in self._degree_index:
+            blocks.append(blocks[-1][:, prefix] * pts[:, last])
+        return np.concatenate(blocks, axis=1)
 
-    def feature_gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient gradient of ``features``, shape (n, ambient_dim, F),
-        C-contiguous: entry (i, a, f) is the derivative of feature f along
-        ambient axis a at row i, in closed form."""
-        return np.concatenate(self._feature_blocks(pts, gradient=True)[1], axis=2)
+    @cached_property
+    def _lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each monomial m of degree below ``degree`` (the leading
+        features, in ``monomials`` order) and each ambient axis a: the
+        column of the monomial m x_a and the exponent e of x_a in it, both
+        of shape (F_low, ambient_dim).  The derivative of m x_a along axis a
+        is e m, and every monomial with a factor x_a is m x_a for exactly
+        one m, so this table is the whole derivative of the features, with
+        F_low * ambient_dim entries where a dense map would need F times
+        that."""
+        amb = self.manifold.ambient_dim
+        column = {mono: k for k, mono in enumerate(self.monomials)}
+        lower = [mono for mono in self.monomials if len(mono) < self.degree]
+        index = [[column[tuple(sorted(mono + (a,)))] for a in range(amb)] for mono in lower]
+        exponent = [[mono.count(a) + 1.0 for a in range(amb)] for mono in lower]
+        return np.array(index, dtype=int).reshape(-1, amb), np.array(exponent).reshape(-1, amb)
+
+    def _coefficient_gradient(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """The coefficients' gradient at the rows of features, shape (n,
+        generators, ambient_dim): entry (i, k, a) is d c_k / d x_a for
+        c = features @ theta.  A polynomial of degree D has a derivative of
+        degree D - 1, so this is the lower features times D theta, a
+        theta-only (F_low, generators * ambient_dim) array read off
+        ``_lowering``."""
+        index, exponent = self._lowering
+        low, amb = index.shape
+        theta_m = theta.reshape(self.feature_count, self.generators)
+        # entry (m, k * amb + a) of D theta is e theta[m x_a, k]
+        lowered = np.swapaxes(theta_m[index] * exponent[:, :, np.newaxis], 1, 2)
+        gradient = features[:, :low] @ lowered.reshape(low, self.generators * amb)
+        return gradient.reshape(features.shape[0], self.generators, amb)
 
     def frozen(self, rows: np.ndarray) -> "GaugeParametrization":
         """This family with its theta-independent pieces at the row batch
-        rows (features and their ambient gradient, tangent projectors, block
-        masks) computed once on ``fields.frozen_rows(rows)``, read-only, and
-        a ``fields.Scratch`` for ``rotation_jet``.  Valid only on exactly
+        rows (features, tangent projectors, block masks) computed once on
+        ``fields.frozen_rows(rows)``, read-only, and a ``fields.Scratch``
+        that ``_scratch`` returns for every jet.  Valid only on exactly
         these rows: the same array passes at once, any other batch must
         equal it or raises ``ContractViolation``."""
         pieces = _GaugePieces(self, frozen_rows(rows), jet=True)
@@ -230,13 +244,14 @@ class GaugeParametrization:
         amb = self.manifold.ambient_dim
         return (coeff @ self.skew_basis.reshape(self.generators, amb * amb)).reshape(-1, amb, amb)
 
-    def rotation_jet(self, theta: np.ndarray, pts: np.ndarray):
+    def rotation_jet(self, theta: np.ndarray, pts: np.ndarray, scratch: Scratch | None = None):
         """Q from one gauge_rotations call on the rows pts, and the map
         (du, z) -> dQ[du] z for a column stack du of tangent velocities,
         shape (n, ambient_dim, k), applied to z of shape
         (n, ambient_dim, r * k): r column stacks side by side, each paired
         column by column with du, so one batched product per operator
-        reaches all of them.
+        reaches all of them.  The map's largest temporaries live in scratch,
+        by default the one ``_scratch`` gives (a fresh one unless frozen).
 
         Closed form, without forming a derivative matrix, from the C and
         H = (I + A)^(-1) of the gauge_rotations call: dQ = -2 H dA H; with
@@ -246,25 +261,23 @@ class GaugeParametrization:
             dU y = du <u, y>_a + u <du, y>_a     (per factor block a),
 
         and dC = sum_k dc_k S_k with dc the derivative of the coefficients
-        features @ theta along du.  At degree 0 the only feature is the
-        constant 1, so dC = 0 and its term is skipped."""
+        features @ theta along du, from the lower features and a theta-only
+        array (``_coefficient_gradient``).  At degree 0 the only feature is
+        the constant 1, so dC = 0 and its term is skipped."""
         cayley: list = []
         q = self.gauge_rotations(theta, pts, _cayley=cayley)
         if not cayley:
             return q, lambda du, z: np.zeros(z.shape)
         pieces, c, h = cayley
-        # the derivative holds only these, not the pieces, so an unfrozen
-        # batch's feature gradient is freed once grad_t is formed
+        # the derivative holds only these, not the pieces
         pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
-        n, amb, _ = pi.shape
-        scratch = self._scratch()
+        n = pi.shape[0]
+        if scratch is None:
+            scratch = self._scratch()
         grad_t = None
         if self.degree > 0:
-            # the coefficients' gradient (gradient @ theta)^T, (n, generators,
-            # amb), from one 2-D product on a view: dc along du is grad_t @ du
-            theta_m = np.asarray(theta, dtype=float).reshape(self.feature_count, self.generators)
-            coefficient_gradient = (pieces.gradient.reshape(n * amb, -1) @ theta_m).reshape(n, amb, -1)
-            grad_t = np.ascontiguousarray(np.swapaxes(coefficient_gradient, 1, 2))
+            # dc along du is grad_t @ du
+            grad_t = self._coefficient_gradient(np.asarray(theta, dtype=float), pieces.features)
             generator_rows, ambient_rows = self._stack_rows
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -300,22 +313,26 @@ class GaugeParametrization:
         """J_theta = Q J0 Q^T.  Its jet differentiates the product with the
         closed-form dQ of ``rotation_jet`` and the base field's own jet;
         with dQ^T = -Q^T dQ Q^T (Q orthogonal) and v = Q^T w,
-        (D J) w = dQ B v - J dQ v + Q (D B) v."""
+        (D J) w = dQ B v - J dQ v + Q (D B) v.  The field takes one
+        ``Scratch`` from ``_scratch`` and every jet's derivative works in
+        it, so the row blocks of a one-shot evaluation reuse one set of
+        buffers; two fields share none."""
         theta = np.array(theta, dtype=float)
+        scratch = self._scratch()
 
         def fn(pts: np.ndarray) -> np.ndarray:
             q = self.gauge_rotations(theta, pts)
             return q @ base(pts) @ q.transpose(0, 2, 1)
 
         def jet(pts: np.ndarray):
-            q, dq = self.rotation_jet(theta, pts)
+            q, dq = self.rotation_jet(theta, pts, scratch)
             b, db = base.jet(pts)
             qt = np.ascontiguousarray(q.transpose(0, 2, 1))
             j = q @ b @ qt
 
             def derivative(du: np.ndarray, w: np.ndarray) -> np.ndarray:
                 k = w.shape[-1]
-                z = np.empty(w.shape[:-1] + (2 * k,))
+                z = scratch("z", *w.shape[:-1], 2 * k)
                 v = np.matmul(qt, w, out=z[..., k:])
                 np.matmul(b, v, out=z[..., :k])
                 dq_z = dq(du, z)
@@ -328,21 +345,19 @@ class GaugeParametrization:
 
 class _GaugePieces:
     """The theta-independent pieces of a gauge family at a row batch: the
-    monomial features, the tangent projectors (with a stack of identities of
-    their shape, so I +- A are plain sums) and, if jet is set, what only
-    ``rotation_jet`` reads: the features' ambient gradient and the block
-    rows mask * u^T of the unit points u."""
+    monomial features (whose leading columns ``rotation_jet`` also reads,
+    for the coefficients' gradient), the tangent projectors (with a stack of
+    identities of their shape, so I +- A are plain sums) and, if jet is set,
+    the block rows mask * u^T of the unit points u, which only
+    ``rotation_jet`` reads."""
 
     def __init__(self, par: GaugeParametrization, rows: np.ndarray, jet: bool):
         man = par.manifold
         self.rows = rows
-        # one pass gives the features and, for a jet, their gradient
-        values, grads = par._feature_blocks(rows, gradient=jet)
-        self.features = np.concatenate(values, axis=1)
+        self.features = par.features(rows)
         self.projectors = tangent_projectors(man, rows)
         self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
         if jet:
-            self.gradient = np.concatenate(grads, axis=2)
             # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T
             # per factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
             self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]

@@ -761,8 +761,8 @@ def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
     # 23 points x 2 frame pairs = 46 rows in 7-row blocks: the last block is
     # short, and the pairs of points 3, 10 and 17 straddle two blocks.  N is
     # computed row by row; only the gauged field's two 2-D matrix products
-    # over the rows, of theta with the features and with their gradient,
-    # round differently with the row count
+    # over the rows, of the features with theta and of the lower features
+    # with its theta-only lowered table, round differently with the row count
     Jf = EXACT_FIXTURES[fixture]()
     pts = chart_safe_points(Jf.manifold, 23, seed=6)
     rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, 2, seed=7)
@@ -788,11 +788,13 @@ def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
         assert abs(energy - expected_energy) <= rel * expected_energy
 
 
-def one_shot_peak(Jf, n: int, frame_pairs: int) -> int:
-    """tracemalloc peak of ``nijenhuis_norms`` at n chart-safe points, the
-    points themselves not counted."""
+def one_shot_peak(fixture: str, n: int, frame_pairs: int) -> int:
+    """tracemalloc peak of ``nijenhuis_norms`` at n chart-safe points on a
+    fresh field of the fixture, the points themselves not counted: a gauged
+    field keeps its scratch buffers, which only its first call allocates."""
     import tracemalloc
 
+    Jf = EXACT_FIXTURES[fixture]()
     pts = chart_safe_points(Jf.manifold, n, seed=8)
     tracemalloc.start()
     try:
@@ -805,18 +807,35 @@ def one_shot_peak(Jf, n: int, frame_pairs: int) -> int:
 def test_one_shot_memory_is_flat_in_the_batch_size():
     # the per-row temporaries of a block dominate the peak; only the output
     # grows with the points
-    Jf = EXACT_FIXTURES["gauged-deg2"]()
     block = fields.NIJENHUIS_BLOCK_ROWS
-    assert one_shot_peak(Jf, 4 * block, 1) <= 1.5 * one_shot_peak(Jf, block, 1)
+    assert one_shot_peak("gauged-deg2", 4 * block, 1) <= 1.5 * one_shot_peak("gauged-deg2", block, 1)
 
 
 @pytest.mark.parametrize("fixture", ["s2", "s6-octonion", "s2xs6", "gauged-deg2"])
 def test_one_shot_memory_is_flat_for_every_field(fixture):
     # each block draws its own tangent pairs, so a batch 16 times as large
     # peaks where one block does, whatever the field's per-row cost
-    Jf = EXACT_FIXTURES[fixture]()
     block = fields.NIJENHUIS_BLOCK_ROWS
-    assert one_shot_peak(Jf, 16 * block, 2) <= 1.5 * one_shot_peak(Jf, block, 2)
+    assert one_shot_peak(fixture, 16 * block, 2) <= 1.5 * one_shot_peak(fixture, block, 2)
+
+
+def test_scratch_keeps_one_buffer_per_name():
+    # a matching shape gets the buffer itself, a smaller one a view of its
+    # leading elements, a larger one a replacement: one buffer per name
+    # however many shapes are asked for
+    scratch = fields.Scratch()
+    full = scratch("a", 5, 8, 4)
+    assert full.shape == (5, 8, 4) and full.flags.c_contiguous
+    assert scratch("a", 5, 8, 4) is full
+    short = scratch("a", 3, 8, 4)
+    assert short.shape == (3, 8, 4) and short.flags.c_contiguous and np.shares_memory(short, full)
+    assert np.shares_memory(scratch("a", 2, 8, 8), full)
+    other = scratch("b", 5, 8, 4)
+    assert not np.shares_memory(other, full)
+    larger = scratch("a", 6, 8, 4)
+    assert larger.shape == (6, 8, 4) and not np.shares_memory(larger, full)
+    assert scratch("a", 6, 8, 4) is larger
+    assert len(scratch._buffers) == 2
 
 
 @pytest.mark.parametrize("man", [spheres((2, 1.0), (6, 1.0)), S2XS4, S6], ids=["s2xs6", "s2xs4", "s6"])
@@ -864,6 +883,46 @@ def test_sample_tangent_pairs_orthonormal():
     assert np.max(np.abs(np.sum(xs * ys, axis=1))) < 1e-12
     for sl in man.ambient_slices:
         assert np.max(np.abs(np.sum(xs[:, sl] * pts_rep[:, sl], axis=1))) < 1e-12
+
+
+def test_pair_draw_accepts_nearly_parallel_draws_to_round_off():
+    # on S^2 a draw of 2 * 10^4 pairs holds nearly parallel ones, which the
+    # orthogonalisation leaves orthogonal only to 1e-10 or so; the check's
+    # bound scales with that amplification, so the draw passes
+    pts = manifold_points(S2, 20000, 25)
+    _, xs, ys = sample_tangent_pairs(S2, pts, 1, 25)
+    assert np.max(np.abs(np.sum(xs * ys, axis=1))) > 1e-12
+
+
+def test_pair_draw_fails_closed_on_a_planted_defect(monkeypatch):
+    # the planted defect "pairs left unorthogonalised" (the survey's
+    # one-line mutant), patched into a copy of this module, raises where the
+    # pairs are drawn; the unpatched copy draws the module's pairs
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    source = Path(fields.__file__).read_text(encoding="utf-8")
+    line = "    ys = ys - along * xs\n"
+    assert source.count(line) == 1
+
+    def copy(text: str):
+        spec = importlib.util.spec_from_loader("sphereacs._fields_copy", loader=None)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        exec(compile(text, fields.__file__, "exec"), module.__dict__)
+        return module
+
+    pts = chart_safe_points(S2XS4, 30, seed=6)
+    expected = sample_tangent_pairs(S2XS4, pts, 2, 6)
+    for got, want in zip(copy(source).sample_tangent_pairs(S2XS4, pts, 2, 6), expected):
+        assert np.array_equal(got, want)
+    mutant = copy(source.replace(line, ""))
+    for man in (S2, S6, S2XS4):
+        with pytest.raises(DegenerateInput, match="orthonormal"):
+            mutant.sample_tangent_pairs(man, chart_safe_points(man, 30, seed=6), 2, 6)
+    with pytest.raises(DegenerateInput, match="orthonormal"):
+        mutant.nijenhuis_norms(mutant.default_acs_field(S6), chart_safe_points(S6, 30, seed=6))
 
 
 def test_energy_gauge_sensitivity_is_smooth():

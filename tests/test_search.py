@@ -22,6 +22,7 @@ from sphereacs.fields import (
     acs_field_validity_check,
     complex_step,
     default_acs_field,
+    nijenhuis_norms,
     nijenhuis_sq_norms,
     sample_tangent_pairs,
     tangent_project,
@@ -68,8 +69,9 @@ def test_parametrization_validation():
 def test_features_match_monomials():
     # each column is its monomial's coordinate product, bit for bit, on real
     # rows and on complex-step rows, at every degree up to 4; the closed-form
-    # gradient is the complex step of the features along each ambient axis,
-    # bit for bit at degrees 0-1 and to round-off above
+    # gradient of the coefficients features @ theta, from the lower features
+    # and the theta-only lowered table, is their complex step along each
+    # ambient axis to round-off, with 4 and with 28 generators
     pts = chart_safe_points(S2XS4, 100, seed=1)
     n, amb = pts.shape
     du = np.random.default_rng(1).standard_normal(pts.shape)
@@ -90,16 +92,31 @@ def test_features_match_monomials():
             # equal values in column-major layout still move the objective in
             # the last digit: the BLAS products downstream round differently
             assert feats.flags.c_contiguous
-        grad = par.feature_gradient(pts)
-        reference = complex_step(
-            par.features, np.repeat(pts, amb, axis=0), np.tile(np.eye(amb), (n, 1))
-        ).reshape(n, amb, -1)
-        assert grad.shape == (n, amb, par.feature_count)
-        assert grad.flags.c_contiguous
-        if degree <= 1:
-            assert np.array_equal(grad, reference)
-        else:
-            assert np.max(np.abs(grad - reference)) <= 1e-14
+        for generators in (4, 28):
+            par = GaugeParametrization(S2XS4, degree=degree, generators=generators, seed=0)
+            theta = np.random.default_rng([degree, generators]).standard_normal(par.n_params)
+            theta_m = theta.reshape(par.feature_count, generators)
+            grad = par._coefficient_gradient(theta, par.features(pts))
+            reference = complex_step(
+                lambda rows: par.features(rows) @ theta_m,
+                np.repeat(pts, amb, axis=0),
+                np.tile(np.eye(amb), (n, 1)),
+            ).reshape(n, amb, generators)
+            assert grad.shape == (n, generators, amb)
+            assert grad.flags.c_contiguous
+            error = np.max(np.abs(grad - np.swapaxes(reference, 1, 2)), initial=0.0)
+            assert error <= 1e-14 * np.max(np.abs(reference), initial=0.0)
+
+
+def test_lowering_table_is_sparse():
+    # one entry per lower monomial and axis, not a dense map over every
+    # monomial: 165 x 8 at degree 4 on S^2 x S^4, against 495 x 8 x 165;
+    # every monomial of positive degree is reached
+    par = GaugeParametrization(S2XS4, degree=4, generators=4, seed=0)
+    index, exponent = par._lowering
+    assert index.shape == exponent.shape == (math.comb(11, 3), S2XS4.ambient_dim)
+    assert sorted(set(index.ravel().tolist())) == list(range(1, par.feature_count))
+    assert GaugeParametrization(S2XS4, degree=0)._lowering[0].shape == (0, S2XS4.ambient_dim)
 
 
 def test_zero_parameters_reproduce_base_field():
@@ -202,10 +219,10 @@ def test_frozen_gauge_holds_only_on_its_rows():
     rows[0] = rows[1]
     with pytest.raises(ContractViolation):
         frozen.gauge_rotations(theta, rows)
-    # every frozen piece is read-only; unfrozen pieces hold the caller's
-    # rows, which stay writeable
+    # every frozen piece is read-only, and none is an (n, amb, F) feature
+    # gradient; unfrozen pieces hold the caller's rows, which stay writeable
     pieces = vars(frozen.pieces)
-    assert {"rows", "features", "gradient", "projectors"} <= pieces.keys()
+    assert pieces.keys() == {"rows", "features", "projectors", "identity", "block_rows", "block_cols"}
     assert not any(a.flags.writeable for a in pieces.values())
     par.rotation_jet(theta, pts)
     par.field(theta, base).jet(pts)
@@ -213,8 +230,9 @@ def test_frozen_gauge_holds_only_on_its_rows():
 
 
 def test_value_only_gauge_calls_build_no_jet_pieces(monkeypatch):
-    # Q alone needs neither the feature gradient nor the block masks, so
-    # field values, validity rows and the FD oracle's calls never build them
+    # Q alone needs neither the coefficients' gradient (and its theta-only
+    # D theta) nor the block masks, so field values, validity rows and the
+    # FD oracle's calls never build them
     par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=6)
     base = default_acs_field(S2XS4)
     pts = chart_safe_points(S2XS4, 9, seed=6)
@@ -222,19 +240,81 @@ def test_value_only_gauge_calls_build_no_jet_pieces(monkeypatch):
     q = par.gauge_rotations(theta, pts)
     j = par.field(theta, base)(pts)
 
-    feature_blocks = GaugeParametrization._feature_blocks
+    def no_gradient(self, theta, features):
+        raise AssertionError("coefficient gradient built for a value-only call")
 
-    def no_gradient(self, rows, gradient=False):
-        if gradient:
-            raise AssertionError("feature gradient built for a value-only call")
-        return feature_blocks(self, rows)
+    built = []
+    pieces = GaugeParametrization._pieces
 
-    monkeypatch.setattr(GaugeParametrization, "_feature_blocks", no_gradient)
+    def recorded(self, rows, jet):
+        built.append(pieces(self, rows, jet))
+        return built[-1]
+
+    monkeypatch.setattr(GaugeParametrization, "_coefficient_gradient", no_gradient)
+    monkeypatch.setattr(GaugeParametrization, "_pieces", recorded)
     assert np.array_equal(par.gauge_rotations(theta, pts), q)
     assert np.array_equal(par.field(theta, base)(pts), j)
     assert acs_field_validity_check(par.field(theta, base), pts).passed
+    assert len(built) == 3
+    assert not any(hasattr(p, "block_rows") or hasattr(p, "block_cols") for p in built)
     with pytest.raises(AssertionError):
         par.rotation_jet(theta, pts)
+    assert hasattr(built[-1], "block_rows")
+
+
+def recorded_scratches(monkeypatch) -> list:
+    """Every Scratch a gauge family hands out from here on, in order."""
+    handed = []
+    scratch = GaugeParametrization._scratch
+
+    def recorded(self):
+        handed.append(scratch(self))
+        return handed[-1]
+
+    monkeypatch.setattr(GaugeParametrization, "_scratch", recorded)
+    return handed
+
+
+def test_gauged_field_reuses_its_scratch_across_calls(monkeypatch):
+    # one Scratch per field: after a first multi-block one-shot call, later
+    # calls, with fewer rows too, make no new buffer, and their norms are
+    # those of a fresh field bit for bit (buffer identity, not fault counts,
+    # which depend on the heap layout)
+    monkeypatch.setattr("sphereacs.fields.NIJENHUIS_BLOCK_ROWS", 7)
+    handed = recorded_scratches(monkeypatch)
+    par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=8)
+    base = default_acs_field(S2XS4)
+    theta = 0.3 * np.random.default_rng(8).standard_normal(par.n_params)
+    pts = chart_safe_points(S2XS4, 23, seed=8)
+    Jf = par.field(theta, base)
+    assert len(handed) == 1
+    nijenhuis_norms(Jf, pts, frame_pairs=2, seed=1)
+    buffers = dict(handed[0]._buffers)
+    assert buffers.keys() == {"z", "both", "du", "d_u", "d_u_cols", "dc", "pi_y"}
+    for points, seed in ((pts, 2), (pts[:5], 3), (pts, 4)):
+        count = len(handed)
+        reused = nijenhuis_norms(Jf, points, frame_pairs=2, seed=seed)
+        assert len(handed) == count
+        assert handed[0]._buffers.keys() == buffers.keys()
+        assert all(handed[0]._buffers[name] is buffer for name, buffer in buffers.items())
+        fresh = nijenhuis_norms(par.field(theta, base), points, frame_pairs=2, seed=seed)
+        assert np.array_equal(reused, fresh)
+    # a frozen family hands out its own scratch, to every field of it
+    frozen = par.frozen(pts)
+    assert frozen._scratch() is frozen._scratch() is frozen.scratch
+
+
+def test_gauged_fields_share_no_buffers(monkeypatch):
+    handed = recorded_scratches(monkeypatch)
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=9)
+    base = default_acs_field(S2XS4)
+    rng = np.random.default_rng(9)
+    pts = chart_safe_points(S2XS4, 11, seed=9)
+    for Jf in [par.field(0.3 * rng.standard_normal(par.n_params), base) for _ in range(2)]:
+        nijenhuis_norms(Jf, pts, frame_pairs=2, seed=9)
+    first, second = (list(scratch._buffers.values()) for scratch in handed)
+    assert first and second
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
 def test_energy_objective_rejects_a_non_finite_point():
@@ -294,26 +374,27 @@ def test_frozen_objective_does_not_fault_at_criterion_7_scale():
 
 
 def test_gauge_pieces_take_one_feature_pass(monkeypatch):
-    # the features and, for a jet, their gradient come from one pass over
-    # the degree blocks, bit for bit the values of the separate methods
+    # every pieces build, for a jet or not, makes one pass over the degree
+    # blocks of the features, bit for bit those of ``features``; the jet
+    # reads the coefficients' gradient off the same features
     par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=5)
     pts = chart_safe_points(S2XS4, 7, seed=5)
     theta = 0.3 * np.random.default_rng(5).standard_normal(par.n_params)
-    features, gradient = par.features(pts), par.feature_gradient(pts)
+    features = par.features(pts)
     passes = []
-    feature_blocks = GaugeParametrization._feature_blocks
+    feature_pass = GaugeParametrization.features
 
-    def counted(self, rows, gradient=False):
-        passes.append(gradient)
-        return feature_blocks(self, rows, gradient)
+    def counted(self, rows):
+        passes.append(rows.shape)
+        return feature_pass(self, rows)
 
-    monkeypatch.setattr(GaugeParametrization, "_feature_blocks", counted)
+    monkeypatch.setattr(GaugeParametrization, "features", counted)
     par.rotation_jet(theta, pts)
     frozen = par.frozen(pts)
     par.gauge_rotations(theta, pts)
-    assert passes == [True, True, False]
+    frozen.rotation_jet(theta, frozen.pieces.rows)
+    assert passes == [pts.shape] * 3
     assert np.array_equal(frozen.pieces.features, features)
-    assert np.array_equal(frozen.pieces.gradient, gradient)
 
 
 def test_energy_objective_is_one_batch_at_any_block_size(monkeypatch):
