@@ -47,17 +47,17 @@ exact to round-off because no difference of nearby values is formed
 (Squire & Trapp 1998).  Evaluators must therefore keep complex input complex
 (no casts to float, no abs or norm of the input; chart tests look at the real
 part); a cast that would drop the imaginary part raises ``ContractViolation``.
-Hand-built fields and ``product_acs_field`` keep this default.  Three kinds
-of structure field pass their own ``jet_fn``: ``default_acs_field``, whose
-built-in blocks each come with a closed-form derivative (du x w on S^2 and
-S^6, the product rule of the chart frame on S^4), ``frozen_field`` (values
-and complex-step frame derivatives computed once for a fixed row batch, as
-the energy objective does for its base field) and the Cayley-gauged family
-of ``search``, whose rotation is differentiated in closed form: the
-coefficients' gradient is the features of one degree less times a
-theta-only table, and each gauged field keeps its derivative's temporaries
-in one ``Scratch`` across all its jets, so the row blocks of a one-shot
-evaluation reuse one set of buffers.
+Hand-built fields and ``product_acs_field`` keep this default; no CLI command
+takes it.  Three kinds of structure field pass their own ``jet_fn``:
+``default_acs_field``, whose built-in blocks each come with a closed-form
+derivative (du x w on S^2 and S^6, the product rule of the chart frame on
+S^4), ``frozen_field`` (values and frame derivatives taken once from the
+field's own jet at a fixed row batch, as the energy objective does for its
+base field) and the Cayley-gauged family of ``search``, whose rotation is
+differentiated in closed form: the coefficients' gradient is the features
+of one degree less times a theta-only table, and each gauged field keeps
+its derivative's temporaries in one ``Scratch`` across all its jets, so the
+row blocks of a one-shot evaluation reuse one set of buffers.
 
 The FD oracle ``lie_bracket_fd_batch(man, X, Y, pts)`` extends the tangent
 fields X and Y radially, X(q) = X(q / |q| per factor), and evaluates the
@@ -73,6 +73,7 @@ ignore this; the frozen base field relies on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -196,8 +197,8 @@ class ACSField:
     annihilates the per-factor normal directions.  ``jet_fn``, when given,
     replaces the complex-step default of ``jet``, which needs ``fn`` to be
     analytic in its input: it must keep complex rows complex and take no
-    abs, norm or conjugate of them.  The built-in fields, frozen fields and
-    gauged families pass one (module docstring)."""
+    abs, norm or conjugate of them.  Built-in, frozen and gauged fields
+    pass one; a frozen field reads the jet of the field it freezes."""
 
     manifold: ProductManifold
     fn: Callable[[Array], Array]
@@ -233,14 +234,14 @@ class Scratch:
     owner sees, and the short last row block of a one-shot evaluation
     reuses the full blocks' buffers.
 
-    Frozen pieces and gauged fields keep their largest per-evaluation
-    temporaries here: at criterion 7's 100 rows each is above glibc's
-    initial 128 KiB mmap threshold, so a fresh array would be mapped,
-    faulted in and unmapped again on every evaluation, or, like the
-    gauge's 100 KiB dU stacks, large enough that freeing a few together at
-    the top of the heap passes glibc's trim threshold and gives those pages
-    back, to be faulted in again.  Its owner evaluates one call at a time
-    and hands no buffer to its callers."""
+    Frozen and gauged fields keep their largest per-evaluation temporaries
+    here, one name per live one (``outer_rows`` takes "outer", "outer_b"):
+    at criterion 7's 100 rows each is above glibc's initial 128 KiB mmap
+    threshold, so a fresh array would be mapped, faulted in and unmapped
+    again on every evaluation, or, like the gauge's 100 KiB dU stacks, large
+    enough that freeing a few together at the top of the heap passes glibc's
+    trim threshold and gives those pages back, to be faulted in again.  Its
+    owner evaluates one call at a time and hands no buffer to its callers."""
 
     def __init__(self):
         self._buffers: dict[str, Array] = {}
@@ -256,12 +257,23 @@ class Scratch:
         return buffer.reshape(-1)[:size].reshape(shape)
 
 
-def take_rows(a: Array, index: Array, out: Array) -> Array:
-    """out[:, r] = a[:, index[r]], written straight into out: mode 'clip'
-    does not buffer out as the default 'raise' does, and every index is in
-    range.  It fills a stack of repeated rows as np.repeat or np.concatenate
-    would, but into a reused buffer."""
-    return np.take(a, index, axis=1, out=out, mode="clip")
+@functools.cache
+def _outer_index(p: int, q: int) -> tuple[Array, Array]:
+    left, right = np.divmod(np.arange(p * q), q)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+def outer_rows(a: Array, b: Array, scratch: Scratch) -> Array:
+    """The column-wise outer products of stacks a (n, p, k) and b (n, q, k):
+    row i * q + j of the (n, p * q, k) result is a[:, i] * b[:, j], filled by
+    np.take into the buffers "outer" and "outer_b" of scratch (mode 'clip'
+    writes in place where 'raise' buffers; every index is valid)."""
+    (n, p, k), q = a.shape, b.shape[1]
+    left, right = _outer_index(p, q)
+    out = np.take(a, left, axis=1, out=scratch("outer", n, p * q, k), mode="clip")
+    out *= np.take(b, right, axis=1, out=scratch("outer_b", n, p * q, k), mode="clip")
+    return out
 
 
 def frozen_rows(rows: Array) -> Array:
@@ -276,47 +288,34 @@ def frozen_rows(rows: Array) -> Array:
 
 
 def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
-    """Jf with its values and its complex-step derivatives along the tangent
-    frame of each row computed once, so (D_du J) w is one batched product
-    with du's frame coordinates and w, formed in ``Scratch`` buffers per
-    column count.  Valid only on exactly this row batch, kept as
-    ``frozen_rows``: the very same array passes at once, any other is
-    compared with np.array_equal.  Jf.fn must be analytic in its input (see
-    ``ACSField``): an evaluator that takes abs or norms of its rows gives a
-    wrong derivative without an error."""
+    """Jf with its values and its derivatives along the tangent frame of
+    each row taken once from its own jet, so (D_du J) w is one batched
+    product with the ``outer_rows`` of du's frame coordinates and w, formed
+    in the frozen field's ``Scratch``.  Valid only on exactly this row
+    batch, kept as ``frozen_rows``: the very same array passes at once, any
+    other is compared with np.array_equal."""
     man = Jf.manifold
     rows = frozen_rows(rows)
     n, amb = rows.shape
     frame = tangent_bases(man, rows)
     # (n, total_dim, ambient_dim): the frame coordinates of du are coords @ du
     coords = np.ascontiguousarray(np.swapaxes(frame, 1, 2))
-    value = Jf.fn(rows)
-    # (n, amb, total_dim * amb): the frame derivatives D_i J side by side,
-    # so (D_du J) w is one product with the outer (frame coords of du) x w
-    along = np.concatenate([complex_step(Jf.fn, rows, frame[..., i]) for i in range(man.total_dim)], axis=-1)
+    value, jet_derivative = Jf.jet(rows)
+    # (n, amb, total_dim * amb): the frame derivatives D_i J side by side
+    along = jet_derivative(np.repeat(frame, amb, axis=2), np.tile(np.eye(amb), (n, 1, man.total_dim)))
     for a in (value, along, coords):
         a.flags.writeable = False
-    # row i * amb + a of the outer product holds frame coordinate i of du
-    # and entry a of w
-    coordinate_rows = np.repeat(np.arange(man.total_dim), amb)
-    w_rows = np.tile(np.arange(amb), man.total_dim)
     scratch = Scratch()
 
-    def fn(pts: Array) -> Array:
-        if pts is not rows and not np.array_equal(pts, rows):
-            raise ContractViolation("frozen field evaluated off its row batch")
-        return value
-
     def derivative(du: Array, w: Array) -> Array:
-        shape = (n, coordinate_rows.size, du.shape[-1])
-        outer = take_rows(coords @ du, coordinate_rows, scratch("du", *shape))
-        outer *= take_rows(w, w_rows, scratch("w", *shape))
-        return along @ outer
+        return along @ outer_rows(coords @ du, w, scratch)
 
     def jet(pts: Array) -> Jet:
-        return fn(pts), derivative
+        if pts is not rows and not np.array_equal(pts, rows):
+            raise ContractViolation("frozen field evaluated off its row batch")
+        return value, derivative
 
-    return ACSField(man, fn, Jf.name, jet)
+    return ACSField(man, lambda pts: jet(pts)[0], Jf.name, jet)
 
 
 def projected_constant_field(man: ProductManifold, ambient: Array) -> Callable[[Array], Array]:

@@ -48,8 +48,8 @@ from .fields import (
     frozen_field,
     frozen_rows,
     nijenhuis_sq_norms,
+    outer_rows,
     sample_tangent_pairs,
-    take_rows,
     tangent_projectors,
 )
 from .identities import SplittingDefect, splitting_defect
@@ -185,13 +185,13 @@ class GaugeParametrization:
         that ``_scratch`` returns for every jet.  Valid only on exactly
         these rows: the same array passes at once, any other batch must
         equal it or raises ``ContractViolation``."""
-        pieces = _GaugePieces(self, frozen_rows(rows), jet=True)
+        pieces = _GaugePieces(self, frozen_rows(rows))
         for a in vars(pieces).values():
             a.flags.writeable = False
         return _FrozenGauge(self.manifold, self.degree, self.generators, self.seed, pieces, Scratch())
 
-    def _pieces(self, pts: np.ndarray, jet: bool) -> "_GaugePieces":
-        return _GaugePieces(self, pts, jet)
+    def _pieces(self, pts: np.ndarray) -> "_GaugePieces":
+        return _GaugePieces(self, pts)
 
     def _scratch(self) -> Scratch:
         return Scratch()
@@ -206,7 +206,7 @@ class GaugeParametrization:
         if self.n_params == 0 or not theta.any():
             amb = self.manifold.ambient_dim
             return np.broadcast_to(np.eye(amb), (pts.shape[0], amb, amb)).copy()
-        pieces = self._pieces(pts, jet=_cayley is not None)
+        pieces = self._pieces(pts)
         pi, eye = pieces.projectors, pieces.identity
         c = self._skew_field(theta, pieces.features)
         a = pi @ c @ pi
@@ -230,13 +230,6 @@ class GaugeParametrization:
         if _cayley is not None:
             _cayley.extend((pieces, c, h))
         return q
-
-    @cached_property
-    def _stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The generator and the ambient axis of each row k * amb + a of the
-        (n, generators * amb, m) stacks that meet ``skew_columns``."""
-        amb = self.manifold.ambient_dim
-        return np.repeat(np.arange(self.generators), amb), np.tile(np.arange(amb), self.generators)
 
     def _skew_field(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         """C = sum_k c_k S_k with c = features @ theta, batched."""
@@ -262,7 +255,8 @@ class GaugeParametrization:
 
         and dC = sum_k dc_k S_k with dc the derivative of the coefficients
         features @ theta along du, from the lower features and a theta-only
-        array (``_coefficient_gradient``).  At degree 0 the only feature is
+        array (``_coefficient_gradient``); dC Pi y is ``skew_columns`` @
+        ``fields.outer_rows(dc, Pi y)``.  At degree 0 the only feature is
         the constant 1, so dC = 0 and its term is skipped."""
         cayley: list = []
         q = self.gauge_rotations(theta, pts, _cayley=cayley)
@@ -271,14 +265,12 @@ class GaugeParametrization:
         pieces, c, h = cayley
         # the derivative holds only these, not the pieces
         pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
-        n = pi.shape[0]
         if scratch is None:
             scratch = self._scratch()
         grad_t = None
         if self.degree > 0:
             # dc along du is grad_t @ du
             grad_t = self._coefficient_gradient(np.asarray(theta, dtype=float), pieces.features)
-            generator_rows, ambient_rows = self._stack_rows
 
         def derivative(du: np.ndarray, z: np.ndarray) -> np.ndarray:
             k, m = du.shape[-1], z.shape[-1]
@@ -298,13 +290,10 @@ class GaugeParametrization:
             # s = C dU y - dC Pi y, so that Pi s + dU C Pi y = -dA y
             s = c @ d_u[..., :m]
             if grad_t is not None:
-                # dc_k times Pi y, stacked over the generators to meet the
-                # generators side by side: skew_columns @ stacked = dC Pi y
+                # row k * amb + a of the outer stack is dc_k (Pi y)_a, which
+                # meets the generators side by side: skew_columns @ it = dC Pi y
                 dc = np.tile(grad_t @ du, m // k)
-                shape = (n, generator_rows.size, m)
-                stacked = take_rows(dc, generator_rows, scratch("dc", *shape))
-                stacked *= take_rows(pi_y, ambient_rows, scratch("pi_y", *shape))
-                s -= self.skew_columns @ stacked
+                s -= self.skew_columns @ outer_rows(dc, pi_y, scratch)
             return 2.0 * (h @ (pi @ s + d_u[..., m:]))
 
         return q, derivative
@@ -347,21 +336,20 @@ class _GaugePieces:
     """The theta-independent pieces of a gauge family at a row batch: the
     monomial features (whose leading columns ``rotation_jet`` also reads,
     for the coefficients' gradient), the tangent projectors (with a stack of
-    identities of their shape, so I +- A are plain sums) and, if jet is set,
-    the block rows mask * u^T of the unit points u, which only
-    ``rotation_jet`` reads."""
+    identities of their shape, so I +- A are plain sums) and the block rows
+    mask * u^T of the unit points u and their transposes, which only
+    ``rotation_jet`` reads but every call builds."""
 
-    def __init__(self, par: GaugeParametrization, rows: np.ndarray, jet: bool):
+    def __init__(self, par: GaugeParametrization, rows: np.ndarray):
         man = par.manifold
         self.rows = rows
         self.features = par.features(rows)
         self.projectors = tangent_projectors(man, rows)
         self.identity = np.broadcast_to(np.eye(man.ambient_dim), self.projectors.shape).copy()
-        if jet:
-            # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T
-            # per factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
-            self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
-            self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
+        # U y = u * (block_rows @ y) = block_cols @ (u * y) for U = u u^T
+        # per factor block, so dU y = du * (block_rows @ y) + block_cols @ (du * y)
+        self.block_rows = man.ambient_block_mask * rows[:, np.newaxis, :]
+        self.block_cols = np.ascontiguousarray(np.swapaxes(self.block_rows, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -372,7 +360,7 @@ class _FrozenGauge(GaugeParametrization):
     pieces: _GaugePieces | None = field(default=None, repr=False, compare=False)
     scratch: Scratch | None = field(default=None, repr=False, compare=False)
 
-    def _pieces(self, pts: np.ndarray, jet: bool) -> _GaugePieces:
+    def _pieces(self, pts: np.ndarray) -> _GaugePieces:
         if pts is not self.pieces.rows and not np.array_equal(pts, self.pieces.rows):
             raise ContractViolation("frozen gauge pieces evaluated off their row batch")
         return self.pieces
@@ -515,9 +503,9 @@ def make_energy_objective(
     stacks (``fields.PairStacks``).  So an evaluation is one
     ``gauge_rotations`` and one ``nijenhuis_batch`` call of theta-dependent
     arithmetic, its largest temporaries in scratch buffers that the frozen
-    pieces own.  The base field's frozen derivatives
-    are complex steps of its evaluator, which must therefore be analytic in
-    its input (see ``fields.ACSField``); the gauge family's are closed forms.
+    pieces own.  The base field's frozen derivatives come from its own jet,
+    so for ``fields.default_acs_field`` they are the closed forms that the
+    ``nijenhuis`` commands take too, and the gauge family's are closed forms.
     A failed Cayley transform or a non-finite energy (theta far too large)
     gives inf, which the simplex rejects.  A non-finite point makes the pair
     draw raise ``DegenerateInput``."""

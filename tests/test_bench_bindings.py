@@ -39,7 +39,8 @@ def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, 
     # around gauge_rotations or nijenhuis_batch would zero them silently,
     # and one that split its rows into blocks would multiply them; every
     # degree the benchmark's grid runs is checked, degree 0 (which skips
-    # the coefficient-derivative term) included
+    # the coefficient-derivative term) included.  The freeze evaluates the
+    # base field once, through its own jet, and no evaluation evaluates it
     monkeypatch.setattr("sphereacs.fields.NIJENHUIS_BLOCK_ROWS", 4)
     man = spheres((2, 1.0), (4, 1.0))
     pts = chart_safe_points(man, 6, seed=1)
@@ -47,8 +48,8 @@ def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, 
     thetas = 0.3 * np.random.default_rng(1).standard_normal((3, par.n_params))
     try:
         tracer.install()
-        objective = search.make_energy_objective(par, default_acs_field(man), pts, 1, pair_seed=1)
         root = tracer.begin_command(0, "cli.search.s2xs4")
+        objective = search.make_energy_objective(par, default_acs_field(man), pts, 1, pair_seed=1)
         for theta in thetas:
             objective(theta)
         tracer.end_command(root)
@@ -68,6 +69,7 @@ def test_each_objective_evaluation_is_one_cayley_and_one_nijenhuis_span(tracer, 
         inside = np.flatnonzero(spans.name == ids[name])
         assert sorted(evaluation_of(s) for s in inside) == list(evaluations), name
         assert np.all(spans.n[inside] == pts.shape[0]), name
+    assert list(spans.n[spans.name == ids["fields.base_field"]]) == [pts.shape[0]]
 
 
 def test_audit_components_traces_one_component_audit_per_full_audit(tracer, monkeypatch, tmp_path):

@@ -697,6 +697,31 @@ def test_nijenhuis_gauged_runs(tmp_path):
     assert main(["nijenhuis", "gauged", "--config", cfg, "--out", str(out)]) == 0
 
 
+# Every nijenhuis target and both searches, each at a tiny scale.
+CLOSED_FORM_RUNS = {
+    ("nijenhuis", "s2"): S2,
+    ("nijenhuis", "s6-octonion"): "factor = dim=6 curvature=1.0\n",
+    ("nijenhuis", "product"): "factor = dim=2 curvature=1.0\nfactor = dim=6 curvature=1.0\nrestriction_check = true\n",
+    ("nijenhuis", "gauged"): S2XS4 + "degrees = 2\n",
+    ("search", "s2xs4"): S2XS4 + "degrees = 0,1,2\n",
+    ("search", "s6"): "factor = dim=6 curvature=1.0\ndegrees = 0,1\n",
+}
+
+
+@pytest.mark.parametrize("command, target", list(CLOSED_FORM_RUNS))
+def test_no_command_takes_a_complex_step(tmp_path, monkeypatch, command, target):
+    # the built-in fields differentiate in closed form, and the search
+    # freezes its base field's own jet, so the complex step, the default of
+    # hand-built fields, is never reached
+    def no_complex_step(*args):
+        raise AssertionError("complex step taken")
+
+    monkeypatch.setattr(fields, "complex_step", no_complex_step)
+    factors = CLOSED_FORM_RUNS[command, target]
+    cfg = write_config(tmp_path, factors + "points = 6\nframe_pairs = 1\nrestarts = 2\nbudget = 5\nformat = csv\n")
+    assert main([command, target, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_nijenhuis_gauged_rejects_several_degrees(tmp_path, capsys):
     # the gauged field is built at one degree; a second one must not be
     # dropped silently

@@ -353,8 +353,17 @@ def test_complex_step_is_the_directional_derivative():
     assert np.max(np.abs(complex_step(X, pts, du) - du @ skew.T)) < 1e-15
 
 
-def test_frozen_field_matches_the_field_on_its_rows_only():
-    base = default_acs_field(S2XS4)
+@pytest.mark.parametrize(
+    "base",
+    [
+        default_acs_field(S2XS4),
+        product_acs_field(S2XS4, [s2_rotation_blocks, s4_integrable_chart_blocks]),
+    ],
+    ids=["closed-form", "complex-step"],
+)
+def test_frozen_field_matches_the_field_on_its_rows_only(base):
+    # the frozen frame derivatives come from the field's own jet, closed
+    # form or complex step, and meet du's frame coordinates: round-off only
     pts = chart_safe_points(S2XS4, 5, seed=1)
     frozen = frozen_field(base, pts)
     rng = np.random.default_rng(2)
@@ -365,7 +374,8 @@ def test_frozen_field_matches_the_field_on_its_rows_only():
     base_value, base_derivative = base.jet(pts)
     assert np.array_equal(frozen(pts), base(pts))
     assert np.array_equal(value, base_value)
-    assert np.max(np.abs(derivative(du, w) - base_derivative(du, w))) < 1e-12
+    expected = base_derivative(du, w)
+    assert np.max(np.abs(derivative(du, w) - expected)) <= 1e-14 * np.max(np.abs(expected))
     moved = pts.copy()
     moved[0] = pts[1]
     for off_rows in (moved, pts[:3], pts + 1e-15):
@@ -495,9 +505,10 @@ def test_default_jet_matches_the_complex_step_jet(curvatures):
 
 
 def test_default_jet_takes_no_complex_step(monkeypatch):
-    # the built-in fields behind the nijenhuis commands and the gauged base
-    # differentiate in closed form; only hand-built fields, product_acs_field
-    # and frozen_field take the complex step
+    # the built-in fields behind the nijenhuis commands and the search base
+    # differentiate in closed form, and a frozen field reads the jet of the
+    # field it freezes; only hand-built fields and product_acs_field take
+    # the complex step (the commands themselves: tests/test_cli.py)
     def no_complex_step(*args):
         raise AssertionError("complex step taken")
 
@@ -836,6 +847,26 @@ def test_scratch_keeps_one_buffer_per_name():
     assert larger.shape == (6, 8, 4) and not np.shares_memory(larger, full)
     assert scratch("a", 6, 8, 4) is larger
     assert len(scratch._buffers) == 2
+
+
+def test_outer_rows_is_the_repeat_tile_product_in_two_buffers():
+    # row i * q + j is a[:, i] * b[:, j], bit for bit the product of the
+    # repeated and the tiled stacks; a later, smaller request (fewer rows,
+    # factor rows and columns, and strided inputs) writes into views of the
+    # same two buffers
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((5, 6, 4)), rng.standard_normal((5, 8, 4))
+    scratch = fields.Scratch()
+    out = fields.outer_rows(a, b, scratch)
+    assert np.array_equal(out, np.repeat(a, 8, axis=1) * np.tile(b, (1, 6, 1)))
+    buffers = dict(scratch._buffers)
+    assert buffers.keys() == {"outer", "outer_b"} and out is buffers["outer"]
+    a, b = a[:3, :4, ::2], b[:3, :, ::2]
+    smaller = fields.outer_rows(a, b, scratch)
+    assert np.array_equal(smaller, np.repeat(a, 8, axis=1) * np.tile(b, (1, 4, 1)))
+    assert scratch._buffers.keys() == buffers.keys()
+    assert all(scratch._buffers[name] is buffer for name, buffer in buffers.items())
+    assert np.shares_memory(smaller, buffers["outer"])
 
 
 @pytest.mark.parametrize("man", [spheres((2, 1.0), (6, 1.0)), S2XS4, S6], ids=["s2xs6", "s2xs4", "s6"])
