@@ -8,6 +8,9 @@ Commands
     nijenhuis {s2 | s6-octonion | product | gauged}
     search    {s2xs4 | s6}
 
+One table, ``COMMANDS``, keyed by ``(command, target)``, gives each command
+its default manifold, whether it runs on that manifold's factor dimensions
+only (``fixed_dims``), and its runner; the parser and the dispatch read it.
 Each audit suite is one library function returning an ``AuditReport``
 (``report.py`` holds the only row type): the curvature symmetries live on
 ``manifold.CurvatureOracle``, the gray, components and ricci-star suites in
@@ -16,11 +19,13 @@ searches record their per-point norms and per-restart energies as value
 rows of the same report type.
 
 Every run prints a human-readable table on stdout and writes a
-machine-readable report (csv or records, 17 significant digits) plus a
-manifest to the output directory.  Exit codes: 0 = completed and every
-asserted check passed, 1 = an asserted check failed, 2 = usage or
-configuration error.  Recorded-only mismatches (the component audit on
-factor-mixing structures) never affect the exit code.
+machine-readable report (``FORMATS``: csv, the default, or records; 17
+significant digits) plus a manifest to the output directory.  Exit codes:
+0 = completed and every asserted check passed, 1 = an asserted check
+failed, 2 = usage or configuration error or a non-finite computed value
+(say, from a curvature of 1e308), named by its row.  Recorded-only
+mismatches (the component audit on factor-mixing structures) never affect
+the exit code.
 
 Configuration file: flat ``key = value`` lines, ``#`` comments, and one
 ``factor = dim=<int> curvature=<float>`` line per sphere factor.  Unknown
@@ -42,9 +47,9 @@ frame_pairs, restarts, budget, generators, degrees (a non-empty list of
 distinct gauge degrees >= 0), init_scale, chart_margin (both positive and
 finite), swap_probe, restriction_check, format, out, acs_file and
 points_file.  A config file without a ``factor`` line is an error; without a
-config file each command runs on its default manifold (``DEFAULT_FACTORS``).
-The commands in ``FIXED_DIMS`` accept only their default manifold's factor
-dimensions, and ``nijenhuis gauged`` takes exactly one degree.  The
+config file each command runs on its default manifold.  A ``fixed_dims``
+command takes only that manifold's factor dimensions (any curvatures), and
+``nijenhuis gauged`` takes exactly one degree.  The
 environment variable SPHEREACS_CONFIG_DIR may point to a directory searched
 for bare config file names.
 
@@ -81,12 +86,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +122,7 @@ from .search import (
     splitting_audit,
 )
 
-FORMATS = ("table", "csv", "records")
+FORMATS = ("csv", "records")
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class RunConfig:
     chart_margin: float = 0.05
     swap_probe: bool = False
     restriction_check: bool = False
-    format: str = "table"
+    format: str = "csv"
     out: str = "runs"
     # optional file inputs: a serialised structure matrix for the components
     # suite, and a plain-text sample-point list for the field commands
@@ -316,31 +322,6 @@ def rows_to_table(title: str, rows: list[Check]) -> str:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-DEFAULT_FACTORS = {
-    ("audit", "curvature"): ((2, 1.0), (4, 1.0), (6, 2.0)),
-    ("audit", "gray"): ((6, 1.0),),
-    ("audit", "splitting"): ((2, 1.0), (4, 1.0)),
-    ("audit", "components"): ((6, 1.0), (6, 2.0)),
-    ("audit", "ricci-star"): ((6, 1.0), (6, 2.0)),
-    ("nijenhuis", "s2"): ((2, 1.0),),
-    ("nijenhuis", "s6-octonion"): ((6, 1.0),),
-    ("nijenhuis", "product"): ((2, 1.0), (6, 1.0)),
-    ("nijenhuis", "gauged"): ((2, 1.0), (4, 1.0)),
-    ("search", "s2xs4"): ((2, 1.0), (4, 1.0)),
-    ("search", "s6"): ((6, 1.0),),
-}
-
-# commands whose field or experiment is built for the factor dimensions of
-# their default manifold only; the curvatures stay free
-FIXED_DIMS = {
-    ("nijenhuis", "s2"),
-    ("nijenhuis", "s6-octonion"),
-    ("nijenhuis", "product"),
-    ("search", "s2xs4"),
-    ("search", "s6"),
-}
-
-
 def _acs_input(man: ProductManifold, cfg: RunConfig) -> np.ndarray | None:
     """The structure serialised in ``acs_file``, if one is configured."""
     if not cfg.acs_file:
@@ -350,17 +331,6 @@ def _acs_input(man: ProductManifold, cfg: RunConfig) -> np.ndarray | None:
     except OSError as exc:
         raise ConfigError(f"cannot read acs_file: {exc}") from exc
     return acs_from_text(man, text)
-
-
-AUDITS = {
-    "curvature": lambda man, cfg: CurvatureOracle(man).symmetry_audit(cfg.samples, cfg.seed),
-    "gray": lambda man, cfg: gray_cancellation_audit(man, cfg.samples, cfg.seed),
-    "splitting": lambda man, cfg: splitting_audit(man, cfg.samples, cfg.seed),
-    "components": lambda man, cfg: component_audit_suite(
-        man, cfg.samples, cfg.seed, _acs_input(man, cfg), cfg.swap_probe
-    ),
-    "ricci-star": lambda man, cfg: ricci_star_exchange_audit(man, cfg.samples, cfg.seed),
-}
 
 
 def _field_for(target: str, man: ProductManifold, cfg: RunConfig):
@@ -375,8 +345,8 @@ def _field_for(target: str, man: ProductManifold, cfg: RunConfig):
     return parametrization.field(theta, base)
 
 
-def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditReport:
-    jf = _field_for(target, man, cfg)
+def run_nijenhuis(man: ProductManifold, cfg: RunConfig, args: argparse.Namespace) -> AuditReport:
+    jf = _field_for(args.target, man, cfg)
     if cfg.points_file:
         pts = load_points(cfg.points_file, man)
         unsafe = np.flatnonzero(~chart_safe_mask(man, pts, cfg.chart_margin))
@@ -391,7 +361,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
         "root mean square |N| over the seeded frame pairs at this point",
     )
     report.record("energy", np.mean(norms**2), "mean |N|^2 over all sample points and frame pairs")
-    if target == "s2":
+    if args.target == "s2":
         # the canonical structure is integrable; N carries the velocity
         # scale 1 / r = sqrt(curvature), and so does its round-off
         report.add(
@@ -399,7 +369,7 @@ def run_nijenhuis(target: str, man: ProductManifold, cfg: RunConfig) -> AuditRep
             TOL.exact_nijenhuis * np.sqrt(man.factors[0].curvature),
             "the canonical S^2 structure is integrable: every per-point rms |N| is round-off",
         )
-    if target == "product" and cfg.restriction_check:
+    if args.target == "product" and cfg.restriction_check:
         report.extend(second_factor_restriction_check(jf, pts[:10]))
     return report
 
@@ -409,16 +379,46 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def run_search(man: ProductManifold, cfg: RunConfig, baseline: str | None = None) -> AuditReport:
-    """Run the energy-floor experiment; with ``baseline``, also write its
+def run_search(man: ProductManifold, cfg: RunConfig, args: argparse.Namespace) -> AuditReport:
+    """Run the energy-floor experiment; with ``--baseline``, also write its
     floor baseline JSON to that path."""
     experiment = energy_floor_experiment(ExperimentConfig(
         manifold=man,
         **{f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig) if f.name != "manifold"},
     ))
-    if baseline:
-        _write_json(Path(baseline), experiment.baseline_record())
+    if args.baseline:
+        _write_json(Path(args.baseline), experiment.baseline_record())
     return experiment.report()
+
+
+class Command(NamedTuple):
+    """A command's default manifold, whether it runs on that manifold's factor
+    dimensions only, and its runner (man, cfg, parsed args) -> AuditReport."""
+
+    factors: tuple[tuple[int, float], ...]
+    fixed_dims: bool
+    run: Callable[[ProductManifold, RunConfig, argparse.Namespace], AuditReport]
+
+
+# every command of the CLI, in the order its help lists the targets
+COMMANDS = {
+    ("audit", "curvature"): Command(((2, 1.0), (4, 1.0), (6, 2.0)), False, lambda man, cfg, args: (
+        CurvatureOracle(man).symmetry_audit(cfg.samples, cfg.seed))),
+    ("audit", "gray"): Command(((6, 1.0),), False, lambda man, cfg, args: (
+        gray_cancellation_audit(man, cfg.samples, cfg.seed))),
+    ("audit", "splitting"): Command(((2, 1.0), (4, 1.0)), False, lambda man, cfg, args: (
+        splitting_audit(man, cfg.samples, cfg.seed))),
+    ("audit", "components"): Command(((6, 1.0), (6, 2.0)), False, lambda man, cfg, args: (
+        component_audit_suite(man, cfg.samples, cfg.seed, _acs_input(man, cfg), cfg.swap_probe))),
+    ("audit", "ricci-star"): Command(((6, 1.0), (6, 2.0)), False, lambda man, cfg, args: (
+        ricci_star_exchange_audit(man, cfg.samples, cfg.seed))),
+    ("nijenhuis", "s2"): Command(((2, 1.0),), True, run_nijenhuis),
+    ("nijenhuis", "s6-octonion"): Command(((6, 1.0),), True, run_nijenhuis),
+    ("nijenhuis", "product"): Command(((2, 1.0), (6, 1.0)), True, run_nijenhuis),
+    ("nijenhuis", "gauged"): Command(((2, 1.0), (4, 1.0)), False, run_nijenhuis),
+    ("search", "s2xs4"): Command(((2, 1.0), (4, 1.0)), True, run_search),
+    ("search", "s6"): Command(((6, 1.0),), True, run_search),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +426,8 @@ def run_search(man: ProductManifold, cfg: RunConfig, baseline: str | None = None
 # ---------------------------------------------------------------------------
 
 def _targets(command: str) -> tuple[str, ...]:
-    """The targets of a command, in ``DEFAULT_FACTORS`` order."""
-    return tuple(t for c, t in DEFAULT_FACTORS if c == command)
+    """The targets of a command, in ``COMMANDS`` order."""
+    return tuple(t for c, t in COMMANDS if c == command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,26 +488,24 @@ def main(argv: list[str] | None = None) -> int:
     command, target = args.command, args.target
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.format is not None:
-            cfg = replace(cfg, format=args.format)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
+        for key in ("seed", "format", "out"):
+            if getattr(args, key) is not None:
+                cfg = replace(cfg, **{key: getattr(args, key)})
         start = time.perf_counter()
-        man = cfg.manifold(DEFAULT_FACTORS[(command, target)])
-        dims = [d for d, _ in DEFAULT_FACTORS[(command, target)]]
-        if (command, target) in FIXED_DIMS and [f.dim for f in man.factors] != dims:
+        spec = COMMANDS[command, target]
+        man = cfg.manifold(spec.factors)
+        dims = [d for d, _ in spec.factors]
+        if spec.fixed_dims and [f.dim for f in man.factors] != dims:
             raise ConfigError(
                 f"{command} {target} needs sphere factors of dimensions "
                 + " x ".join(map(str, dims))
             )
-        if command == "audit":
-            report = AUDITS[target](man, cfg)
-        elif command == "nijenhuis":
-            report = run_nijenhuis(target, man, cfg)
-        else:
-            report = run_search(man, cfg, args.baseline)
+        # a non-finite value fails closed below, by its row: no numpy warnings
+        with np.errstate(all="ignore"):
+            report = spec.run(man, cfg, args)
+        bad = next((c for c in report.checks if not math.isfinite(c.computed)), None)
+        if bad is not None:
+            raise DegenerateInput(f"row {bad.name!r} computed a non-finite value ({bad.computed})")
         elapsed = time.perf_counter() - start
         counts = report.counts()
         _emit(report, cfg, man, command, target, elapsed, counts)

@@ -675,63 +675,39 @@ def sample_tangent_pairs(
     return pts_rep, xs, ys
 
 
-def nijenhuis_sq_norms(
-    Jf: ACSField, x: Array, y: Array, pts: Array, stacks: PairStacks | None = None
-) -> Array:
-    """|N(x, y)|^2, one entry per row (``stacks`` as in ``nijenhuis_batch``)."""
-    values = nijenhuis_batch(Jf, x, y, pts, stacks)
-    return np.sum(values * values, axis=1)
-
-
-# Rows per block of the one-shot evaluations below: the block's repeated
-# points, its tangent pair draw and its nijenhuis_sq_norms call.  A block of
-# the degree-2 gauged S^2 x S^4 field peaks at 17.7 KiB per row under
-# tracemalloc (8.84 MiB at 512 rows); 8.5 KiB per row of it are the
-# field's scratch buffers, which stay allocated between blocks and calls.  The
-# field-batch benchmark peaks at 56.7-56.9 MB with 128 to 512 rows and at
-# 62.7 MB with 1024 (BENCH_streamed_pairs.json), so 512 is the largest size
-# at the floor and keeps the call count lowest.
+# Rows per block of ``nijenhuis_norms``: the block's repeated points, its
+# tangent pair draw and its nijenhuis_batch call.  A block of the degree-2
+# gauged S^2 x S^4 field peaks at 17.7 KiB per row under tracemalloc
+# (8.84 MiB at 512 rows); 8.5 KiB per row of it are the field's scratch
+# buffers, which stay allocated between blocks and calls.  The field-batch
+# benchmark peaks at 56.7-56.9 MB with 128 to 512 rows and at 62.7 MB with
+# 1024 (BENCH_streamed_pairs.json), so 512 is the largest size at the floor
+# and keeps the call count lowest.
 NIJENHUIS_BLOCK_ROWS = 512
 
 
-def _blocked_sq_norms(Jf: ACSField, pts: Array, frame_pairs: int, seed: int) -> Array:
-    """|N|^2 at the seeded frame pairs of ``sample_tangent_pairs``, in its
-    row order, NIJENHUIS_BLOCK_ROWS rows at a time: each block repeats its
-    points, draws its pairs from one generator stream (equal, bit for bit, to
-    the whole-batch draw) and evaluates them, so only the points and the
-    output grow with the batch.  A block may split a point's frame pairs.
-    N is computed row by row, so each value is the one a single whole-batch
-    call gives, except in round-off where a field's evaluator takes a 2-D
-    matrix product over all its rows (BLAS rounds those with the row count,
-    as in the gauge family's two products over the rows, of the features
-    with theta and of the lower features with its theta-only lowered
-    table).  A gauged field's blocks all work in the one ``Scratch`` the
-    field owns.  Not for frozen fields, which are bound to exactly one row
-    batch."""
+def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> Array:
+    """Per-point root-mean-square |N| over the seeded frame pairs of
+    ``sample_tangent_pairs``, NIJENHUIS_BLOCK_ROWS pair rows at a time: each
+    block repeats its points, draws its pairs from one generator stream
+    (equal, bit for bit, to the whole-batch draw) and evaluates them, so only
+    the points and the output grow with the batch.  A block may split a
+    point's frame pairs.  N is computed row by row, so each value is the one
+    a single whole-batch call gives, except in round-off where a field's
+    evaluator takes a 2-D matrix product over all its rows (BLAS rounds
+    those with the row count, as the gauge family's products over the rows
+    do).  A gauged field's blocks all work in the one ``Scratch`` the field
+    owns.  Not for frozen fields, which are bound to exactly one row batch."""
     if frame_pairs < 1:
         raise ContractViolation("frame_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.empty(pts.shape[0] * frame_pairs)
-    for start in range(0, out.size, NIJENHUIS_BLOCK_ROWS):
-        stop = min(start + NIJENHUIS_BLOCK_ROWS, out.size)
+    sq_norms = np.empty(pts.shape[0] * frame_pairs)
+    for start in range(0, sq_norms.size, NIJENHUIS_BLOCK_ROWS):
+        stop = min(start + NIJENHUIS_BLOCK_ROWS, sq_norms.size)
         rows = pts[np.arange(start, stop) // frame_pairs]
         _, xs, ys = sample_tangent_pairs(Jf.manifold, rows, 1, rng)
-        out[start:stop] = nijenhuis_sq_norms(Jf, xs, ys, rows)
-    return out
-
-
-def nijenhuis_energy(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> float:
-    """Mean of |N(X_i, Y_i)|^2 over seeded orthonormal tangent frame pairs at
-    each sample point; zero exactly for integrable fields, deterministic in
-    the seed."""
-    if pts.shape[0] == 0:
-        raise ContractViolation("energy needs at least one sample point")
-    return float(np.mean(_blocked_sq_norms(Jf, pts, frame_pairs, seed)))
-
-
-def nijenhuis_norms(Jf: ACSField, pts: Array, frame_pairs: int = 2, seed: int = 0) -> Array:
-    """Per-point root-mean-square Nijenhuis norm over the seeded frame pairs."""
-    sq_norms = _blocked_sq_norms(Jf, pts, frame_pairs, seed)
+        values = nijenhuis_batch(Jf, xs, ys, rows)
+        sq_norms[start:stop] = np.sum(values * values, axis=1)
     return np.sqrt(np.mean(sq_norms.reshape(pts.shape[0], frame_pairs), axis=1))
 
 

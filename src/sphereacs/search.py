@@ -47,7 +47,7 @@ from .fields import (
     default_acs_field,
     frozen_field,
     frozen_rows,
-    nijenhuis_sq_norms,
+    nijenhuis_batch,
     outer_rows,
     sample_tangent_pairs,
     tangent_projectors,
@@ -198,14 +198,10 @@ class GaugeParametrization:
 
     def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray, _cayley: list | None = None) -> np.ndarray:
         """Batched orthogonal Q(theta, p), identity on normals.  ``_cayley``,
-        a list, receives the pieces, C and (I + A)^(-1) for ``rotation_jet``
-        (nothing when theta = 0, where Q = I)."""
+        a list, receives the pieces, C and (I + A)^(-1) for ``rotation_jet``."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ContractViolation(f"theta must have {self.n_params} entries")
-        if self.n_params == 0 or not theta.any():
-            amb = self.manifold.ambient_dim
-            return np.broadcast_to(np.eye(amb), (pts.shape[0], amb, amb)).copy()
         pieces = self._pieces(pts)
         pi, eye = pieces.projectors, pieces.identity
         c = self._skew_field(theta, pieces.features)
@@ -257,11 +253,10 @@ class GaugeParametrization:
         features @ theta along du, from the lower features and a theta-only
         array (``_coefficient_gradient``); dC Pi y is ``skew_columns`` @
         ``fields.outer_rows(dc, Pi y)``.  At degree 0 the only feature is
-        the constant 1, so dC = 0 and its term is skipped."""
+        the constant 1, so dC = 0 and its term is skipped.  At theta = 0 no
+        path is special: C = 0 and H = I, so Q = I and dQ = 0 exactly."""
         cayley: list = []
         q = self.gauge_rotations(theta, pts, _cayley=cayley)
-        if not cayley:
-            return q, lambda du, z: np.zeros(z.shape)
         pieces, c, h = cayley
         # the derivative holds only these, not the pieces
         pi, block_rows, block_cols = pieces.projectors, pieces.block_rows, pieces.block_cols
@@ -519,7 +514,8 @@ def make_energy_objective(
     def objective(theta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                energy = float(np.mean(nijenhuis_sq_norms(gauge.field(theta, base), xs, ys, rows, stacks)))
+                values = nijenhuis_batch(gauge.field(theta, base), xs, ys, rows, stacks)
+                energy = float(np.mean(np.sum(values * values, axis=1)))
             except DegenerateInput:
                 return np.inf
         return energy if np.isfinite(energy) else np.inf

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from sphereacs.acs import acs_to_text, random_block_diagonal_acs
 from sphereacs.cli import (
-    DEFAULT_FACTORS,
-    FIXED_DIMS,
+    COMMANDS,
+    FORMATS,
     RunConfig,
     load_config,
     main,
@@ -24,7 +25,7 @@ from sphereacs.cli import (
     rows_to_records,
     rows_to_table,
 )
-from sphereacs import fields
+from sphereacs import cli, fields
 from sphereacs.config import TOL
 from sphereacs.errors import ConfigError
 from sphereacs.identities import (
@@ -299,7 +300,7 @@ def test_count_at_2_31_is_config_error(key):
 def test_oversized_count_is_usage_error(tmp_path, capsys, command, key, value):
     # rejected when the config is parsed, before any array is sized from it
     factors = "".join(
-        f"factor = dim={d} curvature={k}\n" for d, k in DEFAULT_FACTORS[tuple(command)]
+        f"factor = dim={d} curvature={k}\n" for d, k in COMMANDS[tuple(command)].factors
     )
     cfg = write_config(tmp_path, factors + f"{key} = {value}\n")
     assert_usage_error(command + ["--config", cfg, "--out", str(tmp_path / "o")], capsys)
@@ -523,6 +524,35 @@ def test_exit_code_contract_on_generated_configs(run):
         assert code == 0
 
 
+# Every command with one factor of its default manifold at curvature 1e308:
+# finite and valid, but the computed values overflow.
+HUGE_CURVATURE_RUNS = [
+    (command, target, index)
+    for (command, target), spec in COMMANDS.items()
+    for index in range(len(spec.factors))
+]
+
+
+@pytest.mark.parametrize("command, target, index", HUGE_CURVATURE_RUNS)
+def test_exit_code_contract_at_huge_curvature(command, target, index):
+    # a non-finite computed value ends the run with exit 2 and one error
+    # line, never as a non-finite report row and never with a numpy warning
+    factors = COMMANDS[command, target].factors
+    text = "".join(
+        f"factor = dim={d} curvature={1e308 if i == index else k!r}\n"
+        for i, (d, k) in enumerate(factors)
+    )
+    text += "samples = 8\npoints = 4\nframe_pairs = 1\nrestarts = 1\nbudget = 5\n"
+    assert_exit_contract(command, target, text)
+
+
+def test_non_finite_row_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "factor = dim=6 curvature=1e308\npoints = 3\n")
+    err = assert_usage_error(["nijenhuis", "s6-octonion", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert "'point[0].rms-norm'" in err and "non-finite" in err
+    assert not (tmp_path / "o" / "nijenhuis_s6_octonion.csv").exists()
+
+
 def test_audit_unsuitable_manifold_is_config_error(tmp_path):
     cfg = write_config(tmp_path, "factor = dim=4 curvature=1.0\n")
     assert main(["audit", "splitting", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -730,10 +760,10 @@ def test_nijenhuis_gauged_rejects_several_degrees(tmp_path, capsys):
     assert_usage_error(["nijenhuis", "gauged", "--config", cfg, "--out", out], capsys)
 
 
-@pytest.mark.parametrize("command, target", sorted(FIXED_DIMS))
+@pytest.mark.parametrize("command, target", sorted(key for key, c in COMMANDS.items() if c.fixed_dims))
 def test_fixed_dimension_commands_reject_other_manifolds(tmp_path, capsys, command, target):
     # same factor count as the default where possible, one dimension changed
-    dims = [d for d, _ in DEFAULT_FACTORS[(command, target)]]
+    dims = [d for d, _ in COMMANDS[command, target].factors]
     dims[-1] = 4 if dims[-1] != 4 else 6
     cfg = write_config(tmp_path, "".join(f"factor = dim={d} curvature=1.0\n" for d in dims))
     assert_usage_error([command, target, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
@@ -784,7 +814,7 @@ def test_manifest_records_the_default_manifold(tmp_path, command, target):
     out = tmp_path / "d"
     assert main([command, target, "--out", str(out)]) == 0
     manifest = json.loads((out / f"{command}_{target}_manifest.json").read_text())
-    assert manifest["config"]["factors"] == [list(f) for f in DEFAULT_FACTORS[(command, target)]]
+    assert manifest["config"]["factors"] == [list(f) for f in COMMANDS[command, target].factors]
 
 
 def test_audit_byte_identical_reruns(tmp_path):
@@ -916,6 +946,34 @@ def test_table_render():
     assert text.splitlines()[0] == "demo"
     assert text.splitlines()[-2].split() == ["alpha", "1", "1", "pass"]
     assert text.splitlines()[-1].split() == ["x", "1", "-", "recorded"]
+
+
+def test_table_format_is_usage_error(tmp_path, capsys):
+    # csv is the default and the only other format is records; the table is
+    # what every run prints on stdout, not a report format
+    assert FORMATS == ("csv", "records") and RunConfig().format == "csv"
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, S2 + "points = 3\n")
+    assert main(["nijenhuis", "s2", "--config", cfg, "--out", out, "--format", "table"]) == 2
+    cfg = write_config(tmp_path, S2 + "points = 3\nformat = table\n")
+    assert_usage_error(["nijenhuis", "s2", "--config", cfg, "--out", out], capsys)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("doc", ["README.md", "cli docstring"])
+def test_documented_synopsis_matches_the_command_table(doc):
+    # the command synopsis lines and the --format choices of the docs name
+    # exactly the CLI's targets, in table order, and its formats
+    text = README.read_text(encoding="utf-8") if doc == "README.md" else cli.__doc__
+    synopsis = re.findall(r"^\s*(?:sphereacs )?(audit|nijenhuis|search)\s+\{([^}]*)\}", text, re.M)
+    commands = {command: cli._targets(command) for command, _ in COMMANDS}
+    assert {c: tuple(t.strip() for t in targets.split("|")) for c, targets in synopsis} == commands
+    assert len(synopsis) == len(commands)
+    if doc == "README.md":
+        formats = re.findall(r"--format\s+\{([^}]*)\}", text)
+        assert [tuple(f.strip() for f in choices.split(",")) for choices in formats] == [FORMATS]
 
 
 def test_run_config_validation():

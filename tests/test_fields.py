@@ -15,9 +15,7 @@ from sphereacs.fields import (
     frozen_rows,
     lie_bracket_fd_batch,
     nijenhuis_batch,
-    nijenhuis_energy,
     nijenhuis_norms,
-    nijenhuis_sq_norms,
     normalize_blocks,
     product_acs_field,
     projected_constant_field,
@@ -321,10 +319,10 @@ def test_integrable_fixtures_reach_round_off(curvatures):
     # no finite-difference floor: integrable structures give energies at
     # the square of double-precision round-off
     s2 = spheres((2, curvatures[0]))
-    assert nijenhuis_energy(default_acs_field(s2), fibonacci_sphere(200, seed=1), 2, seed=11) <= 1e-24
+    assert mean_sq_norm(default_acs_field(s2), fibonacci_sphere(200, seed=1), 2, seed=11) <= 1e-24
     man = spheres((2, curvatures[0]), (4, curvatures[1]))
     flat = product_acs_field(man, [s2_rotation_blocks, s4_integrable_chart_blocks])
-    assert nijenhuis_energy(flat, chart_safe_points(man, 100, seed=2), 2, seed=3) <= 1e-24
+    assert mean_sq_norm(flat, chart_safe_points(man, 100, seed=2), 2, seed=3) <= 1e-24
 
 
 def test_complex_step_rejects_a_dropped_imaginary_part():
@@ -690,8 +688,8 @@ def test_s4_chart_variants():
     assert acs_field_validity_check(twisted, pts[:20]).passed
     # the pole-rotation frame carries the locally integrable chart structure;
     # the twisted frame is genuinely non-integrable
-    assert nijenhuis_energy(integrable, pts, frame_pairs=2, seed=1) < 1e-12
-    assert nijenhuis_energy(twisted, pts, frame_pairs=2, seed=1) > 0.1
+    assert mean_sq_norm(integrable, pts, frame_pairs=2, seed=1) < 1e-12
+    assert mean_sq_norm(twisted, pts, frame_pairs=2, seed=1) > 0.1
 
 
 def test_chart_base_is_one_gauge_rotation_from_integrable():
@@ -725,11 +723,16 @@ def test_default_field_rejects_unknown_dimension():
 # Energy
 # ---------------------------------------------------------------------------
 
+def mean_sq_norm(Jf, pts, frame_pairs, seed):
+    """Mean |N|^2 over the seeded frame pairs, the CLI's energy row."""
+    return float(np.mean(nijenhuis_norms(Jf, pts, frame_pairs, seed) ** 2))
+
+
 def test_energy_canonical_product_2_spheres():
     man = spheres((2, 1.0), (2, 1.0))
     Jf = default_acs_field(man)
     pts = manifold_points(man, 200, seed=5)
-    assert nijenhuis_energy(Jf, pts, frame_pairs=2, seed=5) < 1e-10
+    assert mean_sq_norm(Jf, pts, frame_pairs=2, seed=5) < 1e-10
 
 
 def test_energy_octonionic_positive_and_seed_stable():
@@ -737,7 +740,7 @@ def test_energy_octonionic_positive_and_seed_stable():
     energies = []
     for k in range(3):
         pts = low_discrepancy_directions(200, 7, seed=100 + k)
-        energies.append(nijenhuis_energy(Jf, pts, frame_pairs=3, seed=200 + k))
+        energies.append(mean_sq_norm(Jf, pts, frame_pairs=3, seed=200 + k))
     assert min(energies) > 0.0
     assert (max(energies) - min(energies)) / min(energies) < 0.05
 
@@ -745,24 +748,9 @@ def test_energy_octonionic_positive_and_seed_stable():
 def test_energy_deterministic():
     Jf = default_acs_field(S6)
     pts = low_discrepancy_directions(50, 7, seed=1)
-    a = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=3)
-    b = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=3)
+    a = mean_sq_norm(Jf, pts, frame_pairs=2, seed=3)
+    b = mean_sq_norm(Jf, pts, frame_pairs=2, seed=3)
     assert a == b
-
-
-def test_energy_needs_points():
-    Jf = default_acs_field(S6)
-    with pytest.raises(ContractViolation):
-        nijenhuis_energy(Jf, np.zeros((0, 7)), frame_pairs=1, seed=0)
-
-
-def test_nijenhuis_norms_match_energy():
-    Jf = default_acs_field(S6)
-    pts = low_discrepancy_directions(30, 7, seed=2)
-    norms = nijenhuis_norms(Jf, pts, frame_pairs=2, seed=9)
-    energy = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=9)
-    assert norms.shape == (30,)
-    assert float(np.mean(norms**2)) == pytest.approx(energy, rel=1e-12)
 
 
 @pytest.mark.parametrize("fixture, rel", [
@@ -777,26 +765,23 @@ def test_row_blocks_equal_one_batch(monkeypatch, fixture, rel):
     Jf = EXACT_FIXTURES[fixture]()
     pts = chart_safe_points(Jf.manifold, 23, seed=6)
     rows, xs, ys = sample_tangent_pairs(Jf.manifold, pts, 2, seed=7)
-    whole = nijenhuis_sq_norms(Jf, xs, ys, rows)
+    values = nijenhuis_batch(Jf, xs, ys, rows)
+    whole = np.sum(values * values, axis=1)
     block_rows = []
 
     def counted(Jf, x, y, pts):
         block_rows.append(pts.shape[0])
-        return nijenhuis_sq_norms(Jf, x, y, pts)
+        return nijenhuis_batch(Jf, x, y, pts)
 
     monkeypatch.setattr(fields, "NIJENHUIS_BLOCK_ROWS", 7)
-    monkeypatch.setattr(fields, "nijenhuis_sq_norms", counted)
+    monkeypatch.setattr(fields, "nijenhuis_batch", counted)
     norms = nijenhuis_norms(Jf, pts, frame_pairs=2, seed=7)
-    energy = nijenhuis_energy(Jf, pts, frame_pairs=2, seed=7)
-    assert block_rows == 2 * ([7] * 6 + [4])
+    assert block_rows == [7] * 6 + [4]
     expected_norms = np.sqrt(np.mean(whole.reshape(23, 2), axis=1))
-    expected_energy = float(np.mean(whole))
     if rel == 0.0:
         assert np.array_equal(norms, expected_norms)
-        assert energy == expected_energy
     else:
         assert np.max(np.abs(norms - expected_norms) / expected_norms) <= rel
-        assert abs(energy - expected_energy) <= rel * expected_energy
 
 
 def one_shot_peak(fixture: str, n: int, frame_pairs: int) -> int:
@@ -898,9 +883,8 @@ def test_one_shot_evaluations_reject_frame_pairs_below_one(monkeypatch, n, frame
     monkeypatch.setattr(fields, "sample_tangent_pairs", counted)
     Jf = default_acs_field(S6)
     pts = low_discrepancy_directions(5, 7, seed=2)[:n]
-    for evaluation in (nijenhuis_norms, nijenhuis_energy):
-        with pytest.raises(ContractViolation):
-            evaluation(Jf, pts, frame_pairs=frame_pairs, seed=1)
+    with pytest.raises(ContractViolation):
+        nijenhuis_norms(Jf, pts, frame_pairs=frame_pairs, seed=1)
     assert drawn == []
 
 
@@ -985,9 +969,8 @@ def test_one_shot_evaluations_reject_a_non_finite_point():
         off = pts.copy()
         off[3, 0] = bad
         with np.errstate(invalid="ignore"):
-            for evaluation in (nijenhuis_norms, nijenhuis_energy):
-                with pytest.raises(DegenerateInput):
-                    evaluation(Jf, off, frame_pairs=2, seed=1)
+            with pytest.raises(DegenerateInput):
+                nijenhuis_norms(Jf, off, frame_pairs=2, seed=1)
             with pytest.raises(DegenerateInput):
                 sample_tangent_pairs(Jf.manifold, off, 1, 1)
 

@@ -17,15 +17,17 @@ from sphereacs.acs import (
     random_orthogonal_acs,
     random_orthogonal_matrices,
 )
+from sphereacs.config import TOL
 from sphereacs.errors import ContractViolation, DegenerateInput, SearchError
 from sphereacs.fields import (
     acs_field_validity_check,
     complex_step,
     default_acs_field,
+    nijenhuis_batch,
     nijenhuis_norms,
-    nijenhuis_sq_norms,
     sample_tangent_pairs,
     tangent_project,
+    tangent_projectors,
 )
 from sphereacs.identities import SplittingDefect, splitting_defect
 from sphereacs.manifold import SAMPLE_BLOCK, CurvatureOracle, spheres
@@ -127,6 +129,41 @@ def test_zero_parameters_reproduce_base_field():
     assert np.array_equal(gauged(pts), base(pts))
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_theta_zero_takes_the_general_cayley_path(monkeypatch, degree):
+    # theta = 0 has no shortcut: a perturbation eps S of the coefficient
+    # field there reaches Q as the Cayley transform of Pi eps S Pi
+    par = GaugeParametrization(S2XS4, degree=degree, generators=4, seed=3)
+    pts = chart_safe_points(S2XS4, 6, seed=3)
+    eps_s = 1e-3 * par.skew_basis[1]
+    monkeypatch.setattr(
+        GaugeParametrization, "_skew_field",
+        lambda self, theta, features: np.broadcast_to(eps_s, (features.shape[0],) + eps_s.shape),
+    )
+    q = par.gauge_rotations(np.zeros(par.n_params), pts)
+    pi = tangent_projectors(S2XS4, pts)
+    a = pi @ eps_s @ pi
+    eye = np.eye(S2XS4.ambient_dim)
+    assert np.max(np.abs(q - (eye - a) @ np.linalg.inv(eye + a))) <= TOL.linalg
+    assert np.max(np.abs(q - eye)) > 1e-4
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_gauged_jet_at_theta_zero_is_the_base_jet(degree):
+    # Q = I and dQ = 0 exactly on the general path, so the gauged field's
+    # values and derivative are the base field's, bit for bit
+    par = GaugeParametrization(S2XS4, degree=degree, generators=4, seed=1)
+    base = default_acs_field(S2XS4)
+    pts = chart_safe_points(S2XS4, 9, seed=4)
+    rng = np.random.default_rng(degree)
+    pi = tangent_projectors(S2XS4, pts)
+    du, w = (pi @ rng.standard_normal((9, S2XS4.ambient_dim, 3)) for _ in range(2))
+    j, dj = par.field(np.zeros(par.n_params), base).jet(pts)
+    b, db = base.jet(pts)
+    assert np.array_equal(j, b)
+    assert np.array_equal(dj(du, w), db(du, w))
+
+
 def test_gauge_rotations_orthogonal_and_tangent_preserving():
     par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=3)
     pts = chart_safe_points(S2XS4, 12, seed=3)
@@ -193,7 +230,8 @@ def test_frozen_objective_matches_the_unfrozen_energy(degree):
     rng = np.random.default_rng(degree)
     thetas = [np.zeros(par.n_params)] + [0.3 * rng.standard_normal(par.n_params) for _ in range(3)]
     for theta in thetas:
-        expected = float(np.mean(nijenhuis_sq_norms(par.field(theta, base), xs, ys, rows)))
+        values = nijenhuis_batch(par.field(theta, base), xs, ys, rows)
+        expected = float(np.mean(np.sum(values * values, axis=1)))
         assert abs(objective(theta) - expected) <= 1e-13 * expected
 
 
