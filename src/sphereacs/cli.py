@@ -23,7 +23,8 @@ machine-readable report (``FORMATS``: csv, the default, or records; 17
 significant digits) plus a manifest to the output directory.  Exit codes:
 0 = completed and every asserted check passed, 1 = an asserted check
 failed, 2 = usage or configuration error or a non-finite computed value
-(say, from a curvature of 1e308), named by its row.  Recorded-only
+(say, from a curvature of 1e308), named by its row; every exit 2 writes one
+``error:`` line, a command-line mistake's too.  Recorded-only
 mismatches (the component audit on factor-mixing structures) never affect
 the exit code.
 
@@ -430,13 +431,22 @@ def _targets(command: str) -> tuple[str, ...]:
     return tuple(t for c, t in COMMANDS if c == command)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (an unknown target or choice, a missing
+    argument) raise ``ConfigError`` for ``main`` to report on one line,
+    instead of printing the usage block and exiting."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     shared.add_argument("--config", help="path to a run configuration file")
     shared.add_argument("--seed", type=int, help="override the config seed")
     shared.add_argument("--format", choices=FORMATS, help="machine report format")
     shared.add_argument("--out", help="output directory for report files")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphereacs",
         description="Numerical audits and obstruction searches for orthogonal "
         "almost complex structures on products of round spheres.",
@@ -483,8 +493,11 @@ def _emit(
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     command, target = args.command, args.target
     try:
         cfg = load_config(args.config)

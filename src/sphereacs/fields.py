@@ -265,14 +265,16 @@ def _outer_index(p: int, q: int) -> tuple[Array, Array]:
 
 
 def outer_rows(a: Array, b: Array, scratch: Scratch) -> Array:
-    """The column-wise outer products of stacks a (n, p, k) and b (n, q, k):
-    row i * q + j of the (n, p * q, k) result is a[:, i] * b[:, j], filled by
+    """The column-wise outer products of stacks a (..., n, p, k) and b
+    (..., n, q, k) with equal leading axes: row i * q + j of the
+    (..., n, p * q, k) result is a[..., i, :] * b[..., j, :], filled by
     np.take into the buffers "outer" and "outer_b" of scratch (mode 'clip'
     writes in place where 'raise' buffers; every index is valid)."""
-    (n, p, k), q = a.shape, b.shape[1]
+    *lead, p, k = a.shape
+    q = b.shape[-2]
     left, right = _outer_index(p, q)
-    out = np.take(a, left, axis=1, out=scratch("outer", n, p * q, k), mode="clip")
-    out *= np.take(b, right, axis=1, out=scratch("outer_b", n, p * q, k), mode="clip")
+    out = np.take(a, left, axis=-2, out=scratch("outer", *lead, p * q, k), mode="clip")
+    out *= np.take(b, right, axis=-2, out=scratch("outer_b", *lead, p * q, k), mode="clip")
     return out
 
 
@@ -287,13 +289,15 @@ def frozen_rows(rows: Array) -> Array:
     return out
 
 
-def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
+def frozen_field(Jf: ACSField, rows: Array, scratch: Scratch | None = None) -> ACSField:
     """Jf with its values and its derivatives along the tangent frame of
     each row taken once from its own jet, so (D_du J) w is one batched
     product with the ``outer_rows`` of du's frame coordinates and w, formed
-    in the frozen field's ``Scratch``.  Valid only on exactly this row
-    batch, kept as ``frozen_rows``: the very same array passes at once, any
-    other is compared with np.array_equal."""
+    in scratch: a fresh ``Scratch`` by default, or one the caller shares
+    with work that never holds its "outer" buffers across this derivative
+    (the energy objective shares its gauge family's).  Valid only on
+    exactly this row batch, kept as ``frozen_rows``: the very same array
+    passes at once, any other is compared with np.array_equal."""
     man = Jf.manifold
     rows = frozen_rows(rows)
     n, amb = rows.shape
@@ -305,7 +309,8 @@ def frozen_field(Jf: ACSField, rows: Array) -> ACSField:
     along = jet_derivative(np.repeat(frame, amb, axis=2), np.tile(np.eye(amb), (n, 1, man.total_dim)))
     for a in (value, along, coords):
         a.flags.writeable = False
-    scratch = Scratch()
+    if scratch is None:
+        scratch = Scratch()
 
     def derivative(du: Array, w: Array) -> Array:
         return along @ outer_rows(coords @ du, w, scratch)
@@ -570,22 +575,35 @@ def lie_bracket_fd_batch(
 class PairStacks:
     """What ``nijenhuis_batch`` needs of the tangent vectors x, y at the rows
     pts besides J: the tangent projectors, the displacements [Jx, Jy, x, y]
-    and their velocities P_a v_a / r_a (x, y filled in, the Jx, Jy halves
-    scratch), and the vectors [y, x, y, x] the derivatives of J meet.  None
-    of it depends on J; one evaluation at a time."""
+    and their velocities P_a v_a / r_a (``columns``: x, y filled in, the
+    Jx, Jy halves scratch), and the vectors [y, x, y, x] the derivatives of
+    J meet.  None of it depends on J; one evaluation at a time."""
 
     def __init__(self, man: ProductManifold, x: Array, y: Array, pts: Array):
         self.x, self.y, self.pts = x, y, pts
         self.projectors = tangent_projectors(man, pts)
         self.radii = man.ambient_radii[:, np.newaxis]
-        self.cols = np.empty(x.shape + (4,))
-        self.cols[..., 2] = x
-        self.cols[..., 3] = y
-        self.vel = np.empty(self.cols.shape)
-        np.divide(self.projectors @ self.cols[..., 2:], self.radii, out=self.vel[..., 2:])
-        self.pairs = self.cols[..., [3, 2, 3, 2]]
+        self._grow(1)
+        self.pairs = self._cols[0][..., [3, 2, 3, 2]]
         self.projectors.flags.writeable = False
         self.pairs.flags.writeable = False
+
+    def _grow(self, count: int) -> None:
+        self._cols = np.empty((count,) + self.x.shape + (4,))
+        self._cols[..., 2] = self.x
+        self._cols[..., 3] = self.y
+        self._vel = np.empty(self._cols.shape)
+        np.divide(self.projectors @ self._cols[..., 2:], self.radii, out=self._vel[..., 2:])
+
+    def columns(self, lead: tuple[int, ...]) -> tuple[Array, Array]:
+        """The displacements and their velocities, shape lead + (n,
+        ambient_dim, 4), for a J with the leading axes lead (a theta
+        stack's), views of buffers that grow to the largest stack seen."""
+        count = math.prod(lead)
+        if self._cols.shape[0] < count:
+            self._grow(count)
+        shape = lead + self._cols.shape[1:]
+        return self._cols[:count].reshape(shape), self._vel[:count].reshape(shape)
 
 
 def nijenhuis_batch(
@@ -599,13 +617,18 @@ def nijenhuis_batch(
     (module docstring).  ``stacks``, the ``PairStacks`` of these very x, y
     and pts, is built here if not given; the frozen energy objective passes
     its own, so each of its evaluations does only the work that depends on J.
+    A jet whose values carry leading axes, g stacked fields at the same rows
+    (a gauged field of a theta stack), gives N of each, shape (g, n,
+    ambient_dim): every product is batched over the fields and the rows, so
+    each field's N is the one it gives alone, bit for bit.
     """
     if stacks is None:
         stacks = PairStacks(Jf.manifold, x, y, pts)
     elif not (stacks.x is x and stacks.y is y and stacks.pts is pts):
         raise ContractViolation("pair stacks evaluated on other tangent pairs")
     j, dj = Jf.jet(pts)
-    pi, cols, vel = stacks.projectors, stacks.cols, stacks.vel
+    pi = stacks.projectors
+    cols, vel = stacks.columns(j.shape[:-3])
     # the displacements Jx, Jy and their velocities
     np.matmul(j, cols[..., 2:], out=cols[..., :2])
     np.divide(pi @ cols[..., :2], stacks.radii, out=vel[..., :2])
@@ -682,7 +705,10 @@ def sample_tangent_pairs(
 # buffers, which stay allocated between blocks and calls.  The field-batch
 # benchmark peaks at 56.7-56.9 MB with 128 to 512 rows and at 62.7 MB with
 # 1024 (BENCH_streamed_pairs.json), so 512 is the largest size at the floor
-# and keeps the call count lowest.
+# and keeps the call count lowest.  ``search.minimize_energy`` stacks its
+# restarts' evaluations up to this many rows too: a stack of 4 or 5 vectors
+# at 100 rows cost 0.83-0.84 of one alone per vector, 10 cost 0.93 and 20
+# cost 1.02-1.17 (BENCH_lockstep_restarts.json).
 NIJENHUIS_BLOCK_ROWS = 512
 
 

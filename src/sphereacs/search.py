@@ -25,10 +25,11 @@ the family's few seeded generators are from expressing that rotation.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .acs import (
 from .config import TOL
 from .errors import ContractViolation, DegenerateInput, SearchError
 from .fields import (
+    NIJENHUIS_BLOCK_ROWS,
     ACSField,
     PairStacks,
     Scratch,
@@ -164,19 +166,20 @@ class GaugeParametrization:
         return np.array(index, dtype=int).reshape(-1, amb), np.array(exponent).reshape(-1, amb)
 
     def _coefficient_gradient(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """The coefficients' gradient at the rows of features, shape (n,
-        generators, ambient_dim): entry (i, k, a) is d c_k / d x_a for
-        c = features @ theta.  A polynomial of degree D has a derivative of
-        degree D - 1, so this is the lower features times D theta, a
-        theta-only (F_low, generators * ambient_dim) array read off
-        ``_lowering``."""
+        """The coefficients' gradient at the rows of features, shape (...,
+        n, generators, ambient_dim) for theta of shape (..., n_params):
+        entry (i, k, a) is d c_k / d x_a for c = features @ theta.  A
+        polynomial of degree D has a derivative of degree D - 1, so this is
+        the lower features times D theta, a theta-only (F_low, generators *
+        ambient_dim) array read off ``_lowering``, one per theta."""
         index, exponent = self._lowering
         low, amb = index.shape
-        theta_m = theta.reshape(self.feature_count, self.generators)
+        lead = theta.shape[:-1]
+        theta_m = theta.reshape(*lead, self.feature_count, self.generators)
         # entry (m, k * amb + a) of D theta is e theta[m x_a, k]
-        lowered = np.swapaxes(theta_m[index] * exponent[:, :, np.newaxis], 1, 2)
-        gradient = features[:, :low] @ lowered.reshape(low, self.generators * amb)
-        return gradient.reshape(features.shape[0], self.generators, amb)
+        lowered = np.swapaxes(theta_m[..., index, :] * exponent[:, :, np.newaxis], -1, -2)
+        gradient = features[:, :low] @ lowered.reshape(*lead, low, self.generators * amb)
+        return gradient.reshape(*gradient.shape[:-1], self.generators, amb)
 
     def frozen(self, rows: np.ndarray) -> "GaugeParametrization":
         """This family with its theta-independent pieces at the row batch
@@ -197,11 +200,18 @@ class GaugeParametrization:
         return Scratch()
 
     def gauge_rotations(self, theta: np.ndarray, pts: np.ndarray, _cayley: list | None = None) -> np.ndarray:
-        """Batched orthogonal Q(theta, p), identity on normals.  ``_cayley``,
-        a list, receives the pieces, C and (I + A)^(-1) for ``rotation_jet``."""
+        """Batched orthogonal Q(theta, p), identity on normals, shape (n,
+        ambient_dim, ambient_dim).  theta may also be a stack (g, n_params):
+        then Q has shape (g, n, ambient_dim, ambient_dim), every product
+        runs over the stack and the rows at once and each Q is the one its
+        theta gives alone, bit for bit.  A lone theta whose Q fails the
+        orthogonality check raises ``DegenerateInput``; in a stack its Q and
+        (I + A)^(-1) are NaN instead, and so is everything computed from
+        them.  A singular I + A raises for a stack too.  ``_cayley``, a
+        list, receives the pieces, C and (I + A)^(-1) for ``rotation_jet``."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise ContractViolation(f"theta must have {self.n_params} entries")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.n_params:
+            raise ContractViolation(f"theta must have {self.n_params} entries, or be a stack of such")
         pieces = self._pieces(pts)
         pi, eye = pieces.projectors, pieces.identity
         c = self._skew_field(theta, pieces.features)
@@ -216,22 +226,28 @@ class GaugeParametrization:
         except np.linalg.LinAlgError as exc:
             raise DegenerateInput("Cayley inverse failed: gauge parameters too large") from exc
         q = (eye - a) @ h
-        gram = q.transpose(0, 2, 1) @ q
+        gram = np.swapaxes(q, -1, -2) @ q
         gram -= eye
-        defect = np.abs(gram, out=gram).max(initial=0.0)
-        if not defect <= TOL.acs_validity:
+        # one defect per theta
+        defect = np.abs(gram, out=gram).max(axis=(-3, -2, -1), initial=0.0)
+        failed = ~(defect <= TOL.acs_validity)
+        if theta.ndim == 1 and failed:
             raise DegenerateInput(
                 f"Cayley transform not orthogonal (defect {defect:.3g}): gauge parameters too large"
             )
+        if theta.ndim == 2 and failed.any():
+            q[failed] = h[failed] = np.nan
         if _cayley is not None:
             _cayley.extend((pieces, c, h))
         return q
 
     def _skew_field(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """C = sum_k c_k S_k with c = features @ theta, batched."""
-        coeff = features @ theta.reshape(self.feature_count, self.generators)
+        """C = sum_k c_k S_k with c = features @ theta, batched over the rows
+        and over the leading axes of theta."""
+        coeff = features @ theta.reshape(*theta.shape[:-1], self.feature_count, self.generators)
         amb = self.manifold.ambient_dim
-        return (coeff @ self.skew_basis.reshape(self.generators, amb * amb)).reshape(-1, amb, amb)
+        c = coeff @ self.skew_basis.reshape(self.generators, amb * amb)
+        return c.reshape(*coeff.shape[:-1], amb, amb)
 
     def rotation_jet(self, theta: np.ndarray, pts: np.ndarray, scratch: Scratch | None = None):
         """Q from one gauge_rotations call on the rows pts, and the map
@@ -239,8 +255,10 @@ class GaugeParametrization:
         shape (n, ambient_dim, k), applied to z of shape
         (n, ambient_dim, r * k): r column stacks side by side, each paired
         column by column with du, so one batched product per operator
-        reaches all of them.  The map's largest temporaries live in scratch,
-        by default the one ``_scratch`` gives (a fresh one unless frozen).
+        reaches all of them.  For a theta stack (g, n_params), Q, du and z
+        carry the leading axis g.  The map's largest temporaries live in
+        scratch, by default the one ``_scratch`` gives (a fresh one unless
+        frozen).
 
         Closed form, without forming a derivative matrix, from the C and
         H = (I + A)^(-1) of the gauge_rotations call: dQ = -2 H dA H; with
@@ -277,7 +295,7 @@ class GaugeParametrization:
             np.matmul(c, pi_y, out=both[..., m:])
             # dU of both: du_both * (block_rows @ both) + block_cols @ (du_both * both),
             # with du repeated to the columns of both, all in scratch
-            du_both = np.take(du, np.arange(2 * m) % k, axis=2, out=scratch("du", *both_shape), mode="clip")
+            du_both = np.take(du, np.arange(2 * m) % k, axis=-1, out=scratch("du", *both_shape), mode="clip")
             d_u = np.matmul(block_rows, both, out=scratch("d_u", *both_shape))
             d_u *= du_both
             du_both *= both
@@ -300,23 +318,28 @@ class GaugeParametrization:
         (D J) w = dQ B v - J dQ v + Q (D B) v.  The field takes one
         ``Scratch`` from ``_scratch`` and every jet's derivative works in
         it, so the row blocks of a one-shot evaluation reuse one set of
-        buffers; two fields share none."""
+        buffers; two fields share none.
+
+        A theta stack (g, n_params) gives g fields in one: values and
+        derivatives carry the leading axis g, and the base field's
+        derivative must take du and w with that axis, as a
+        ``fields.frozen_field``'s does."""
         theta = np.array(theta, dtype=float)
         scratch = self._scratch()
 
         def fn(pts: np.ndarray) -> np.ndarray:
             q = self.gauge_rotations(theta, pts)
-            return q @ base(pts) @ q.transpose(0, 2, 1)
+            return q @ base(pts) @ np.swapaxes(q, -1, -2)
 
         def jet(pts: np.ndarray):
             q, dq = self.rotation_jet(theta, pts, scratch)
             b, db = base.jet(pts)
-            qt = np.ascontiguousarray(q.transpose(0, 2, 1))
+            qt = np.ascontiguousarray(np.swapaxes(q, -1, -2))
             j = q @ b @ qt
 
             def derivative(du: np.ndarray, w: np.ndarray) -> np.ndarray:
                 k = w.shape[-1]
-                z = scratch("z", *w.shape[:-1], 2 * k)
+                z = scratch("z", *q.shape[:-1], 2 * k)
                 v = np.matmul(qt, w, out=z[..., k:])
                 np.matmul(b, v, out=z[..., :k])
                 dq_z = dq(du, z)
@@ -375,7 +398,87 @@ MAX_RESAMPLE = 5  # redraws of a start point whose objective value is not finite
 
 
 class _BudgetSpent(Exception):
-    """Raised by nelder_mead's evaluator when asked for one evaluation too many."""
+    """Raised inside the simplex steps when asked for one evaluation too many."""
+
+
+def _simplex_steps(
+    x0: np.ndarray, budget: int, f0: float | None = None
+) -> Generator[np.ndarray, float, tuple[np.ndarray, float, int]]:
+    """The body of ``nelder_mead`` as a generator: it yields each point it
+    wants evaluated, takes the value back through ``send`` and returns
+    (best x, best value, evaluations used) when it stops.  Its caller
+    decides how the points are evaluated: ``nelder_mead`` one at a time,
+    ``minimize_energy`` many runs in lock step."""
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    used = 0
+    best_x, best_f = None, np.inf
+
+    def ev(x: np.ndarray, fx: float | None = None):
+        nonlocal used, best_x, best_f
+        if used == budget:
+            raise _BudgetSpent
+        if fx is None:
+            fx = yield x
+        fx = float(fx)
+        used += 1
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+        return fx
+
+    if budget < 1:
+        raise ContractViolation("budget must be >= 1 evaluation")
+    yield from ev(x0, f0)
+    stale = 0
+    radius = 1.0
+    try:
+        while dim and stale < 2:
+            f_before = best_f
+            radius *= 0.25
+            # simplex around the incumbent best, built one axis step at a time
+            xs = [best_x.copy()]
+            fs = [best_f]
+            for i in range(dim):
+                v = best_x.copy()
+                v[i] += radius
+                xs.append(v)
+                fs.append((yield from ev(v)))
+            xs = np.array(xs)
+            fs = np.array(fs)
+            while True:
+                order = np.argsort(fs, kind="stable")
+                xs, fs = xs[order], fs[order]
+                spread_f = fs[-1] - fs[0]
+                spread_x = np.max(np.abs(xs[1:] - xs[0]))
+                if spread_f <= FATOL * max(1.0, abs(fs[0])) and spread_x <= XATOL * max(
+                    1.0, float(np.max(np.abs(xs[0])))
+                ):
+                    break
+                centroid = np.mean(xs[:-1], axis=0)
+                xr = centroid + (centroid - xs[-1])
+                fr = yield from ev(xr)
+                if fr < fs[0]:
+                    xe = centroid + 2.0 * (centroid - xs[-1])
+                    fe = yield from ev(xe)
+                    xs[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+                elif fr < fs[-2]:
+                    xs[-1], fs[-1] = xr, fr
+                else:
+                    # outside contraction if the reflection helped, else inside
+                    xc = centroid + 0.5 * ((xr if fr < fs[-1] else xs[-1]) - centroid)
+                    fc = yield from ev(xc)
+                    if fc < min(fr, fs[-1]):
+                        xs[-1], fs[-1] = xc, fc
+                    else:
+                        # shrink toward the best vertex
+                        for i in range(1, dim + 1):
+                            xs[i] = xs[0] + 0.5 * (xs[i] - xs[0])
+                            fs[i] = yield from ev(xs[i])
+            improved = best_f < f_before - max(RESTART_GAIN * abs(f_before), 1e-15)
+            stale = 0 if improved else stale + 1
+    except _BudgetSpent:
+        pass
+    return best_x, best_f, used
 
 
 def nelder_mead(
@@ -384,7 +487,8 @@ def nelder_mead(
     budget: int,
     f0: float | None = None,
 ) -> tuple[np.ndarray, float, int]:
-    """Nelder-Mead descent under a hard evaluation budget.
+    """Nelder-Mead descent under a hard evaluation budget, one restart,
+    each point evaluated by objective as ``_simplex_steps`` asks for it.
 
     Each simplex around the incumbent best steps along the axes in turn,
     each step from the best point so far (a staircase, not an axis-aligned
@@ -399,74 +503,13 @@ def nelder_mead(
     computed; it stands in for the first evaluation, which still counts
     against the budget.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    used = 0
-    best_x, best_f = None, np.inf
-
-    def ev(x: np.ndarray, fx: float | None = None) -> float:
-        nonlocal used, best_x, best_f
-        if used == budget:
-            raise _BudgetSpent
-        fx = float(objective(x) if fx is None else fx)
-        used += 1
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
-        return fx
-
-    if budget < 1:
-        raise ContractViolation("budget must be >= 1 evaluation")
-    ev(x0, f0)
-    stale = 0
-    radius = 1.0
+    steps = _simplex_steps(x0, budget, f0)
     try:
-        while dim and stale < 2:
-            f_before = best_f
-            radius *= 0.25
-            # simplex around the incumbent best, built one axis step at a time
-            xs = [best_x.copy()]
-            fs = [best_f]
-            for i in range(dim):
-                v = best_x.copy()
-                v[i] += radius
-                xs.append(v)
-                fs.append(ev(v))
-            xs = np.array(xs)
-            fs = np.array(fs)
-            while True:
-                order = np.argsort(fs, kind="stable")
-                xs, fs = xs[order], fs[order]
-                spread_f = fs[-1] - fs[0]
-                spread_x = np.max(np.abs(xs[1:] - xs[0]))
-                if spread_f <= FATOL * max(1.0, abs(fs[0])) and spread_x <= XATOL * max(
-                    1.0, float(np.max(np.abs(xs[0])))
-                ):
-                    break
-                centroid = np.mean(xs[:-1], axis=0)
-                xr = centroid + (centroid - xs[-1])
-                fr = ev(xr)
-                if fr < fs[0]:
-                    xe = centroid + 2.0 * (centroid - xs[-1])
-                    fe = ev(xe)
-                    xs[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
-                elif fr < fs[-2]:
-                    xs[-1], fs[-1] = xr, fr
-                else:
-                    # outside contraction if the reflection helped, else inside
-                    xc = centroid + 0.5 * ((xr if fr < fs[-1] else xs[-1]) - centroid)
-                    fc = ev(xc)
-                    if fc < min(fr, fs[-1]):
-                        xs[-1], fs[-1] = xc, fc
-                    else:
-                        # shrink toward the best vertex
-                        for i in range(1, dim + 1):
-                            xs[i] = xs[0] + 0.5 * (xs[i] - xs[0])
-                            fs[i] = ev(xs[i])
-            improved = best_f < f_before - max(RESTART_GAIN * abs(f_before), 1e-15)
-            stale = 0 if improved else stale + 1
-    except _BudgetSpent:
-        pass
-    return best_x, best_f, used
+        x = next(steps)
+        while True:
+            x = steps.send(objective(x))
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +532,7 @@ def make_energy_objective(
     pts: np.ndarray,
     frame_pairs: int,
     pair_seed: int,
+    _stack: list | None = None,
 ) -> Callable[[np.ndarray], float]:
     """Objective theta -> mean |N|^2 with sample points and frame pairs frozen
     once, so energies are comparable across restarts and evaluations.  What
@@ -503,23 +547,52 @@ def make_energy_objective(
     ``nijenhuis`` commands take too, and the gauge family's are closed forms.
     A failed Cayley transform or a non-finite energy (theta far too large)
     gives inf, which the simplex rejects.  A non-finite point makes the pair
-    draw raise ``DegenerateInput``."""
+    draw raise ``DegenerateInput``.
+
+    The objective is the stack of one of a stacked evaluation, thetas (g,
+    n_params) -> g energies, which ``_stack``, a list, receives (the
+    objective itself stays theta -> float, the form that ``nelder_mead``
+    and the benchmark's tracer in ``perfbench/tracing.py`` take): the same
+    two calls for the whole stack, a leading axis of g over the frozen
+    pieces, so the fixed cost of a call is paid once per stack.  Each
+    energy equals, bit for bit, the one its theta gives alone: the products
+    run one per theta on its own rows, and the orthogonality check and the
+    energy's reduction run per theta.  A theta whose Cayley transform fails
+    gives inf, the others their energies; a singular I + A anywhere in the
+    stack makes it evaluate one theta at a time."""
     man = parametrization.manifold
     rows, xs, ys = sample_tangent_pairs(man, pts, frame_pairs, pair_seed)
     rows = frozen_rows(rows)
     stacks = PairStacks(man, xs, ys, rows)
-    base = frozen_field(base, rows)
     gauge = parametrization.frozen(rows)
+    # the gauged derivative is done with its "outer" buffers before it
+    # calls the base field's, so the two share one scratch
+    base = frozen_field(base, rows, gauge.scratch)
+
+    def stacked_energies(thetas: np.ndarray) -> np.ndarray:
+        # raises DegenerateInput for a singular I + A anywhere in the stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = nijenhuis_batch(gauge.field(thetas, base), xs, ys, rows, stacks)
+            out = np.array([np.mean(np.sum(v * v, axis=1)) for v in values])
+        out[~np.isfinite(out)] = np.inf
+        return out
+
+    def energies(thetas: np.ndarray) -> np.ndarray:
+        try:
+            return stacked_energies(thetas)
+        except DegenerateInput:
+            out = np.full(len(thetas), np.inf)
+        if len(thetas) > 1:
+            for i, theta in enumerate(thetas):
+                with contextlib.suppress(DegenerateInput):
+                    out[i] = stacked_energies(theta[np.newaxis])[0]
+        return out
 
     def objective(theta: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                values = nijenhuis_batch(gauge.field(theta, base), xs, ys, rows, stacks)
-                energy = float(np.mean(np.sum(values * values, axis=1)))
-            except DegenerateInput:
-                return np.inf
-        return energy if np.isfinite(energy) else np.inf
+        return float(energies(np.asarray(theta, dtype=float)[np.newaxis])[0])
 
+    if _stack is not None:
+        _stack.append(energies)
     return objective
 
 
@@ -539,6 +612,39 @@ def finite_start(
     raise SearchError(f"no finite objective value after {MAX_RESAMPLE} resamples")
 
 
+def _lock_step(
+    energies: Callable[[np.ndarray], np.ndarray],
+    starts: list[tuple[np.ndarray, float]],
+    budget: int,
+    group: int,
+) -> list[tuple[np.ndarray, float, int]]:
+    """One ``_simplex_steps`` run per (theta0, f0) of starts, at most group
+    of them live at a time: each round evaluates the pending point of every
+    live run in one stacked call, and a finished run's place goes to the
+    next start.  The results are in the order of starts."""
+    results: list = [None] * len(starts)
+    live: dict[int, tuple[Generator, np.ndarray]] = {}
+
+    def advance(r: int, steps: Generator, value: float | None) -> None:
+        try:
+            live[r] = steps, steps.send(value)
+        except StopIteration as done:
+            live.pop(r, None)
+            results[r] = done.value
+
+    waiting = iter(enumerate(starts))
+    while True:
+        while len(live) < group and (start := next(waiting, None)) is not None:
+            r, (theta0, f0) = start
+            advance(r, _simplex_steps(theta0, budget, f0), None)
+        if not live:
+            return results
+        pending = list(live.items())
+        values = energies(np.array([x for _, (_, x) in pending]))
+        for (r, (steps, _)), value in zip(pending, values):
+            advance(r, steps, value)
+
+
 def minimize_energy(
     parametrization: GaugeParametrization,
     points: np.ndarray,
@@ -551,34 +657,48 @@ def minimize_energy(
     """Simplex descent over the gauge family of the manifold's default
     structure field, from seeded random initial gauge parameters, one
     independent sub-seed per restart; restart 0 starts at theta = 0 so the
-    base field's own energy is always the first value on record."""
+    base field's own energy is always the first value on record.  A base
+    energy that is not finite raises ``SearchError`` at once: no theta can
+    be trusted to bring it back, and the random starts would only redraw.
+
+    The start values come from the objective one at a time (a random
+    start's through ``finite_start``); then the restarts run
+    ``nelder_mead``'s steps in lock step, at most ``NIJENHUIS_BLOCK_ROWS // rows`` of them (at
+    least one) per stacked evaluation of the objective's rows.  Each
+    restart keeps its own budget and exits, and every energy, evaluation
+    count and the best parameters equal, bit for bit, those of one
+    ``nelder_mead`` call per restart in turn."""
     if restarts < 1:
         raise ContractViolation("need at least one restart")
     if budget < 1:
         raise ContractViolation("need a budget of at least one evaluation per restart")
-    base = default_acs_field(parametrization.manifold)
-    objective = make_energy_objective(parametrization, base, points, frame_pairs, pair_seed=seed)
+    man = parametrization.manifold
+    base = default_acs_field(man)
+    stacked: list = []
+    objective = make_energy_objective(parametrization, base, points, frame_pairs, pair_seed=seed, _stack=stacked)
     n_params = parametrization.n_params
-    restart_energies: list[float] = []
-    evals: list[int] = []
-    best_energy = np.inf
-    best_params = np.zeros(n_params)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        theta0 = np.zeros(n_params) if r == 0 else init_scale * rng.standard_normal(n_params)
-        theta0, f0 = finite_start(
-            objective, theta0, lambda: init_scale * rng.standard_normal(n_params)
+    base_energy = objective(np.zeros(n_params))
+    if not np.isfinite(base_energy):
+        raise SearchError(
+            f"the base field's energy is {base_energy}, not finite, at factor curvatures "
+            + ", ".join(format(k, "g") for k in man.curvatures)
         )
-        xb, fb, used = nelder_mead(objective, theta0, budget, f0=f0)
-        restart_energies.append(fb)
-        evals.append(used)
-        if fb < best_energy:
-            best_energy, best_params = fb, xb
+    starts = [(np.zeros(n_params), base_energy)]
+    for r in range(1, restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append(finite_start(
+            objective,
+            init_scale * rng.standard_normal(n_params),
+            lambda: init_scale * rng.standard_normal(n_params),
+        ))
+    group = max(1, NIJENHUIS_BLOCK_ROWS // (points.shape[0] * frame_pairs))
+    runs = _lock_step(stacked[0], starts, budget, group)
+    best_params, best_energy, _ = min(runs, key=lambda run: run[1])
     return SearchResult(
         best_energy=float(best_energy),
         best_params=best_params,
-        restart_energies=tuple(restart_energies),
-        evals_per_restart=tuple(evals),
+        restart_energies=tuple(fb for _, fb, _ in runs),
+        evals_per_restart=tuple(used for _, _, used in runs),
     )
 
 

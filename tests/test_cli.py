@@ -159,16 +159,40 @@ def test_exit_code_contract(tmp_path):
     assert main(["--help"]) == 0
 
 
+def assert_one_error_line(err):
+    """What an exit code of 2 writes to stderr: exactly one ``error:`` line."""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def assert_usage_error(main_args, capsys):
     """Exit code 2 with exactly one ``error:`` line and no traceback; returns
     that line."""
     capsys.readouterr()
     assert main(main_args) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert len(captured.err.splitlines()) == 1
+    assert_one_error_line(captured.err)
     assert "Traceback" not in captured.out + captured.err
     return captured.err
+
+
+@pytest.mark.parametrize("main_args", [
+    ["audit", "nope"],
+    ["nijenhuis", "s2", "--format", "table"],
+    ["search"],
+    [],
+    ["search", "s6", "--seed", "seven"],
+])
+def test_command_line_mistake_is_one_error_line(main_args, capsys):
+    # an unknown target, a choice the option does not offer, a missing
+    # argument or a bad option value: no usage block, only the error
+    err = assert_usage_error(main_args, capsys)
+    assert "usage:" not in err
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["search", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sphereacs search")
 
 
 def test_nonfinite_points_file_is_usage_error(tmp_path, capsys):
@@ -316,8 +340,8 @@ def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_search_error_is_usage_error(tmp_path, capsys, monkeypatch):
-    # an objective that is never finite makes the search give up after its
-    # resamples
+    # an objective that is never finite makes the search give up at the
+    # base field's energy
     monkeypatch.setattr(
         search, "make_energy_objective", lambda *args, **kwargs: lambda theta: float("nan")
     )
@@ -327,6 +351,29 @@ def test_search_error_is_usage_error(tmp_path, capsys, monkeypatch):
         "points = 4\nrestarts = 2\nbudget = 3\n",
     )
     assert_usage_error(["search", "s2xs4", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+
+def test_non_finite_base_energy_stops_the_search_at_once(tmp_path, capsys, monkeypatch):
+    # at curvature 1e308 the base field's energy overflows, and no gauge
+    # rotation can bring it back: the search stops after restart 0's one
+    # evaluation, with one error line naming the energy and the curvature
+    evaluations = []
+    make_objective = search.make_energy_objective
+
+    def counting_objective(*args, **kwargs):
+        objective = make_objective(*args, **kwargs)
+
+        def counted(theta):
+            evaluations.append(theta)
+            return objective(theta)
+
+        return counted
+
+    monkeypatch.setattr(search, "make_energy_objective", counting_objective)
+    cfg = write_config(tmp_path, "factor = dim=6 curvature=1e308\npoints = 4\nrestarts = 3\nbudget = 5\n")
+    err = assert_usage_error(["search", "s6", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+    assert "base field's energy is inf" in err and "1e+308" in err
+    assert len(evaluations) == 1 and not np.any(evaluations[0])
 
 
 @pytest.mark.parametrize("key", ["init_scale", "chart_margin"])
@@ -387,8 +434,7 @@ def assert_exit_contract(command, target, config_text, files=None):
             warnings.simplefilter("error")
             code = main([command, target, "--config", str(cfg), "--out", tmp])
         if code == 2:
-            assert err.getvalue().startswith("error: ")
-            assert len(err.getvalue().splitlines()) == 1
+            assert_one_error_line(err.getvalue())
             return code
         assert code in (0, 1)
         assert err.getvalue() == ""

@@ -465,8 +465,90 @@ def test_failed_cayley_transform_gives_infinite_energy(scale):
 
 def test_gauge_theta_shape_contract():
     par = GaugeParametrization(S2XS4, degree=0, generators=2, seed=0)
-    with pytest.raises(ContractViolation):
-        par.gauge_rotations(np.zeros(5), chart_safe_points(S2XS4, 2, seed=0))
+    pts = chart_safe_points(S2XS4, 2, seed=0)
+    for theta in (np.zeros(5), np.zeros((2, 5)), np.zeros((1, 2, 8))):
+        with pytest.raises(ContractViolation):
+            par.gauge_rotations(theta, pts)
+
+
+def stacked_objective(par, pts, frame_pairs, seed):
+    """The objective of make_energy_objective and its stacked evaluation."""
+    stacked = []
+    objective = make_energy_objective(
+        par, default_acs_field(par.manifold), pts, frame_pairs, pair_seed=seed, _stack=stacked
+    )
+    (energies,) = stacked
+    return objective, energies
+
+
+@pytest.mark.parametrize("points, frame_pairs", [(1, 1), (7, 2)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_stacked_energies_equal_single_evaluations(degree, points, frame_pairs):
+    # every energy of a stack is the one its theta gives alone, bit for bit,
+    # at every stack size and position, at one row too (where a 2-D product
+    # over the tiled rows would round differently); a theta whose Q fails
+    # the orthogonality check gives inf and leaves the others alone
+    par = GaugeParametrization(S2XS4, degree=degree, generators=4, seed=degree)
+    pts = chart_safe_points(S2XS4, points, seed=degree)
+    objective, energies = stacked_objective(par, pts, frame_pairs, degree)
+    thetas = 0.3 * np.random.default_rng(degree).standard_normal((6, par.n_params))
+    thetas[4] *= 1e9
+    with np.errstate(all="raise"):
+        single = np.array([objective(theta) for theta in thetas])
+        assert single[4] == np.inf and np.all(np.isfinite(np.delete(single, 4)))
+        for size in range(1, len(thetas) + 1):
+            for start in range(len(thetas) - size + 1):
+                stop = start + size
+                assert np.array_equal(energies(thetas[start:stop]), single[start:stop]), (start, stop)
+
+
+def test_stacked_gauge_rotations_equal_single_ones():
+    # a stack's Q and its derivative map are those of each theta, bit for
+    # bit; a Q that fails the orthogonality check is NaN in a stack and
+    # raises alone
+    par = GaugeParametrization(S2XS4, degree=2, generators=4, seed=3)
+    pts = chart_safe_points(S2XS4, 9, seed=3)
+    thetas = 0.3 * np.random.default_rng(3).standard_normal((3, par.n_params))
+    thetas[1] *= 1e9
+    du = np.random.default_rng(4).standard_normal((3, 9, 8, 2))
+    z = np.random.default_rng(5).standard_normal((3, 9, 8, 4))
+    with np.errstate(invalid="ignore"):
+        q, dq = par.rotation_jet(thetas, pts)
+        dq_z = dq(du, z).copy()
+    assert np.all(np.isnan(q[1])) and np.all(np.isnan(dq_z[1]))
+    with pytest.raises(DegenerateInput):
+        par.gauge_rotations(thetas[1], pts)
+    for i in (0, 2):
+        q_i, dq_i = par.rotation_jet(thetas[i], pts)
+        assert np.array_equal(q[i], q_i)
+        assert np.array_equal(dq_z[i], dq_i(du[i], z[i]))
+
+
+def test_singular_cayley_inverse_in_a_stack_evaluates_one_theta_at_a_time(monkeypatch):
+    # a singular I + A makes the stacked inverse raise for the whole stack:
+    # the stack is evaluated again one theta at a time, and only the
+    # singular theta gets inf
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=1)
+    pts = chart_safe_points(S2XS4, 5, seed=1)
+    objective, energies = stacked_objective(par, pts, 1, 1)
+    thetas = 0.3 * np.random.default_rng(1).standard_normal((4, par.n_params))
+    thetas[2] = 1e300 * np.random.default_rng(1).standard_normal(par.n_params)
+    with pytest.raises(DegenerateInput, match="inverse"):
+        par.gauge_rotations(thetas[2], pts)
+    single = np.array([objective(theta) for theta in thetas])
+    calls = []
+    rotations = GaugeParametrization.gauge_rotations
+
+    def counted(self, theta, *args, **kwargs):
+        calls.append(np.shape(theta)[0] if np.ndim(theta) == 2 else 0)
+        return rotations(self, theta, *args, **kwargs)
+
+    monkeypatch.setattr(GaugeParametrization, "gauge_rotations", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = energies(thetas)
+    assert np.array_equal(out, single) and out[2] == np.inf
+    assert calls == [4, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +680,28 @@ def test_search_deterministic():
 
 
 def test_search_evaluates_once_per_counted_evaluation(monkeypatch):
-    # each restart's start value comes from finite_start; the simplex counts
-    # it without evaluating the objective a second time
+    # each restart's start value is evaluated once (the base energy, or
+    # finite_start's); the simplex counts it without evaluating the objective
+    # a second time, and the lock-step rounds evaluate one theta row of a
+    # stacked call per counted evaluation
     calls = 0
     make_objective = search.make_energy_objective
 
-    def counting_objective(*args, **kwargs):
-        objective = make_objective(*args, **kwargs)
+    def counting_objective(*args, _stack, **kwargs):
+        objective = make_objective(*args, _stack=_stack, **kwargs)
+        energies = _stack.pop()
 
         def counted(theta):
             nonlocal calls
             calls += 1
             return objective(theta)
 
+        def counted_rows(thetas):
+            nonlocal calls
+            calls += len(thetas)
+            return energies(thetas)
+
+        _stack.append(counted_rows)
         return counted
 
     monkeypatch.setattr(search, "make_energy_objective", counting_objective)
@@ -631,6 +722,73 @@ def test_search_budget_monotone():
     large = small_search(S2XS4, budget=90)
     assert large.best_energy <= small.best_energy
     assert all(lo <= hi for lo, hi in zip(large.restart_energies, small.restart_energies))
+
+
+def sequential_restarts(par, pts, restarts, seed, budget):
+    """minimize_energy's restarts as one nelder_mead call each, in turn,
+    from the same starts: the reference the lock-step rounds must equal."""
+    objective = make_energy_objective(par, default_acs_field(par.manifold), pts, 1, pair_seed=seed)
+    runs = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        theta0 = np.zeros(par.n_params) if r == 0 else 0.5 * rng.standard_normal(par.n_params)
+        theta0, f0 = finite_start(objective, theta0, lambda: 0.5 * rng.standard_normal(par.n_params))
+        runs.append(nelder_mead(objective, theta0, budget, f0=f0))
+    return runs
+
+
+@pytest.mark.parametrize("block_rows", [None, 20, 9])
+@pytest.mark.parametrize("man, degree, generators, budget", [
+    (S2XS2, 0, 2, 200), (S2XS4, 1, 4, 40), (S2XS4, 2, 4, 30),
+])
+def test_lock_step_equals_sequential_restarts(monkeypatch, man, degree, generators, budget, block_rows):
+    # one group of 5 restarts, groups of 2 whose places pass to the next
+    # start as runs finish, and one restart at a time (10 rows each)
+    if block_rows is not None:
+        monkeypatch.setattr(search, "NIJENHUIS_BLOCK_ROWS", block_rows)
+    par = GaugeParametrization(man, degree=degree, generators=generators, seed=2)
+    pts = chart_safe_points(man, 10, seed=2)
+    res = minimize_energy(par, pts, restarts=5, seed=2, budget=budget)
+    runs = sequential_restarts(par, pts, 5, 2, budget)
+    assert res.restart_energies == tuple(fb for _, fb, _ in runs)
+    assert res.evals_per_restart == tuple(used for _, _, used in runs)
+    best = min(range(5), key=lambda r: runs[r][1])
+    assert res.best_energy == runs[best][1]
+    assert np.array_equal(res.best_params, runs[best][0])
+    if man is S2XS2:
+        # both exits: some restarts converge before their budget runs out
+        assert min(res.evals_per_restart) < budget == max(res.evals_per_restart)
+
+
+def test_lock_step_groups_hold_at_most_the_block_rows(monkeypatch):
+    # NIJENHUIS_BLOCK_ROWS // rows restarts per stacked call, at least one
+    sizes = []
+    make_objective = search.make_energy_objective
+
+    def recording(*args, _stack, **kwargs):
+        objective = make_objective(*args, _stack=_stack, **kwargs)
+        energies = _stack.pop()
+        _stack.append(lambda thetas: sizes.append(len(thetas)) or energies(thetas))
+        return objective
+
+    monkeypatch.setattr(search, "make_energy_objective", recording)
+    par = GaugeParametrization(S2XS4, degree=1, generators=4, seed=2)
+    pts = chart_safe_points(S2XS4, 10, seed=2)
+    for block_rows, group in ((512, 5), (30, 3), (10, 1), (3, 1)):
+        monkeypatch.setattr(search, "NIJENHUIS_BLOCK_ROWS", block_rows)
+        sizes.clear()
+        minimize_energy(par, pts, restarts=5, seed=2, budget=12)
+        assert max(sizes) == group
+
+
+def test_non_finite_base_energy_raises_at_once():
+    # the base field's energy overflows at curvature 1e308: restart 0 stops
+    # the search after its one evaluation, naming the energy and curvature
+    man = spheres((6, 1e308))
+    par = GaugeParametrization(man, degree=0, generators=4, seed=1)
+    pts = manifold_points(man, 4, seed=1)
+    with pytest.raises(SearchError, match=r"energy is inf.*1e\+308"):
+        minimize_energy(par, pts, restarts=3, seed=1, budget=10)
 
 
 def test_search_trivial_family_keeps_base_energy():
